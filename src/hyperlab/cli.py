@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
+from itertools import chain
 
 from . import abstractions as ab
 from . import hyperlogic as hl
@@ -44,11 +46,29 @@ def _load_space(path: str) -> StateSpace:
     return StateSpace.from_config(_load_json(path))
 
 
-def _load_hyperset(path: str):
+def _in_space(triples, space: StateSpace, where: str):
+    """`triples`, after checking that every state in them is in `space`."""
+    inside = frozenset(space.states())
+    for t in triples:
+        for sigma in chain(t.inf, *t.e, *t.br):
+            if sigma not in inside:
+                raise CliError("%s: state %s is outside the state space"
+                               % (where, list(sigma)))
+    return triples
+
+
+def _load_hyperset(path: str, space: StateSpace):
     data = _load_json(path)
     if isinstance(data, dict):
         data = [data]
-    return frozenset(rd.triple_from_json(d) for d in data)
+    return _in_space(frozenset(rd.triple_from_json(d) for d in data),
+                     space, path)
+
+
+def _request_triples(req: dict, key: str, space: StateSpace):
+    return _in_space(frozenset(rd.triple_from_json(d)
+                               for d in req.get(key, ())),
+                     space, "request %r" % key)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -93,7 +113,7 @@ def cmd_post(args) -> int:
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     s_sem = it.sem(stmt, space)
-    pres = _load_hyperset(args.pre)
+    pres = _load_hyperset(args.pre, space)
     results = [rd.triple_to_json(tf.post(s_sem, p))
                for p in sorted(pres, key=rd.SemTriple.sort_key)]
     _emit({"post": results}, args.json)
@@ -103,7 +123,7 @@ def cmd_post(args) -> int:
 def cmd_hyper_post(args) -> int:
     stmt = _load_program(args.program)
     space = _load_space(args.space)
-    pres = _load_hyperset(args.pre)
+    pres = _load_hyperset(args.pre, space)
     out = tf.Post_structural(stmt, pres, space)
     _emit({"Post": [rd.triple_to_json(t)
                     for t in sorted(out, key=rd.SemTriple.sort_key)]},
@@ -115,23 +135,27 @@ def _named_oracle(args, space):
     name = args.post_oracle
     if name in ("NI", "GNI", "GD"):
         return ab.family(name, space=space, low=args.low, high=args.high)
-    return _load_hyperset(name)
+    return _load_hyperset(name, space)
 
 
 def cmd_check(args) -> int:
     if args.request:
         req = _load_json(args.request)
+        missing = [k for k in ("space", "program")
+                   if not isinstance(req, dict) or k not in req]
+        if missing:
+            raise CliError("request has no %s" %
+                           ", ".join(repr(k) for k in missing))
         space = StateSpace.from_config(req["space"])
         stmt = parse(req["program"])
-        pre = frozenset(rd.triple_from_json(d) for d in req.get("pre", []))
+        pre = _request_triples(req, "pre", space)
         post_q = req.get("post_oracle")
         if isinstance(post_q, str):
             post_q = ab.family(post_q, space=space,
                                low=req.get("low", "l"),
                                high=req.get("high", "h"))
         else:
-            post_q = frozenset(rd.triple_from_json(d)
-                               for d in req.get("post", []))
+            post_q = _request_triples(req, "post", space)
         rule = req.get("rule", "upper")
         if rule == "upper":
             rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
@@ -140,18 +164,23 @@ def cmd_check(args) -> int:
         elif rule == "forall_exists":
             if not isinstance(stmt, hl.While):
                 raise CliError("rule 'forall_exists' needs a single while loop")
-            inv = req.get("invariant")
-            if inv is not None:
-                inv = frozenset(rd.triple_from_json(d) for d in inv)
+            inv = None
+            if req.get("invariant") is not None:
+                inv = _request_triples(req, "invariant", space)
             rep = hl.check_rule("forall_exists", space, pre=pre,
                                 cond=stmt.cond, body=stmt.body,
                                 post_q=post_q, invariant=inv)
         else:
             raise CliError("request rule %r not supported here" % rule)
     else:
+        missing = [f for f in ("program", "space", "pre", "post_oracle")
+                   if getattr(args, f) is None]
+        if missing:
+            raise CliError("check needs --request or %s" % ", ".join(
+                "--" + f.replace("_", "-") for f in missing))
         space = _load_space(args.space)
         stmt = _load_program(args.program)
-        pre = _load_hyperset(args.pre)
+        pre = _load_hyperset(args.pre, space)
         post_q = _named_oracle(args, space)
         if args.rule == "upper":
             rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
@@ -285,8 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ParseError, rd.UnboundVariableError, ab.LatticeError,

@@ -9,15 +9,24 @@ forever.  All fixpoints run to stabilization; every carrier here is finite,
 so no widening is needed and the iteration count is bounded by the carrier
 size.
 
-`oracle_sem` rebuilds the same triple from the reachable configuration graph
-of a small-step machine; on a finite graph an execution diverges exactly when
-it can reach a cycle.  The two routes are independent, which is what makes
-sem == oracle_sem a meaningful check.
+`oracle_sem` rebuilds the same triple operationally.  It compiles the
+statement once into a flat instruction list over integer program points,
+encodes a configuration as the int pc * |S| + state index, and runs one
+Tarjan pass over the configuration graph, discovered on the fly from every
+start state.  Tarjan closes the strongly connected components in reverse
+topological order, so each closed SCC folds in its successors' results: the
+reachable end and break states (bitmasks over state indexes) and whether it
+can diverge.  On a finite graph an execution diverges exactly when it can
+reach a cycle, i.e. an SCC with an internal edge.  The oracle uses only the
+AST, `StateSpace`, expression evaluation and `SemTriple`, never `sem`, the
+fixpoint routines or the relational operators; the two routes are
+independent, which is what makes sem == oracle_sem a meaningful check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 from . import lang, rel_domain as rd
@@ -164,150 +173,145 @@ def sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
 # ---------------------------------------------------------------------------
 # Small-step oracle
 
-def _step(frames: tuple, sigma, space: StateSpace):
-    """One small step: returns (successors, terminal) where terminal is
-    None, 'end', or 'break'.  A config with no successors and no terminal is
-    a filtered-out execution (failed test or pruned assignment)."""
-    if not frames:
-        return (), "end"
-    head, rest = frames[0], frames[1:]
-    if head[0] == "loop":
-        w = head[1]
-        if rd.eval_bexpr(w.cond, space, sigma):
-            return (((("s", w.body),) + frames, sigma),), None
-        return ((rest, sigma),), None
-    s = head[1]
-    if isinstance(s, Skip):
-        return ((rest, sigma),), None
-    if isinstance(s, Assign):
-        i = space.index(s.var)
-        v = space.clip(i, rd.eval_aexpr(s.expr, space, sigma))
-        if v is None:
-            return (), None
-        return ((rest, sigma[:i] + (v,) + sigma[i + 1:]),), None
-    if isinstance(s, RandAssign):
-        i = space.index(s.var)
-        lo = max(space.lo[i], s.lo)
-        hi = min(space.hi[i], s.hi)
-        if lo > hi:
-            return (), None
-        return tuple((rest, sigma[:i] + (v,) + sigma[i + 1:])
-                     for v in range(int(lo), int(hi) + 1)), None
-    if isinstance(s, BoolTest):
-        if rd.eval_bexpr(s.cond, space, sigma):
-            return ((rest, sigma),), None
-        return (), None
-    if isinstance(s, Seq):
-        return (((("s", s.first), ("s", s.second)) + rest, sigma),), None
-    if isinstance(s, If):
-        branch = s.then if rd.eval_bexpr(s.cond, space, sigma) else s.orelse
-        return (((("s", branch),) + rest, sigma),), None
-    if isinstance(s, While):
-        return (((("loop", s),) + rest, sigma),), None
-    if isinstance(s, Break):
-        for k, fr in enumerate(frames):
-            if fr[0] == "loop":
-                return ((frames[k + 1:], sigma),), None
-        return (), "break"
-    raise TypeError(s)
+_END, _BREAK = 0, 1  # terminal program points: normal end, free break
+
+
+def _compile(s: lang.Stmt, space: StateSpace):
+    """(entry pc, code): `s` as instructions whose successors are pcs.
+
+    `Skip` compiles to its continuation and `Break` to the exit of its
+    innermost loop, or to the free-break terminal outside any loop.
+    """
+    code = [("end",), ("break",)]
+
+    def emit(op):
+        code.append(op)
+        return len(code) - 1
+
+    def comp(s, nxt, brk):
+        if isinstance(s, Skip):
+            return nxt
+        if isinstance(s, Break):
+            return brk
+        if isinstance(s, Seq):
+            return comp(s.first, comp(s.second, nxt, brk), brk)
+        if isinstance(s, Assign):
+            return emit(("assign", space.index(s.var), s.expr, nxt))
+        if isinstance(s, RandAssign):
+            i = space.index(s.var)
+            lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
+            vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
+            return emit(("rand", i, vals, nxt))
+        if isinstance(s, BoolTest):
+            return emit(("test", s.cond, nxt))
+        if isinstance(s, If):
+            return emit(("if", s.cond, comp(s.then, nxt, brk),
+                         comp(s.orelse, nxt, brk)))
+        if isinstance(s, While):
+            head = emit(None)
+            code[head] = ("loop", s.cond, comp(s.body, head, nxt), nxt)
+            return head
+        raise TypeError(s)
+
+    return comp(s, _END, _BREAK), code
 
 
 def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
     """Independent denotation from the reachable configuration graph.
 
-    A free break (no enclosing loop) terminates the program via the br
-    component, matching the structural semantics on such fragments.
+    A configuration is the int pc * |S| + state index.  One Tarjan pass from
+    the |S| start configurations discovers the graph and closes its SCCs in
+    reverse topological order; each closed SCC folds in its successors'
+    end-state and break-state bitmasks and "can diverge" flags.  An SCC can
+    diverge when it has an internal edge (it lies on a cycle) or a successor
+    SCC can.  A free break terminates the program via the br component,
+    matching the structural semantics on such fragments.
     """
-    succs: dict = {}
-    terminal: dict = {}
-    initials = {sigma: ((("s", s),), sigma) for sigma in space.states()}
+    entry, code = _compile(s, space)
+    states = space.states()
+    n = len(states)
+    stride = [1] * len(space.vars)  # mixed-radix place value of each variable
+    for i in range(len(stride) - 2, -1, -1):
+        stride[i] = stride[i + 1] * (space.hi[i + 1] - space.lo[i + 1] + 1)
 
-    stack = list(initials.values())
-    while stack:
-        cfg = stack.pop()
-        if cfg in succs:
-            continue
-        nxt, term = _step(cfg[0], cfg[1], space)
-        succs[cfg] = nxt
-        terminal[cfg] = term
-        stack.extend(n for n in nxt if n not in succs)
+    def succ(cfg):
+        pc, j = divmod(cfg, n)
+        op, sigma = code[pc], states[j]
+        kind = op[0]
+        if kind == "assign":
+            _, i, expr, nxt = op
+            v = space.clip(i, rd.eval_aexpr(expr, space, sigma))
+            return () if v is None else (nxt * n + j + (v - sigma[i]) * stride[i],)
+        if kind == "rand":
+            _, i, vals, nxt = op
+            base = nxt * n + j - sigma[i] * stride[i]
+            return tuple(base + v * stride[i] for v in vals)
+        if kind == "test":
+            return (op[2] * n + j,) if rd.eval_bexpr(op[1], space, sigma) else ()
+        if kind in ("if", "loop"):
+            return ((op[2] if rd.eval_bexpr(op[1], space, sigma) else op[3])
+                    * n + j,)
+        return ()
 
-    # configs lying on a cycle, then configs that can reach a cycle
-    index_of: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    sstack: list = []
-    counter = [0]
-    cyclic: set = set()
+    size = len(code) * n
+    num = [0] * size        # DFS number; 0 = not yet discovered
+    low = [0] * size
+    out = [()] * size       # successors, computed once at discovery
+    res = [None] * size     # (end mask, break mask, can diverge) of a closed SCC
+    stack, work = [], []
+    counter = count(1)
 
-    def tarjan(root):
-        work = [(root, iter(succs[root]))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        sstack.append(root)
-        on_stack.add(root)
+    def discover(w):
+        num[w] = low[w] = next(counter)
+        out[w] = succ(w)
+        stack.append(w)
+        work.append((w, iter(out[w])))
+
+    for root in range(entry * n, entry * n + n):
+        if not num[root]:
+            discover(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index_of:
-                    index_of[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    sstack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succs[child])))
-                    advanced = True
+            v, it = work[-1]
+            for w in it:
+                if not num[w]:
+                    discover(w)
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                scc = []
-                while True:
-                    member = sstack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                if len(scc) > 1 or any(m in succs[m] for m in scc):
-                    cyclic.update(scc)
+                if res[w] is None and num[w] < low[v]:  # w is on the stack
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != num[v]:
+                    continue
+                k = len(stack) - 1
+                while stack[k] != v:
+                    k -= 1
+                scc = stack[k:]
+                del stack[k:]
+                end, brk, div = 0, 0, False
+                for m in scc:
+                    pc, j = divmod(m, n)
+                    end |= (pc == _END) << j
+                    brk |= (pc == _BREAK) << j
+                    for w in out[m]:
+                        r = res[w]
+                        if r is None:  # an edge inside the SCC: a cycle
+                            div = True
+                        else:
+                            end, brk, div = end | r[0], brk | r[1], div or r[2]
+                r = (end, brk, div)
+                for m in scc:
+                    res[m] = r
 
-    for cfg in initials.values():
-        if cfg not in index_of:
-            tarjan(cfg)
+    def pairs(sigma, mask):
+        while mask:
+            bit = mask & -mask
+            yield sigma, states[bit.bit_length() - 1]
+            mask ^= bit
 
-    to_cycle: set = set(cyclic)
-    changed = True
-    while changed:
-        changed = False
-        for cfg, nxt in succs.items():
-            if cfg not in to_cycle and any(n in to_cycle for n in nxt):
-                to_cycle.add(cfg)
-                changed = True
-
-    e_pairs = set()
-    br_pairs = set()
-    div = set()
-    for sigma0, init_cfg in initials.items():
-        seen = {init_cfg}
-        frontier = [init_cfg]
-        while frontier:
-            cfg = frontier.pop()
-            term = terminal[cfg]
-            if term == "end":
-                e_pairs.add((sigma0, cfg[1]))
-            elif term == "break":
-                br_pairs.add((sigma0, cfg[1]))
-            for n in succs[cfg]:
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        if init_cfg in to_cycle:
-            div.add(sigma0)
-
-    return SemTriple(frozenset(e_pairs), frozenset(div), frozenset(br_pairs))
+    starts = [(sigma, res[entry * n + j]) for j, sigma in enumerate(states)]
+    return SemTriple(
+        frozenset(p for sigma, r in starts for p in pairs(sigma, r[0])),
+        frozenset(sigma for sigma, r in starts if r[2]),
+        frozenset(p for sigma, r in starts for p in pairs(sigma, r[1])))

@@ -68,6 +68,12 @@ class StateSpace:
 
     @staticmethod
     def from_config(cfg: dict) -> "StateSpace":
+        if not isinstance(cfg, dict):
+            raise ValueError("space config must be a JSON object")
+        missing = [k for k in ("vars", "lo", "hi") if k not in cfg]
+        if missing:
+            raise ValueError("space config has no %s" %
+                             ", ".join(repr(k) for k in missing))
         return StateSpace.make(cfg["vars"], cfg["lo"], cfg["hi"],
                                cfg.get("arith", "saturate"))
 
@@ -142,11 +148,6 @@ def eval_bexpr(b: BExpr, space: StateSpace, sigma: State) -> bool:
     if b.op == "&&":
         return eval_bexpr(b.left, space, sigma) and eval_bexpr(b.right, space, sigma)
     return eval_bexpr(b.left, space, sigma) or eval_bexpr(b.right, space, sigma)
-
-
-def check_bound_vars(s: lang.Stmt, space: StateSpace) -> None:
-    for name in lang.stmt_vars(s):
-        space.index(name)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +275,8 @@ def join_all(ts: Iterable) -> SemTriple:
     return out
 
 
-def meet_all(ts, space: StateSpace) -> SemTriple:
-    out = top_triple(space)
-    for t in ts:
-        out = meet(out, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization (states as value arrays in declared variable order)
-
-def state_to_json(s: State) -> list:
-    return list(s)
-
 
 def triple_to_json(t: SemTriple) -> dict:
     return {

@@ -15,7 +15,6 @@ commutation checks can skip flagged cases soundly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from . import interpreter, lang, rel_domain as rd
 from .lang import Assign, BoolTest, Break, If, RandAssign, Seq, Skip, While, neg
@@ -120,12 +119,6 @@ def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
     tr = _tr(s, space, max_len)
     div = interpreter.sem(s, space).inf
     return TraceSet(tr.e, div, tr.truncated)
-
-
-def trace_sem_parts(s: lang.Stmt, space: StateSpace, max_len: int) -> Tuple:
-    """Ending and break trace components with the truncation flag."""
-    tr = _tr(s, space, max_len)
-    return tr.e, tr.br, tr.truncated
 
 
 def abstract_to_rel(t: TraceSet):

@@ -173,8 +173,3 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
         for x in iterates:
             out.add(rd.pure_e(rd.compose_rel(x, not_b)))
     return frozenset(out), stab
-
-
-def e_projection(props: HyperSet) -> HyperSet:
-    """Forget divergence and breaks, keeping only the e-relations."""
-    return frozenset(rd.pure_e(p.e) for p in props)

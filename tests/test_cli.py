@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hyperlab import cli
 from hyperlab.cli import main
 
 
@@ -180,3 +181,104 @@ def test_selftest_filter_runs_single_suite(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--filter", "relational")
     assert code == 0
     assert "relational" in out and "oracle " not in out
+
+
+def test_sem_space_missing_key_exits_two(workdir, capsys):
+    (workdir / "space_nohi.json").write_text(json.dumps(
+        {"vars": ["l", "h"], "lo": 0}))
+    code, out, err = run_cli(capsys, "sem",
+                             "--program", str(workdir / "leak.hl"),
+                             "--space", str(workdir / "space_nohi.json"))
+    assert code == 2 and out == ""
+    assert "error" in err and "'hi'" in err
+
+
+def test_check_space_missing_key_exits_two(workdir, capsys):
+    (workdir / "space_nohi.json").write_text(json.dumps(
+        {"vars": ["l", "h"], "lo": 0}))
+    (workdir / "init_lh.json").write_text(json.dumps(
+        [{"e": [[[0, 0], [0, 0]]], "inf": [], "br": []}]))
+    code, out, err = run_cli(capsys, "check",
+                             "--program", str(workdir / "leak.hl"),
+                             "--space", str(workdir / "space_nohi.json"),
+                             "--pre", str(workdir / "init_lh.json"),
+                             "--post-oracle", "NI", "--json")
+    assert code == 2 and out == "" and "'hi'" in err
+    for req, missing in (
+            ({"program": "l = h;", "space": {"vars": ["l", "h"], "hi": 1}},
+             "'lo'"),
+            ({"program": "l = h;"}, "'space'")):
+        (workdir / "req.json").write_text(json.dumps(req))
+        code, out, err = run_cli(capsys, "check",
+                                 "--request", str(workdir / "req.json"))
+        assert code == 2 and out == "" and missing in err
+
+
+def test_check_rejects_states_outside_the_space(workdir, capsys):
+    # l = h on l,h in [0,1] against NI held for [0,9] before states were checked
+    (workdir / "pre_out.json").write_text(json.dumps(
+        [{"e": [[[0, 9], [0, 9]]], "inf": [], "br": []}]))
+    (workdir / "pre_in.json").write_text(json.dumps(
+        [{"e": [[[0, 1], [0, 1]]], "inf": [], "br": []}]))
+    (workdir / "post_arity.json").write_text(json.dumps(
+        [{"e": [[[0, 1], [1]]], "inf": [], "br": []}]))
+    flags = ("--program", str(workdir / "leak.hl"),
+             "--space", str(workdir / "space_lh.json"))
+    code, out, err = run_cli(capsys, "check", *flags,
+                             "--pre", str(workdir / "pre_out.json"),
+                             "--post-oracle", "NI")
+    assert code == 2 and out == "" and "[0, 9]" in err
+    code, out, err = run_cli(capsys, "check", *flags,
+                             "--pre", str(workdir / "pre_in.json"),
+                             "--post-oracle", str(workdir / "post_arity.json"))
+    assert code == 2 and out == "" and "[1]" in err
+    space = {"vars": ["l", "h"], "lo": 0, "hi": 1}
+    for req, bad in (
+            ({"program": "l = h;", "space": space, "post_oracle": "NI",
+              "pre": [{"e": [[[0, 9], [0, 9]]]}]}, "[0, 9]"),
+            ({"program": "l = h;", "space": space,
+              "pre": [{"e": [[[0, 1], [0, 1]]]}],
+              "post": [{"e": [[[0, 1], [1, 1]]], "inf": [[2, 0]]}]},
+             "[2, 0]")):
+        (workdir / "req.json").write_text(json.dumps(req))
+        code, out, err = run_cli(capsys, "check",
+                                 "--request", str(workdir / "req.json"))
+        assert code == 2 and out == "" and bad in err
+
+
+def test_check_without_request_names_missing_flags(workdir, capsys):
+    code, _, err = run_cli(capsys, "check",
+                           "--program", str(workdir / "leak.hl"),
+                           "--post-oracle", "NI")
+    assert code == 2 and "--space" in err and "--pre" in err
+
+
+def test_cached_parser_keeps_no_state_between_calls(workdir, capsys,
+                                                    monkeypatch):
+    (workdir / "init_lh.json").write_text(json.dumps(
+        [{"e": [[[a, b], [a, b]] for a in (0, 1) for b in (0, 1)],
+          "inf": [], "br": []}]))
+    lh = ("--space", str(workdir / "space_lh.json"))
+    y = ("--space", str(workdir / "space_y.json"))
+    calls = [
+        ("sem", "--program", str(workdir / "countdown.hl"), *y, "--json"),
+        ("sem", "--program", str(workdir / "countdown.hl"), *y),
+        ("trace", "--program", str(workdir / "countdown.hl"), *y, "--L", "3"),
+        ("trace", "--program", str(workdir / "countdown.hl"), *y),
+        ("check", "--program", str(workdir / "leak.hl"), *lh,
+         "--pre", str(workdir / "init_lh.json"), "--post-oracle", "NI",
+         "--low", "h", "--high", "l", "--json"),
+        ("check", "--program", str(workdir / "leak.hl"), *lh,
+         "--pre", str(workdir / "init_lh.json"), "--post-oracle", "NI"),
+        ("abstract", "--lattice", str(workdir / "lattice.json"),
+         "--op", "order_filter", "--set", "a"),
+        ("abstract", "--lattice", str(workdir / "lattice.json"),
+         "--op", "order_filter", "--json"),
+        ("post", "--program", str(workdir / "countdown.hl"), *y,
+         "--pre", str(workdir / "init_y.json")),
+    ]
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert len({out for _, out, _ in cached}) == len(calls)

@@ -6,11 +6,12 @@ from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab.interpreter import (FixpointReport, NonMonotoneError, gfp, lfp,
                                   oracle_sem, sem)
-from hyperlab.lang import (Assign, BoolTest, Cmp, Const, Seq, Skip, Var,
-                           While, parse, validate_breaks)
+from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq, Skip,
+                           Var, While, parse, validate_breaks)
 from hyperlab.rel_domain import StateSpace
-from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S3_SRC, S4_SRC,
-                               random_program, s3_expected, s4_expected)
+from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
+                               S4_SRC, random_program, s3_expected,
+                               s4_expected)
 
 
 def test_lfp_identity_single_iteration():
@@ -209,3 +210,81 @@ def test_break_composes_with_closest_loop_only():
     assert t.br == frozenset()  # the while resets the break component
     assert ((3,), (2,)) in t.e  # 3 -> 2, then break leaves 2
     assert t == oracle_sem(prog, space)
+
+
+# ---------------------------------------------------------------------------
+# The compiled oracle: edge cases, independence, closed forms at scale
+
+def test_oracle_self_loop_diverges_everywhere():
+    # skip compiles to its continuation, so the loop head steps to itself
+    space = StateSpace.make(("x",), 0, 2)
+    prog = parse("while (x == x) skip;")
+    t = oracle_sem(prog, space)
+    assert t == rd.triple(inf=space.states())
+    assert t == sem(prog, space)
+
+
+def test_oracle_break_exits_only_the_inner_loop():
+    space = StateSpace.make(("x", "y"), 0, 2)
+    prog = parse("while (x > 0) { while (y == y) { y = 1; break; } "
+                 "x = x - 1; }")
+    t = oracle_sem(prog, space)
+    want_e = {(s, s) for s in space.states() if s[0] == 0}
+    want_e |= {(s, (0, 1)) for s in space.states() if s[0] > 0}
+    assert t == rd.pure_e(want_e)
+    assert t == sem(prog, space)
+
+
+def test_oracle_free_break_under_if_inside_seq():
+    space = StateSpace.make(("x", "y"), 0, 1)
+    prog = Seq(Assign("x", Const(1)),
+               Seq(If(Cmp("==", Var("y"), Const(0)), Break(), Skip()),
+                   Assign("y", Const(1))))
+    t = oracle_sem(prog, space)
+    assert t.br == frozenset((s, (1, 0)) for s in space.states()
+                             if s[1] == 0)
+    assert t.e == frozenset((s, (1, 1)) for s in space.states()
+                            if s[1] == 1)
+    assert t.inf == frozenset()
+    assert t == sem(prog, space)
+
+
+def test_oracle_pruned_assignment_is_a_dead_end():
+    # 0 -> 2 -> (4 pruned): the run neither ends nor diverges
+    space = StateSpace.make(("x",), 0, 3, "prune")
+    prog = parse("while (x < 3) x = x + 2;")
+    t = oracle_sem(prog, space)
+    assert t == rd.pure_e({((1,), (3,)), ((3,), (3,))})
+    assert t == sem(prog, space)
+
+
+def test_oracle_empty_random_range_is_a_dead_end():
+    space = StateSpace.make(("x",), 0, 3)
+    for src in ("x = [5,9];", "while (x == x) x = [5,9];"):
+        t = oracle_sem(parse(src), space)
+        assert t == rd.BOTTOM
+        assert t == sem(parse(src), space)
+
+
+def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
+    cases = [(parse(src), space) for src, space in
+             ((S1_SRC, SPACE_Y), (S2_SRC, SPACE_Y),
+              (S3_SRC, SPACE_XY), (S4_SRC, SPACE_XY))]
+    want = [sem(s, space) for s, space in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle_sem must not use the structural route")
+
+    for mod, names in ((it, ("sem", "lfp", "gfp", "body_triple", "prim",
+                             "compose", "join")),
+                       (rd, ("prim", "compose", "compose_rel", "rel_into",
+                             "join", "identity_rel"))):
+        for name in names:
+            monkeypatch.setattr(mod, name, forbidden)
+    assert [oracle_sem(s, space) for s, space in cases] == want
+
+
+def test_oracle_closed_forms_on_441_states():
+    space = StateSpace.make(("x", "y"), -10, 10)
+    assert oracle_sem(parse(S3_SRC), space) == s3_expected(space)
+    assert oracle_sem(parse(S4_SRC), space) == s4_expected(space)
