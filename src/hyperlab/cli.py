@@ -46,8 +46,16 @@ def _load_space(path: str) -> StateSpace:
     return StateSpace.from_config(_load_json(path))
 
 
-def _in_space(triples, space: StateSpace, where: str):
-    """`triples`, after checking that every state in them is in `space`."""
+def _triples(data, space: StateSpace, where: str):
+    """The triples in the JSON array `data`, after checking that each is
+    well-formed and every state in them is in `space`."""
+    if not isinstance(data, list):
+        raise CliError("%s: expected an array of triples, got %s"
+                       % (where, json.dumps(data)))
+    try:
+        triples = frozenset(rd.triple_from_json(d) for d in data)
+    except ValueError as exc:
+        raise CliError("%s: %s" % (where, exc)) from None
     inside = frozenset(space.states())
     for t in triples:
         for sigma in chain(t.inf, *t.e, *t.br):
@@ -61,14 +69,11 @@ def _load_hyperset(path: str, space: StateSpace):
     data = _load_json(path)
     if isinstance(data, dict):
         data = [data]
-    return _in_space(frozenset(rd.triple_from_json(d) for d in data),
-                     space, path)
+    return _triples(data, space, path)
 
 
 def _request_triples(req: dict, key: str, space: StateSpace):
-    return _in_space(frozenset(rd.triple_from_json(d)
-                               for d in req.get(key, ())),
-                     space, "request %r" % key)
+    return _triples(req.get(key, []), space, "request %r" % key)
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -10,7 +10,9 @@ families or frontier partitions are supplied by the caller and the premises
 are verified exactly.  For the sound-and-complete structural rules the
 checker also evaluates the conclusion directly and records agreement; for
 rules with existential auxiliaries it synthesizes the canonical witness when
-none is supplied (toy mode).
+none is supplied (toy mode).  The while rules build the guarded body's
+triple once and assemble each antecedent's conclusion element with
+`interpreter.loop_post`, from the exact entry and divergence fixpoints.
 """
 
 from __future__ import annotations
@@ -145,29 +147,6 @@ def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
 
 
 # ---------------------------------------------------------------------------
-# While-rule machinery
-
-def _while_element(p: SemTriple, cond, body, space: StateSpace) -> SemTriple:
-    """Assemble the conclusion element of the while rules for antecedent p.
-
-    Computes the exact entry fixpoint seeded with p, the exit and break
-    images, and the divergence greatest fixpoint, exactly as the rule's
-    premises prescribe; the result coincides with post(sem(while)) p.
-    """
-    bs = interpreter.body_triple(cond, body, space)
-    bound = len(space.states()) ** 2 + 2
-    p_e = interpreter.lfp(lambda x: p.e | rd.compose_rel(x, bs.e),
-                          frozenset(), le=lambda a, b: a <= b,
-                          max_iter=bound).result
-    q_e = rd.compose_rel(p_e, prim(BoolTest(neg(cond)), space).e)
-    q_b = rd.compose_rel(p_e, bs.br)
-    q_bot_l = p.inf | rd.rel_into(p_e, bs.inf)
-    div = interpreter.loop_divergence_fixpoint(cond, body, space).result
-    q_bot_b = rd.rel_into(p.e, div)
-    return SemTriple(q_e | q_b, q_bot_l | q_bot_b, p.br)
-
-
-# ---------------------------------------------------------------------------
 # Rule checkers
 
 def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
@@ -231,9 +210,10 @@ def _rule_if_lower(space, pre, cond, s1, s2, post_q) -> RuleReport:
 def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
     rep = RuleReport("while_upper")
     member = membership(post_q)
+    bs = interpreter.body_triple(cond, body, space)
     ok = True
     for p in sorted(pre, key=SemTriple.sort_key):
-        q = _while_element(p, cond, body, space)
+        q = interpreter.loop_post(cond, bs, p, space)
         if not member(q):
             ok = False
             rep.witnesses.append((p, q))
@@ -246,7 +226,8 @@ def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
 
 def _rule_while_lower(space, pre, cond, body, post_q) -> RuleReport:
     rep = RuleReport("while_lower")
-    images = {_while_element(p, cond, body, space): p for p in pre}
+    bs = interpreter.body_triple(cond, body, space)
+    images = {interpreter.loop_post(cond, bs, p, space): p for p in pre}
     ok = True
     for q in sorted(frozenset(post_q), key=SemTriple.sort_key):
         if q not in images:

@@ -2,12 +2,15 @@
 
 `sem` computes the denotation triple by structural recursion: basic commands
 via `prim`, sequences via composition, conditionals as the join of the two
-guarded branches, and loops from two fixpoints: the least fixpoint of the
-body transformer gives the executions reaching the loop head, and the
-greatest fixpoint of the divergence transformer gives the starts that iterate
-forever.  All fixpoints run to stabilization; every carrier here is finite,
-so no widening is needed and the iteration count is bounded by the carrier
-size.
+guarded branches, and loops by `loop_post` applied to the identity.
+`loop_post` is the one loop routine of the lab: from the guarded body's
+triple and a precondition it takes two fixpoints, the least fixpoint of the
+forward entry transformer (the executions reaching the loop head) and the
+greatest fixpoint of the divergence transformer (the starts that iterate
+forever).  `transformers.post_structural` and the hyperlogic while rules call
+it too, each with its own body triple and precondition.  All fixpoints run
+to stabilization; every carrier here is finite, so no widening is needed and
+the iteration count is bounded by the carrier size.
 
 `oracle_sem` rebuilds the same triple operationally.  It compiles the
 statement once into a flat instruction list over integer program points,
@@ -51,7 +54,6 @@ class FixpointDivergenceError(Exception):
 @dataclass(frozen=True)
 class FixpointReport:
     iterations: int
-    stabilized: bool
     result: object
 
 
@@ -69,7 +71,7 @@ def lfp(f: Callable, bottom, le: Callable = None, max_iter: int = None) -> Fixpo
         y = f(x)
         n += 1
         if y == x:
-            return FixpointReport(n, True, x)
+            return FixpointReport(n, x)
         if le is not None and not le(x, y):
             raise NonMonotoneError(n)
         if max_iter is not None and n > max_iter:
@@ -85,7 +87,7 @@ def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> Fixpoint
         y = f(x)
         n += 1
         if y == x:
-            return FixpointReport(n, True, x)
+            return FixpointReport(n, x)
         if ge is not None and not ge(x, y):
             raise NonMonotoneError(n)
         if max_iter is not None and n > max_iter:
@@ -109,29 +111,25 @@ def body_triple(b: lang.BExpr, body: lang.Stmt, space: StateSpace) -> SemTriple:
     return compose(prim(BoolTest(b), space), sem(body, space))
 
 
-def loop_entry_fixpoints(b, body, space: StateSpace):
-    """Least fixpoints of the backward and forward entry transformers.
+def loop_post(cond: lang.BExpr, bs: SemTriple, p: SemTriple,
+              space: StateSpace) -> SemTriple:
+    """post of `while (cond) body` on the precondition p, given bs = sem(B;S).
 
-    Both characterize the executions reaching the loop head after finitely
-    many terminating body iterations; they agree (checked in tests).
-    Returns (backward_report, forward_report).
+    The least fixpoint of X -> p.e | X ; bs.e is reach = p.e ; bs.e*, the
+    executions at the loop head after finitely many body iterations; they
+    leave through the negated guard or a break of the body.  The greatest
+    fixpoint of X -> pre[B;S](X) is the set of starts that iterate forever.
+    The loop's own breaks are consumed, so p.br passes through unchanged.
     """
-    bs = body_triple(b, body, space)
-    ident = rd.identity_rel(space)
-    bound = len(space.states()) ** 2 + 2
-    backward = lfp(lambda x: ident | rd.compose_rel(bs.e, x),
-                   frozenset(), le=_subset, max_iter=bound)
-    forward = lfp(lambda x: ident | rd.compose_rel(x, bs.e),
-                  frozenset(), le=_subset, max_iter=bound)
-    return backward, forward
-
-
-def loop_divergence_fixpoint(b, body, space: StateSpace):
-    """Greatest fixpoint of the divergence transformer X -> pre[B;S](X)."""
-    bs = body_triple(b, body, space)
-    top = frozenset(space.states())
-    return gfp(lambda x: rd.rel_into(bs.e, x), top,
-               ge=_supset, max_iter=len(top) + 2)
+    n = len(space.states())
+    reach = lfp(lambda x: p.e | rd.compose_rel(x, bs.e), frozenset(),
+                le=_subset, max_iter=n * n + 2).result
+    div = gfp(lambda x: rd.rel_into(bs.e, x), frozenset(space.states()),
+              ge=_supset, max_iter=n + 2).result
+    exits = prim(BoolTest(neg(cond)), space).e | bs.br
+    return SemTriple(rd.compose_rel(reach, exits),
+                     p.inf | rd.rel_into(reach, bs.inf) | rd.rel_into(p.e, div),
+                     p.br)
 
 
 def powers(rel, space: StateSpace, n: int) -> list:
@@ -160,13 +158,8 @@ def sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
         t2 = compose(prim(BoolTest(neg(s.cond)), space), sem(s.orelse, space))
         return join(t1, t2)
     if isinstance(s, While):
-        bs = body_triple(s.cond, s.body, space)
-        reach = loop_entry_fixpoints(s.cond, s.body, space)[0].result
-        exit_rel = prim(BoolTest(neg(s.cond)), space).e | bs.br
-        e = rd.compose_rel(reach, exit_rel)
-        body_div = rd.rel_into(reach, bs.inf)
-        loop_div = loop_divergence_fixpoint(s.cond, s.body, space).result
-        return SemTriple(e, body_div | loop_div, frozenset())
+        return loop_post(s.cond, body_triple(s.cond, s.body, space),
+                         prim("init", space), space)
     raise TypeError(s)
 
 

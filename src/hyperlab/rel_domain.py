@@ -40,6 +40,10 @@ class UnboundVariableError(Exception):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Finite variable/value universe; bounds are shared or per variable."""
@@ -74,7 +78,18 @@ class StateSpace:
         if missing:
             raise ValueError("space config has no %s" %
                              ", ".join(repr(k) for k in missing))
-        return StateSpace.make(cfg["vars"], cfg["lo"], cfg["hi"],
+        vs = cfg["vars"]
+        if not (isinstance(vs, list) and all(isinstance(v, str) for v in vs)
+                and len(set(vs)) == len(vs)):
+            raise ValueError("space config 'vars' must be an array of "
+                             "distinct strings, got %s" % json.dumps(vs))
+        for key in ("lo", "hi"):
+            b = cfg[key]
+            if not (_is_int(b) or isinstance(b, list) and all(map(_is_int, b))):
+                raise ValueError("space config %r must be an integer or an "
+                                 "array of integers, got %s"
+                                 % (key, json.dumps(b)))
+        return StateSpace.make(vs, cfg["lo"], cfg["hi"],
                                cfg.get("arith", "saturate"))
 
     def to_config(self) -> dict:
@@ -94,9 +109,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.states())
 
-    def var_range(self, i: int) -> range:
-        return range(self.lo[i], self.hi[i] + 1)
-
     def clip(self, i: int, v: int):
         """Apply the arithmetic mode to an assignment result; None = pruned."""
         lo, hi = self.lo[i], self.hi[i]
@@ -107,9 +119,6 @@ class StateSpace:
         if self.arith == "wrap":
             return lo + (v - lo) % (hi - lo + 1)
         return None
-
-    def state_dict(self, sigma: State) -> dict:
-        return dict(zip(self.vars, sigma))
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +173,6 @@ class SemTriple:
     def sort_key(self):
         return (tuple(sorted(self.e)), tuple(sorted(self.inf)),
                 tuple(sorted(self.br)))
-
-    def is_pure_e(self) -> bool:
-        return not self.inf and not self.br
 
 
 BOTTOM = SemTriple(frozenset(), frozenset(), frozenset())
@@ -286,11 +292,32 @@ def triple_to_json(t: SemTriple) -> dict:
     }
 
 
+def _state_from_json(s) -> State:
+    if isinstance(s, list) and all(map(_is_int, s)):
+        return tuple(s)
+    raise ValueError("a state must be an integer array, got %s" % json.dumps(s))
+
+
+def _pair_from_json(p) -> Tuple[State, State]:
+    if isinstance(p, list) and len(p) == 2:
+        return _state_from_json(p[0]), _state_from_json(p[1])
+    raise ValueError("a pair must be two states, got %s" % json.dumps(p))
+
+
 def triple_from_json(d: dict) -> SemTriple:
+    """The triple {"e": pairs, "inf": states, "br": pairs}; a missing
+    component is empty.  Ill-typed input raises ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError("a triple must be a JSON object, got %s"
+                         % json.dumps(d))
+    for key in ("e", "inf", "br"):
+        if not isinstance(d.get(key, []), list):
+            raise ValueError("triple component %r must be an array, got %s"
+                             % (key, json.dumps(d[key])))
     return SemTriple(
-        frozenset((tuple(a), tuple(b)) for a, b in d.get("e", [])),
-        frozenset(tuple(s) for s in d.get("inf", [])),
-        frozenset((tuple(a), tuple(b)) for a, b in d.get("br", [])),
+        frozenset(map(_pair_from_json, d.get("e", []))),
+        frozenset(map(_state_from_json, d.get("inf", []))),
+        frozenset(map(_pair_from_json, d.get("br", []))),
     )
 
 

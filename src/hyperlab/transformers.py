@@ -6,7 +6,8 @@ lift of `post` to finite sets of triples; it is computed either directly from
 a denotation or structurally (`post_structural` / `Post_structural`), where
 the conditional keeps the two branch outcomes of each precondition tied
 together (one result element per precondition, never the cross product) and
-the loop runs its own per-element fixpoints.
+the loop hands its structurally computed guarded-body triple and the
+precondition to `interpreter.loop_post`.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
 and is only offered in toy mode where the triple lattice is enumerable.
@@ -89,9 +90,9 @@ def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
 def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:
     """post computed by the structural rules, without building sem(s) first.
 
-    Loops use the forward entry fixpoint seeded with the precondition's
-    e-component and the divergence greatest fixpoint; the guarded body is
-    itself handled by structural recursion.
+    A loop's guarded body is itself handled by structural recursion, on the
+    identity; `interpreter.loop_post` then runs the loop's entry and
+    divergence fixpoints from the precondition.
     """
     if isinstance(s, (lang.Assign, lang.RandAssign, Skip, BoolTest)):
         return SemTriple(rd.compose_rel(p.e, prim(s, space).e), p.inf, p.br)
@@ -104,27 +105,9 @@ def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:
         q2 = post_structural(Seq(BoolTest(neg(s.cond)), s.orelse), p, space)
         return join(q1, q2)
     if isinstance(s, While):
-        guarded = Seq(BoolTest(s.cond), s.body)
-        bound = len(space.states()) ** 2 + 2
-
-        def entry_step(x):
-            return p.e | post_structural(guarded, rd.pure_e(x), space).e
-
-        reach = interpreter.lfp(entry_step, frozenset(),
-                                le=lambda a, b: a <= b, max_iter=bound).result
-        at_head = SemTriple(reach, frozenset(), frozenset())
-        through_body = post_structural(guarded, at_head, space)
-        exits = post_structural(BoolTest(neg(s.cond)), at_head, space)
-        body_sem = post_structural(guarded, prim("init", space), space)
-        div = interpreter.gfp(lambda x: rd.rel_into(body_sem.e, x),
-                              frozenset(space.states()),
-                              ge=lambda a, b: a >= b,
-                              max_iter=len(space.states()) + 2).result
-        return SemTriple(
-            exits.e | through_body.br,
-            p.inf | through_body.inf | rd.rel_into(p.e, div),
-            p.br,
-        )
+        bs = post_structural(Seq(BoolTest(s.cond), s.body), prim("init", space),
+                             space)
+        return interpreter.loop_post(s.cond, bs, p, space)
     raise TypeError(s)
 
 

@@ -204,14 +204,25 @@ def test_check_space_missing_key_exits_two(workdir, capsys):
                              "--pre", str(workdir / "init_lh.json"),
                              "--post-oracle", "NI", "--json")
     assert code == 2 and out == "" and "'hi'" in err
-    for req, missing in (
+    for req, named in (
             ({"program": "l = h;", "space": {"vars": ["l", "h"], "hi": 1}},
              "'lo'"),
-            ({"program": "l = h;"}, "'space'")):
+            ({"program": "l = h;"}, "'space'"),
+            ({"program": "l = h;",
+              "space": {"vars": ["l", "h"], "lo": "0", "hi": 1}}, '"0"'),
+            ({"program": "l = h;",
+              "space": {"vars": ["l", "h"], "lo": 0.5, "hi": 1}}, "0.5"),
+            ({"program": "l = h;",
+              "space": {"vars": ["l", "h"], "lo": 0, "hi": True}}, "true"),
+            ({"program": "l = h;",
+              "space": {"vars": "lh", "lo": 0, "hi": 1}}, '"lh"'),
+            ({"program": "l = h;",
+              "space": {"vars": ["l", "l"], "lo": 0, "hi": 1}},
+             '["l", "l"]')):
         (workdir / "req.json").write_text(json.dumps(req))
         code, out, err = run_cli(capsys, "check",
                                  "--request", str(workdir / "req.json"))
-        assert code == 2 and out == "" and missing in err
+        assert code == 2 and out == "" and named in err
 
 
 def test_check_rejects_states_outside_the_space(workdir, capsys):
@@ -239,7 +250,9 @@ def test_check_rejects_states_outside_the_space(workdir, capsys):
             ({"program": "l = h;", "space": space,
               "pre": [{"e": [[[0, 1], [0, 1]]]}],
               "post": [{"e": [[[0, 1], [1, 1]]], "inf": [[2, 0]]}]},
-             "[2, 0]")):
+             "[2, 0]"),
+            ({"program": "l = h;", "space": space, "post_oracle": "NI",
+              "pre": [{"e": [[[[0], 0], [0, 0]]]}]}, "[[0], 0]")):
         (workdir / "req.json").write_text(json.dumps(req))
         code, out, err = run_cli(capsys, "check",
                                  "--request", str(workdir / "req.json"))

@@ -4,6 +4,7 @@ import pytest
 
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
+from hyperlab import transformers as tf
 from hyperlab.interpreter import (FixpointReport, NonMonotoneError, gfp, lfp,
                                   oracle_sem, sem)
 from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq, Skip,
@@ -16,7 +17,7 @@ from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
 
 def test_lfp_identity_single_iteration():
     rep = lfp(lambda x: x, frozenset())
-    assert rep == FixpointReport(1, True, frozenset())
+    assert rep == FixpointReport(1, frozenset())
 
 
 def test_gfp_identity_on_top():
@@ -31,20 +32,46 @@ def test_lfp_detects_non_monotone_step():
     assert err.value.iteration >= 1
 
 
+# The loop's two fixpoints, read through loop_post.  With a guard that is
+# never true the loop leaves from every head state, so for a break-free body
+# triple the post's e is the entry lfp itself; from the identity, with a
+# body triple that neither diverges nor breaks, the post's inf is the
+# divergence gfp itself.
+
+def entry_fixpoint(bs, space):
+    v = Var(space.vars[0])
+    return it.loop_post(Cmp("!=", v, v), rd.pure_e(bs.e),
+                        rd.prim("init", space), space).e
+
+
+def divergence_gfp(cond, bs, space):
+    return it.loop_post(cond, rd.pure_e(bs.e), rd.prim("init", space),
+                        space).inf
+
+
+def backward_entry_fixpoint(bs, space):
+    ident = rd.identity_rel(space)
+    return lfp(lambda x: ident | rd.compose_rel(bs.e, x), frozenset(),
+               le=lambda a, b: a <= b).result
+
+
 def test_never_entered_loop_gives_init():
     space = StateSpace.make(("y",), 0, 2)
-    back, fwd = it.loop_entry_fixpoints(Cmp("!=", Var("y"), Var("y")),
-                                        Skip(), space)
-    assert back.result == rd.identity_rel(space) == fwd.result
-    t = sem(While(Cmp("!=", Var("y"), Var("y")), Skip()), space)
-    assert t == rd.pure_e(rd.identity_rel(space))
+    cond = Cmp("!=", Var("y"), Var("y"))
+    bs = it.body_triple(cond, Skip(), space)
+    ident = rd.identity_rel(space)
+    assert entry_fixpoint(bs, space) == ident
+    assert backward_entry_fixpoint(bs, space) == ident
+    t = sem(While(cond, Skip()), space)
+    assert t == rd.pure_e(ident)
 
 
 def test_entry_fixpoint_matches_reachability_closure():
     # the forward/backward lfp vs an independent reflexive-transitive closure
     s1 = parse(S1_SRC)
-    back, fwd = it.loop_entry_fixpoints(s1.cond, s1.body, SPACE_Y)
-    assert back.result == fwd.result
+    bs = it.body_triple(s1.cond, s1.body, SPACE_Y)
+    fwd = entry_fixpoint(bs, SPACE_Y)
+    assert backward_entry_fixpoint(bs, SPACE_Y) == fwd
     step = oracle_sem(Seq(BoolTest(s1.cond), s1.body), SPACE_Y).e
     reach = {(s, s) for s in SPACE_Y.states()}
     changed = True
@@ -55,7 +82,7 @@ def test_entry_fixpoint_matches_reachability_closure():
                 if tgt == a and (src, b) not in reach:
                     reach.add((src, b))
                     changed = True
-    assert back.result == frozenset(reach)
+    assert fwd == frozenset(reach)
 
 
 def test_forward_equals_backward_on_random_loops():
@@ -67,8 +94,8 @@ def test_forward_equals_backward_on_random_loops():
             continue
         done += 1
         cond = Cmp("!=", Var(space.vars[0]), Const(0))
-        back, fwd = it.loop_entry_fixpoints(cond, s, space)
-        assert back.result == fwd.result
+        bs = it.body_triple(cond, s, space)
+        assert entry_fixpoint(bs, space) == backward_entry_fixpoint(bs, space)
 
 
 def test_powers_commute_with_the_base_relation():
@@ -99,7 +126,7 @@ def test_entry_fixpoint_is_union_of_guarded_body_powers():
         bound = len(space.states()) ** 2 + 1
         pows = it.powers(bs.e, space, bound)
         union = frozenset().union(*pows)
-        assert it.loop_entry_fixpoints(cond, body, space)[0].result == union
+        assert entry_fixpoint(bs, space) == union
 
 
 def test_divergence_gfp_is_meet_of_power_domains():
@@ -116,21 +143,23 @@ def test_divergence_gfp_is_meet_of_power_domains():
         meet = doms
         for p in it.powers(bs.e, space, len(space.states()) + 2)[1:]:
             meet &= frozenset(a for a, _ in p)
-        assert it.loop_divergence_fixpoint(cond, body, space).result == meet
+        assert divergence_gfp(cond, bs, space) == meet
 
 
 def test_divergence_gfp_on_countdown():
     s1 = parse(S1_SRC)
-    rep = it.loop_divergence_fixpoint(s1.cond, s1.body, SPACE_Y)
-    assert rep.result == frozenset((v,) for v in range(-3, 0))
+    bs = it.body_triple(s1.cond, s1.body, SPACE_Y)
+    assert divergence_gfp(s1.cond, bs, SPACE_Y) == \
+        frozenset((v,) for v in range(-3, 0))
 
 
 def test_divergence_gfp_matches_oracle_cycles():
     space = StateSpace.make(("x",), -2, 2)
     prog = parse("while (x != 0) x = x - 1;")
-    rep = it.loop_divergence_fixpoint(prog.cond, prog.body, space)
-    assert rep.result == frozenset((v,) for v in (-2, -1))
-    assert oracle_sem(prog, space).inf == rep.result
+    bs = it.body_triple(prog.cond, prog.body, space)
+    div = divergence_gfp(prog.cond, bs, space)
+    assert div == frozenset((v,) for v in (-2, -1))
+    assert oracle_sem(prog, space).inf == div
 
 
 def test_sem_skip_is_identity_triple():
@@ -212,6 +241,32 @@ def test_break_composes_with_closest_loop_only():
     assert t == oracle_sem(prog, space)
 
 
+def countdown_nest(depth):
+    """while (x1 != 0) { while (x2 != 0) { ... } x1 = x1 - 1; } on bits."""
+    src = ""
+    for k in range(depth, 0, -1):
+        src = "while (x%d != 0) { %s x%d = x%d - 1; }" % (k, src, k, k)
+    space = StateSpace.make(["x%d" % k for k in range(1, depth + 1)], 0, 1)
+    return parse(src), space
+
+
+def test_sem_evaluates_each_loop_body_once(monkeypatch):
+    calls = {"sem": 0, "body_triple": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(it, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(it, name, counted)
+    for depth in range(1, 7):
+        prog, space = countdown_nest(depth)
+        for name in calls:
+            calls[name] = 0
+        t = it.sem(prog, space)
+        assert calls == {"sem": 3 * depth - 1, "body_triple": depth}
+        init = rd.prim("init", space)
+        assert tf.post_structural(prog, init, space) == tf.post(t, init)
+
+
 # ---------------------------------------------------------------------------
 # The compiled oracle: edge cases, independence, closed forms at scale
 
@@ -275,8 +330,8 @@ def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle_sem must not use the structural route")
 
-    for mod, names in ((it, ("sem", "lfp", "gfp", "body_triple", "prim",
-                             "compose", "join")),
+    for mod, names in ((it, ("sem", "lfp", "gfp", "body_triple", "loop_post",
+                             "prim", "compose", "join")),
                        (rd, ("prim", "compose", "compose_rel", "rel_into",
                              "join", "identity_rel"))):
         for name in names:
