@@ -12,12 +12,21 @@ limit is the declared one rather than the least listed member.
 Subsets of the carrier are plain frozensets in the public API; internally
 they are bitmasks so the exhaustive law batteries stay fast.
 
+Order duality: `ToyLattice.dual` is the same carrier with the order
+reversed; it shares the parent's tables with down/up sets, join/meet and
+bottom/top swapped.  By the duality principle each filter-side operator is
+its ideal-side partner computed on the dual: the order and principal
+filters, the max frontier, the frontier order ideal with dual=True and the
+max frontier of a presented subset.  An increasing family is checked as a
+decreasing family of the dual.
+
 Operator census: join/gamma pair, homomorphic image, elimination, principal
 ideal and filter, order ideal and filter, min/max frontiers, frontier order
 ideals, chain-limit and starred chain-limit closures, the conjunctive
 combination of one ideal-kind and one filter-kind operator, the lower
 closures rho/phi, the frontier rho-elimination, and the hyperproperty
-families AEH, AAH, EAH, NI, GNI, GD.
+families AEH, AAH, EAH, NI, GNI, GD with their `HyperOracle` membership
+predicates.
 """
 
 from __future__ import annotations
@@ -74,6 +83,26 @@ class ToyLattice:
                         (self.elements[i], self.elements[j]))
                 self._join_tab[(i, j)] = self._join_tab[(j, i)] = jn
                 self._meet_tab[(i, j)] = self._meet_tab[(j, i)] = mt
+        self._dual = None
+
+    @property
+    def dual(self) -> "ToyLattice":
+        """The order-dual lattice on the same elements, built once.
+
+        Attributes are assigned in `__init__`'s order so that both lattices
+        keep the same instance-dict layout.
+        """
+        if self._dual is None:
+            d = ToyLattice.__new__(ToyLattice)
+            d.elements = self.elements
+            d._idx = self._idx
+            d._down, d._up = self._up, self._down
+            d._bot_i, d._top_i = self._top_i, self._bot_i
+            d.bot, d.top = self.top, self.bot
+            d._join_tab, d._meet_tab = self._meet_tab, self._join_tab
+            d._dual = self
+            self._dual = d
+        return self._dual
 
     def _validate(self):
         n = len(self.elements)
@@ -176,14 +205,6 @@ class ToyLattice:
             out |= self._down[i]
         return out
 
-    def up_mask(self, m: int) -> int:
-        out = 0
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= self._up[i]
-        return out
-
     def min_mask(self, m: int) -> int:
         out = 0
         mm = m
@@ -191,16 +212,6 @@ class ToyLattice:
             i = (mm & -mm).bit_length() - 1
             mm &= mm - 1
             if self._down[i] & m & ~(1 << i) == 0:
-                out |= 1 << i
-        return out
-
-    def max_mask(self, m: int) -> int:
-        out = 0
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if self._up[i] & m & ~(1 << i) == 0:
                 out |= 1 << i
         return out
 
@@ -212,15 +223,6 @@ class ToyLattice:
             mm &= mm - 1
             i = self._join_tab[(i, j)]
         return self._down[i]
-
-    def principal_filter_mask(self, m: int) -> int:
-        i = self._top_i
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            i = self._meet_tab[(i, j)]
-        return self._up[i]
 
     def rho_down_mask(self, m: int) -> int:
         out = 0
@@ -259,6 +261,14 @@ class ToyLattice:
 # ---------------------------------------------------------------------------
 # Declared chain families
 
+_WORDS = {"down": ("decreasing", "a lower"), "up": ("increasing", "an upper")}
+
+
+def _oriented(lat: ToyLattice, direction: str) -> ToyLattice:
+    """The lattice on which a `direction` chain decreases."""
+    return lat if direction == "down" else lat.dual
+
+
 @dataclass(frozen=True)
 class Family:
     name: str
@@ -274,26 +284,19 @@ class ChainPoset:
     families: tuple = ()
 
     def __post_init__(self):
+        # an "up" family is checked as a "down" family of the dual lattice
         for f in self.families:
-            lat = self.lattice
-            seq = f.elements
-            if f.direction not in ("down", "up"):
+            if f.direction not in _WORDS:
                 raise LatticeError("bad direction %r" % f.direction)
-            dec = f.direction == "down"
-            for a, b in zip(seq, seq[1:]):
-                if dec and not lat.leq(b, a):
-                    raise LatticeError("family %s not decreasing" % f.name)
-                if not dec and not lat.leq(a, b):
-                    raise LatticeError("family %s not increasing" % f.name)
-            for e in seq:
-                if dec and not lat.leq(f.limit, e):
-                    raise LatticeError("limit of %s not a lower bound" % f.name)
-                if not dec and not lat.leq(e, f.limit):
-                    raise LatticeError("limit of %s not an upper bound" % f.name)
-            if not f.parametric:
-                bound = lat.meet(seq) if dec else lat.join(seq)
-                if bound != f.limit:
-                    raise LatticeError("limit of %s is not its glb/lub" % f.name)
+            lat = _oriented(self.lattice, f.direction)
+            monotone, bound = _WORDS[f.direction]
+            seq = f.elements
+            if not all(lat.leq(b, a) for a, b in zip(seq, seq[1:])):
+                raise LatticeError("family %s not %s" % (f.name, monotone))
+            if not all(lat.leq(f.limit, e) for e in seq):
+                raise LatticeError("limit of %s not %s bound" % (f.name, bound))
+            if not f.parametric and lat.meet(seq) != f.limit:
+                raise LatticeError("limit of %s is not its glb/lub" % f.name)
 
 
 def _as_chainposet(cp) -> ChainPoset:
@@ -324,7 +327,7 @@ def principal_ideal(lat: ToyLattice, props: Iterable) -> frozenset:
 
 
 def principal_filter(lat: ToyLattice, props: Iterable) -> frozenset:
-    return lat.unmask(lat.principal_filter_mask(lat.mask(props)))
+    return lat.unmask(lat.dual.principal_ideal_mask(lat.mask(props)))
 
 
 def order_ideal(lat: ToyLattice, props: Iterable) -> frozenset:
@@ -332,7 +335,7 @@ def order_ideal(lat: ToyLattice, props: Iterable) -> frozenset:
 
 
 def order_filter(lat: ToyLattice, props: Iterable) -> frozenset:
-    return lat.unmask(lat.up_mask(lat.mask(props)))
+    return lat.unmask(lat.dual.down_mask(lat.mask(props)))
 
 
 def frontier_min(lat: ToyLattice, props: Iterable) -> frozenset:
@@ -340,16 +343,15 @@ def frontier_min(lat: ToyLattice, props: Iterable) -> frozenset:
 
 
 def frontier_max(lat: ToyLattice, props: Iterable) -> frozenset:
-    return lat.unmask(lat.max_mask(lat.mask(props)))
+    return lat.unmask(lat.dual.min_mask(lat.mask(props)))
 
 
 def frontier_order_ideal(lat: ToyLattice, props: Iterable, dual=False) -> frozenset:
     """Up-closure of the min frontier; with dual=True the down-closure of the
-    max frontier."""
-    m = lat.mask(props)
+    max frontier, which is the same operator on the dual lattice."""
     if dual:
-        return lat.unmask(lat.down_mask(lat.max_mask(m)))
-    return lat.unmask(lat.up_mask(lat.min_mask(m)))
+        lat = lat.dual
+    return lat.unmask(lat.dual.down_mask(lat.min_mask(lat.mask(props))))
 
 
 def rho_subseteq(lat: ToyLattice, props: Iterable) -> frozenset:
@@ -365,29 +367,27 @@ def rho_frontier(lat: ToyLattice, props: Iterable) -> frozenset:
     return lat.unmask(lat.rho_frontier_mask(lat.mask(props)))
 
 
-def chain_down(cp, props: Iterable) -> frozenset:
-    """Add the limits of declared decreasing chains wholly inside the set.
+def _chain(cp, props, direction: str) -> frozenset:
+    """Add the limits of declared `direction` chains wholly inside the set.
 
-    Finite chains contribute nothing new: on a finite carrier the glb of a
-    finite decreasing chain is its least member, already in the set.
+    Finite chains contribute nothing new: on a finite carrier the limit of a
+    finite chain is its last member, already in the set.
     """
     cp = _as_chainposet(cp)
     given = frozenset(props)
     out = set(given)
     for f in cp.families:
-        if f.direction == "down" and set(f.elements) <= given:
+        if f.direction == direction and set(f.elements) <= given:
             out.add(f.limit)
     return frozenset(out)
+
+
+def chain_down(cp, props: Iterable) -> frozenset:
+    return _chain(cp, props, "down")
 
 
 def chain_up(cp, props: Iterable) -> frozenset:
-    cp = _as_chainposet(cp)
-    given = frozenset(props)
-    out = set(given)
-    for f in cp.families:
-        if f.direction == "up" and set(f.elements) <= given:
-            out.add(f.limit)
-    return frozenset(out)
+    return _chain(cp, props, "up")
 
 
 def _star(op, cp, props):
@@ -461,28 +461,17 @@ def conjunctive(alpha1: str, alpha2: str, cp, props: Iterable) -> frozenset:
 
 def _frontier_presented(cp: ChainPoset, explicit, included_families,
                         direction: str) -> frozenset:
-    elems = set(explicit)
-    blocked = set()
+    lat = cp.lattice
+    m = lat.mask(explicit)
+    blocked = 0
     for name in included_families:
         fam = next(f for f in cp.families if f.name == name)
         if fam.direction != direction or not fam.parametric:
             raise LatticeError("included family %s is not a parametric "
                                "%s-chain" % (name, direction))
-        elems.update(fam.elements)
-        blocked.update(e for e in fam.elements if e != fam.limit)
-    lat = cp.lattice
-    out = set()
-    for p in elems:
-        if p in blocked:
-            continue
-        if direction == "up":
-            if any(lat.leq(p, q) and p != q for q in elems):
-                continue
-        else:
-            if any(lat.leq(q, p) and q != p for q in elems):
-                continue
-        out.add(p)
-    return frozenset(out)
+        m |= lat.mask(fam.elements)
+        blocked |= lat.mask(e for e in fam.elements if e != fam.limit)
+    return lat.unmask(_oriented(lat, direction).min_mask(m) & ~blocked)
 
 
 def frontier_max_presented(cp: ChainPoset, explicit: Iterable,
@@ -507,12 +496,17 @@ def frontier_min_presented(cp: ChainPoset, explicit: Iterable,
 # Hyperproperty families
 
 @dataclass(frozen=True)
-class _NamedOracle:
-    fn: Callable
-    name: str
+class HyperOracle:
+    """Total, deterministic membership predicate on triples."""
 
-    def contains(self, x) -> bool:
-        return bool(self.fn(x))
+    fn: Callable
+    name: str = "<oracle>"
+
+    def contains(self, t) -> bool:
+        return bool(self.fn(t))
+
+    def complement(self) -> "HyperOracle":
+        return HyperOracle(lambda t: not self.fn(t), "not(%s)" % self.name)
 
 
 def _aeh(a):
@@ -549,41 +543,28 @@ def _ni(space, low, high):
 
 
 def _gni(space, low, high):
+    # every low output reachable from a low start is reachable from that low
+    # start with each high start that occurs: group the runs by start
     li, hi = space.index(low), space.index(high)
 
     def member(t):
-        runs = _executions(t)
-        for (s1, e1) in runs:
-            for (s2, e2) in runs:
-                if s1[li] != s2[li]:
-                    continue
-                if not any(s3[li] == s1[li] and s3[hi] == s2[hi]
-                           and e3[li] == e1[li] for (s3, e3) in runs):
-                    return False
-        return True
+        by_low, by_start = {}, {}
+        for (s, e) in _executions(t):
+            by_low.setdefault(s[li], set()).add(e[li])
+            by_start.setdefault((s[li], s[hi]), set()).add(e[li])
+        return all(by_low[lo] <= outs for (lo, _), outs in by_start.items())
     return member
 
 
 def _gd(space, low, high):
     # the exact negation of generalized noninterference: some pair of
     # low-equal runs admits no third run masking the high influence
-    li, hi = space.index(low), space.index(high)
-
-    def member(t):
-        runs = _executions(t)
-        for (s1, e1) in runs:
-            for (s2, _) in runs:
-                if s1[li] != s2[li]:
-                    continue
-                if all(s3[li] != s1[li] or s3[hi] != s2[hi] or e3[li] != e1[li]
-                       for (s3, e3) in runs):
-                    return True
-        return False
-    return member
+    gni = _gni(space, low, high)
+    return lambda t: not gni(t)
 
 
 def family(name: str, *, A=None, carrier=None, space=None,
-           low="l", high="h") -> _NamedOracle:
+           low="l", high="h") -> HyperOracle:
     """Membership oracle for a hyperproperty family member.
 
     AEH/AAH/EAH take an explicit relation A over the finite carrier and apply
@@ -595,12 +576,12 @@ def family(name: str, *, A=None, carrier=None, space=None,
             raise ValueError("%s needs the relation A" % name)
         a = frozenset(A)
         fn = {"AEH": _aeh, "AAH": _aah, "EAH": _eah}[name](a)
-        return _NamedOracle(fn, "%s(A)" % name)
+        return HyperOracle(fn, "%s(A)" % name)
     if name in ("NI", "GNI", "GD"):
         if space is None:
             raise ValueError("%s needs the state space" % name)
         fn = {"NI": _ni, "GNI": _gni, "GD": _gd}[name](space, low, high)
-        return _NamedOracle(fn, "%s(low=%s,high=%s)" % (name, low, high))
+        return HyperOracle(fn, "%s(low=%s,high=%s)" % (name, low, high))
     raise ValueError("unknown family %r" % name)
 
 

@@ -143,7 +143,11 @@ def _named_oracle(args, space):
     return _load_hyperset(name, space)
 
 
+_CHECK_RULES = ("upper", "lower", "while_upper", "while_lower", "forall_exists")
+
+
 def cmd_check(args) -> int:
+    invariant = None
     if args.request:
         req = _load_json(args.request)
         missing = [k for k in ("space", "program")
@@ -151,6 +155,7 @@ def cmd_check(args) -> int:
         if missing:
             raise CliError("request has no %s" %
                            ", ".join(repr(k) for k in missing))
+        rule = req.get("rule", "upper")
         space = StateSpace.from_config(req["space"])
         stmt = parse(req["program"])
         pre = _request_triples(req, "pre", space)
@@ -161,43 +166,32 @@ def cmd_check(args) -> int:
                                high=req.get("high", "h"))
         else:
             post_q = _request_triples(req, "post", space)
-        rule = req.get("rule", "upper")
-        if rule == "upper":
-            rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
-        elif rule == "lower":
-            rep = hl.check_lower(hl.Triple(pre, stmt, post_q, "lower"), space)
-        elif rule == "forall_exists":
-            if not isinstance(stmt, hl.While):
-                raise CliError("rule 'forall_exists' needs a single while loop")
-            inv = None
-            if req.get("invariant") is not None:
-                inv = _request_triples(req, "invariant", space)
-            rep = hl.check_rule("forall_exists", space, pre=pre,
-                                cond=stmt.cond, body=stmt.body,
-                                post_q=post_q, invariant=inv)
-        else:
-            raise CliError("request rule %r not supported here" % rule)
+        if req.get("invariant") is not None:
+            invariant = _request_triples(req, "invariant", space)
     else:
         missing = [f for f in ("program", "space", "pre", "post_oracle")
                    if getattr(args, f) is None]
         if missing:
             raise CliError("check needs --request or %s" % ", ".join(
                 "--" + f.replace("_", "-") for f in missing))
+        rule = args.rule
         space = _load_space(args.space)
         stmt = _load_program(args.program)
         pre = _load_hyperset(args.pre, space)
         post_q = _named_oracle(args, space)
-        if args.rule == "upper":
-            rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
-        elif args.rule == "lower":
-            rep = hl.check_lower(hl.Triple(pre, stmt, post_q, "lower"), space)
-        elif args.rule in ("while_upper", "while_lower", "forall_exists"):
-            if not isinstance(stmt, hl.While):
-                raise CliError("rule %r needs a single while loop" % args.rule)
-            rep = hl.check_rule(args.rule, space, pre=pre,
-                                cond=stmt.cond, body=stmt.body, post_q=post_q)
-        else:
-            raise CliError("rule %r needs a --request file" % args.rule)
+    if rule == "upper":
+        rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
+    elif rule == "lower":
+        rep = hl.check_lower(hl.Triple(pre, stmt, post_q, "lower"), space)
+    elif rule in _CHECK_RULES:
+        if not isinstance(stmt, hl.While):
+            raise CliError("rule %r needs a single while loop" % rule)
+        extra = {"invariant": invariant} if rule == "forall_exists" else {}
+        rep = hl.check_rule(rule, space, pre=pre, cond=stmt.cond,
+                            body=stmt.body, post_q=post_q, **extra)
+    else:
+        raise CliError("rule %r is not supported by check (have: %s)"
+                       % (rule, ", ".join(_CHECK_RULES)))
     _emit(rep.to_json(), args.json)
     return 0 if rep.holds() else 1
 

@@ -21,28 +21,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
+from .abstractions import HyperOracle
 from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Skip, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq, prim
 from .transformers import HyperSet, Post, post
 
 
-@dataclass(frozen=True)
-class HyperOracle:
-    """Total, deterministic membership predicate on triples."""
-
-    fn: Callable
-    name: str = "<oracle>"
-
-    def contains(self, t) -> bool:
-        return bool(self.fn(t))
-
-    def complement(self) -> "HyperOracle":
-        return HyperOracle(lambda t: not self.fn(t), "not(%s)" % self.name)
-
-
 def membership(q) -> Callable:
-    if hasattr(q, "contains"):  # HyperOracle or a family oracle
+    if hasattr(q, "contains"):
         return q.contains
     qs = frozenset(q)
     return lambda t: t in qs
@@ -113,16 +100,21 @@ def check_upper(t: Triple, space: StateSpace) -> RuleReport:
     return rep
 
 
+def _explicit(post_q) -> frozenset:
+    if hasattr(post_q, "contains"):
+        raise ValueError("lower triples need an explicit consequent")
+    return frozenset(post_q)
+
+
 def check_lower(t: Triple, space: StateSpace) -> RuleReport:
     """Lower triple: every consequent is the exact post of some antecedent."""
     _require_valid(t.stmt)
-    if hasattr(t.post, "contains"):
-        raise ValueError("lower triples need an explicit consequent")
+    qs = _explicit(t.post)
     rep = RuleReport("lower")
     s_sem = interpreter.sem(t.stmt, space)
     images = {post(s_sem, p): p for p in t.pre}
     ok = True
-    for q in sorted(frozenset(t.post), key=SemTriple.sort_key):
+    for q in sorted(qs, key=SemTriple.sort_key):
         if q not in images:
             ok = False
             rep.witnesses.append((q, q))
@@ -225,11 +217,12 @@ def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
 
 
 def _rule_while_lower(space, pre, cond, body, post_q) -> RuleReport:
+    qs = _explicit(post_q)
     rep = RuleReport("while_lower")
     bs = interpreter.body_triple(cond, body, space)
     images = {interpreter.loop_post(cond, bs, p, space): p for p in pre}
     ok = True
-    for q in sorted(frozenset(post_q), key=SemTriple.sort_key):
+    for q in sorted(qs, key=SemTriple.sort_key):
         if q not in images:
             ok = False
             rep.witnesses.append((q, q))
@@ -423,12 +416,9 @@ def _minimal(elems, le) -> list:
 def _phi_interval(f, qs, carrier, le):
     """phi(F)Q: members of Q whose whole interval [F, .] stays inside Q."""
     qset = set(qs)
-    out = []
-    for p in qs:
-        if le(f, p) and all(x in qset for x in carrier
-                            if le(f, x) and le(x, p)):
-            out.append(p)
-    return out
+    return {p for p in qs
+            if le(f, p) and all(x in qset for x in carrier
+                                if le(f, x) and le(x, p))}
 
 
 def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
@@ -441,18 +431,15 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     rep = RuleReport("frontier_rho")
     qs = list(post_q)
     frontier = _minimal(qs, le)
-    closed = set()
-    for f in frontier:
-        closed.update(_phi_interval(f, qs, carrier, le))
-    rep.premise("consequent rho-frontier closed", closed == set(qs))
+    phis = {f: _phi_interval(f, qs, carrier, le) for f in frontier}
+    rep.premise("consequent rho-frontier closed",
+                set().union(*phis.values()) == set(qs))
 
     posts = {p: post_fn(p) for p in pre}
     if partition is None:
-        partition = {}
-        for f in frontier:
-            phi = set(_phi_interval(f, qs, carrier, le))
-            partition[f] = frozenset(
-                p for p in pre if le(f, posts[p]) and posts[p] in phi)
+        partition = {f: frozenset(p for p in pre
+                                  if le(f, posts[p]) and posts[p] in phi)
+                     for f, phi in phis.items()}
         rep.note("partition synthesized", True)
     covered = set()
     for cell in partition.values():
@@ -463,10 +450,9 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     cells_ok = True
     if keys_ok:
         for f, cell in partition.items():
-            phi = set(_phi_interval(f, qs, carrier, le))
             for p in cell:
                 # upper triple into phi(F)Q and lower triple onto F
-                if not (posts[p] in phi and le(f, posts[p])):
+                if not (posts[p] in phis[f] and le(f, posts[p])):
                     cells_ok = False
     rep.premise("per-frontier upper and lower triples", cells_ok)
 

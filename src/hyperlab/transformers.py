@@ -21,17 +21,13 @@ space it contains the exact loop Post of break-free loops, usually strictly.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from . import interpreter, lang, rel_domain as rd
 from .lang import BoolTest, If, Seq, Skip, While, neg
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
 
 HyperSet = frozenset
-
-
-def hyper(ts: Iterable) -> HyperSet:
-    return frozenset(ts)
 
 
 def post(s_sem: SemTriple, p: SemTriple) -> SemTriple:

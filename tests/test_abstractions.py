@@ -17,7 +17,8 @@ from hyperlab.abstractions import (ChainPoset, Family, LatticeError,
                                    rho_subseteq)
 from hyperlab.lang import parse
 from hyperlab.rel_domain import SemTriple, StateSpace
-from hyperlab.selftest import SPACE_Y, S1_SRC, _chain_cex_poset
+from hyperlab.selftest import (SPACE_Y, S1_SRC, _chain_cex_poset,
+                               _closure_battery)
 
 
 AB = ToyLattice.powerset("ab")
@@ -326,3 +327,149 @@ def test_lattice_from_config_with_families():
 
 def test_helpers_used_by_rel_domain_are_not_shadowed():
     assert rd.SemTriple is SemTriple
+
+
+# ---------------------------------------------------------------------------
+# Order duality: each filter-side operator against its order-theoretic
+# definition, on every subset
+
+def _n5():
+    lat = ToyLattice.from_pairs(
+        ("bot", "a", "b", "c", "top"),
+        (("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")))
+    fams = (Family("u", ("a",), "b", "up"),
+            Family("v", ("c", "top"), "top", "up", parametric=False),
+            Family("d", ("b",), "a", "down"))
+    return ChainPoset(lat, fams), ("u",)
+
+
+def _m3_times_2():
+    m3 = (("bot", "a"), ("bot", "b"), ("bot", "c"),
+          ("a", "top"), ("b", "top"), ("c", "top"))
+    els = [(x, k) for k in (0, 1) for x in ("bot", "a", "b", "c", "top")]
+    pairs = [((x, k), (y, k)) for x, y in m3 for k in (0, 1)]
+    pairs += [((x, 0), (x, 1)) for x, _ in els[:5]]
+    lat = ToyLattice.from_pairs(els, pairs)
+    fams = (Family("u", (("bot", 0), ("a", 0)), ("a", 1), "up"),
+            Family("w", (("b", 0),), ("top", 1), "up"),
+            Family("v", (("b", 0), ("b", 1)), ("b", 1), "up",
+                   parametric=False),
+            Family("d", (("top", 1), ("c", 1)), ("bot", 0), "down"))
+    return ChainPoset(lat, fams), ("u", "w")
+
+
+@pytest.mark.parametrize("make", (_n5, _m3_times_2))
+def test_filter_side_operators_match_their_definitions(make):
+    cp, included = make()
+    lat = cp.lattice
+    els = lat.elements
+
+    def below(x, y):
+        return lat.leq(x, y) and x != y
+
+    def glb(xs):
+        lower = [y for y in els if all(lat.leq(y, x) for x in xs)]
+        return next(g for g in lower if all(lat.leq(y, g) for y in lower))
+
+    def maximal(xs):
+        return frozenset(x for x in xs if not any(below(x, y) for y in xs))
+
+    def up(xs):
+        return frozenset(y for y in els if any(lat.leq(x, y) for x in xs))
+
+    def down(xs):
+        return frozenset(y for y in els if any(lat.leq(y, x) for x in xs))
+
+    fams = {f.name: f for f in cp.families}
+    presented = frozenset().union(*(fams[n].elements for n in included))
+    blocked = frozenset(e for n in included for e in fams[n].elements
+                        if e != fams[n].limit)
+    for m in lat.subsets():
+        xs = lat.unmask(m)
+        assert order_filter(lat, xs) == up(xs)
+        assert ab.principal_filter(lat, xs) == up((glb(xs),))
+        assert frontier_max(lat, xs) == maximal(xs)
+        assert frontier_order_ideal(lat, xs, dual=True) == down(maximal(xs))
+        assert chain_up(cp, xs) == xs | frozenset(
+            f.limit for f in cp.families
+            if f.direction == "up" and set(f.elements) <= xs)
+        assert ab.frontier_max_presented(cp, xs, included) == \
+            maximal(xs | presented) - blocked
+        assert ab.frontier_max_presented(cp, xs) == maximal(xs)
+
+
+@pytest.mark.parametrize("make", (_n5, _m3_times_2))
+def test_dual_reverses_the_order_and_is_built_once(make):
+    lat = make()[0].lattice
+    dual = lat.dual
+    assert dual is lat.dual and dual.dual is lat
+    assert (dual.bot, dual.top) == (lat.top, lat.bot)
+    for x in lat.elements:
+        for y in lat.elements:
+            assert dual.leq(x, y) == lat.leq(y, x)
+            assert dual.join((x, y)) == lat.meet((x, y))
+            assert dual.meet((x, y)) == lat.join((x, y))
+
+
+@pytest.mark.parametrize("fam, message", (
+    (Family("u", ("b", "a"), "top", "up"), "family u not increasing"),
+    (Family("u", ("a", "c"), "top", "up"), "family u not increasing"),
+    (Family("u", ("a", "b"), "c", "up"), "limit of u not an upper bound"),
+    (Family("u", ("a", "b"), "top", "up", parametric=False),
+     "limit of u is not its glb/lub"),
+    (Family("d", ("a", "b"), "bot", "down"), "family d not decreasing"),
+    (Family("d", ("b", "a"), "c", "down"), "limit of d not a lower bound"),
+    (Family("d", ("b", "a"), "bot", "down", parametric=False),
+     "limit of d is not its glb/lub"),
+    (Family("x", ("a",), "top", "sideways"), "bad direction 'sideways'")))
+def test_ill_ordered_families_rejected_by_name(fam, message):
+    with pytest.raises(LatticeError) as exc:
+        ChainPoset(_n5()[0].lattice, (fam,))
+    assert str(exc.value) == message
+
+
+def test_closure_battery_reports_each_broken_law():
+    lat = ToyLattice.powerset("ab")
+    full = (1 << len(lat.elements)) - 1
+    broken = (
+        # collapses everything: idempotent and increasing, not extensive
+        ("to empty", lambda m: 0, "upper", {"is extensive"}),
+        # adds the next index: extensive and increasing, not idempotent
+        ("spread", lambda m: (m | m << 1) & full, "upper", {"is idempotent"}),
+        # drops the full set only: reductive and idempotent, not increasing
+        ("drop full", lambda m: 0 if m == full else m, "lower",
+         {"is increasing"}))
+    for name, op, kind, failing in broken:
+        checks = []
+        _closure_battery(name, lat, op, kind, checks)
+        assert {label: ok for label, ok, _ in checks} == {
+            "%s %s" % (name, law): law not in failing
+            for law in (("is extensive" if kind == "upper" else "is reductive"),
+                        "is idempotent", "is increasing")}
+
+
+def test_gni_matches_its_definition_and_gd_is_its_negation():
+    space = StateSpace.make(("l", "h"), 0, 2)
+    states = list(space.states())
+    gni = family("GNI", space=space, low="l", high="h")
+    gd = family("GD", space=space, low="l", high="h")
+
+    def gni_by_definition(runs):
+        return all(any(s3[0] == s1[0] and s3[1] == s2[1] and e3[0] == e1[0]
+                       for (s3, e3) in runs)
+                   for (s1, e1) in runs for (s2, _) in runs
+                   if s1[0] == s2[0])
+
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(600):
+        # few low outputs make the property hold often enough to matter
+        ends = rng.sample(states, rng.randint(1, 3))
+        runs = frozenset((rng.choice(states), rng.choice(ends))
+                         for _ in range(rng.randint(0, 14)))
+        t = SemTriple(runs, frozenset(), frozenset())
+        want = gni_by_definition(runs)
+        assert gni.contains(runs) == gni.contains(t) == want
+        assert gd.contains(t) == (not want)
+        seen.add(want)
+    assert seen == {True, False}

@@ -295,3 +295,72 @@ def test_cached_parser_keeps_no_state_between_calls(workdir, capsys,
     fresh = [run_cli(capsys, *argv) for argv in calls]
     assert cached == fresh
     assert len({out for _, out, _ in cached}) == len(calls)
+
+
+UNSUPPORTED_RULES = ("if_upper", "seq", "frontier_rho", "no_such_rule")
+
+
+@pytest.mark.parametrize("rule", UNSUPPORTED_RULES)
+@pytest.mark.parametrize("path", ("flags", "request"))
+def test_check_unsupported_rule_same_message_on_both_paths(workdir, capsys,
+                                                           rule, path):
+    pre = [{"e": [[[v], [v]] for v in range(-3, 4)], "inf": [], "br": []}]
+    if path == "flags":
+        argv = ("--program", str(workdir / "countdown.hl"),
+                "--space", str(workdir / "space_y.json"),
+                "--pre", str(workdir / "init_y.json"),
+                "--post-oracle", str(workdir / "init_y.json"), "--rule", rule)
+    else:
+        (workdir / "req.json").write_text(json.dumps({
+            "rule": rule, "program": "while (y != 0) y = y - 1;",
+            "space": {"vars": ["y"], "lo": -3, "hi": 3}, "pre": pre,
+            "post": pre}))
+        argv = ("--request", str(workdir / "req.json"))
+    code, out, err = run_cli(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: rule %r is not supported by check (have: upper, "
+                   "lower, while_upper, while_lower, forall_exists)\n" % rule)
+
+
+LOOP_PRE = [{"e": [[[a, b], [a, b]] for a in (0, 1) for b in (0, 1)],
+             "inf": [], "br": []}]
+# the exact post of LOOP_PRE under the loop below
+LOOP_POST = [{"e": [[[0, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 0], [1, 0]],
+                    [[1, 1], [1, 0]]], "inf": [], "br": []}]
+
+
+@pytest.mark.parametrize("rule, post, code", (
+    ("while_upper", "GNI", 1), ("while_upper", LOOP_POST, 0),
+    ("while_lower", LOOP_POST, 0), ("forall_exists", LOOP_POST, 1),
+    ("upper", "NI", 1), ("lower", LOOP_POST, 0)))
+def test_check_request_and_flags_give_the_same_report(workdir, capsys, rule,
+                                                      post, code):
+    program = "while (h > 0) { h = h - 1; l = l + 1; }\n"
+    (workdir / "loop.hl").write_text(program)
+    (workdir / "pre_lh.json").write_text(json.dumps(LOOP_PRE))
+    (workdir / "post_lh.json").write_text(json.dumps(post))
+    req = {"rule": rule, "program": program, "pre": LOOP_PRE,
+           "space": {"vars": ["l", "h"], "lo": 0, "hi": 1, "arith": "saturate"}}
+    req["post_oracle" if isinstance(post, str) else "post"] = post
+    (workdir / "req.json").write_text(json.dumps(req))
+    oracle = post if isinstance(post, str) else str(workdir / "post_lh.json")
+    flags = run_cli(capsys, "check", "--program", str(workdir / "loop.hl"),
+                    "--space", str(workdir / "space_lh.json"),
+                    "--pre", str(workdir / "pre_lh.json"),
+                    "--post-oracle", oracle, "--rule", rule, "--json")
+    request = run_cli(capsys, "check", "--request", str(workdir / "req.json"),
+                      "--json")
+    assert flags == request
+    assert flags[0] == code and json.loads(flags[1])["rule"] == rule
+
+
+def test_check_while_lower_rejects_an_oracle_consequent(workdir, capsys):
+    (workdir / "loop.hl").write_text("while (h > 0) { h = h - 1; }\n")
+    (workdir / "pre_lh.json").write_text(json.dumps(LOOP_PRE))
+    code, out, err = run_cli(capsys, "check",
+                             "--program", str(workdir / "loop.hl"),
+                             "--space", str(workdir / "space_lh.json"),
+                             "--pre", str(workdir / "pre_lh.json"),
+                             "--post-oracle", "NI", "--rule", "while_lower")
+    assert (code, out) == (2, "")
+    assert err == "error: lower triples need an explicit consequent\n"
