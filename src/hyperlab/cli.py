@@ -35,7 +35,11 @@ def _load_json(path: str):
 
 def _load_program(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        stmt = parse(fh.read())
+        return _program(fh.read())
+
+
+def _program(text: str):
+    stmt = parse(text)
     bad = validate_breaks(stmt)
     if bad is not None:
         raise CliError("break without enclosing loop at AST path %s" % bad)
@@ -146,6 +150,13 @@ def _named_oracle(args, space):
 _CHECK_RULES = ("upper", "lower", "while_upper", "while_lower", "forall_exists")
 
 
+def _supported(rule):
+    if rule not in _CHECK_RULES:
+        raise CliError("rule %r is not supported by check (have: %s)"
+                       % (rule, ", ".join(_CHECK_RULES)))
+    return rule
+
+
 def cmd_check(args) -> int:
     invariant = None
     if args.request:
@@ -155,13 +166,25 @@ def cmd_check(args) -> int:
         if missing:
             raise CliError("request has no %s" %
                            ", ".join(repr(k) for k in missing))
-        rule = req.get("rule", "upper")
+        rule = _supported(req.get("rule", "upper"))
+        for key in ("program", "post_oracle"):
+            if key in req and not isinstance(req[key], str):
+                raise CliError("request %r must be a string, got %s"
+                               % (key, json.dumps(req[key])))
+        consequent = (("post_oracle", "low", "high") if "post_oracle" in req
+                      else ("post",))
+        reads = (("rule", "program", "space", "pre") + consequent
+                 + (("invariant",) if rule == "forall_exists" else ()))
+        unread = sorted(k for k in req if k not in reads)
+        if unread:
+            raise CliError("request key %s is not read by rule %r (it reads: "
+                           "%s)" % (", ".join(map(repr, unread)), rule,
+                                    ", ".join(reads)))
         space = StateSpace.from_config(req["space"])
-        stmt = parse(req["program"])
+        stmt = _program(req["program"])
         pre = _request_triples(req, "pre", space)
-        post_q = req.get("post_oracle")
-        if isinstance(post_q, str):
-            post_q = ab.family(post_q, space=space,
+        if "post_oracle" in req:
+            post_q = ab.family(req["post_oracle"], space=space,
                                low=req.get("low", "l"),
                                high=req.get("high", "h"))
         else:
@@ -174,7 +197,7 @@ def cmd_check(args) -> int:
         if missing:
             raise CliError("check needs --request or %s" % ", ".join(
                 "--" + f.replace("_", "-") for f in missing))
-        rule = args.rule
+        rule = _supported(args.rule)
         space = _load_space(args.space)
         stmt = _load_program(args.program)
         pre = _load_hyperset(args.pre, space)
@@ -183,15 +206,12 @@ def cmd_check(args) -> int:
         rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
     elif rule == "lower":
         rep = hl.check_lower(hl.Triple(pre, stmt, post_q, "lower"), space)
-    elif rule in _CHECK_RULES:
+    else:
         if not isinstance(stmt, hl.While):
             raise CliError("rule %r needs a single while loop" % rule)
         extra = {"invariant": invariant} if rule == "forall_exists" else {}
         rep = hl.check_rule(rule, space, pre=pre, cond=stmt.cond,
                             body=stmt.body, post_q=post_q, **extra)
-    else:
-        raise CliError("rule %r is not supported by check (have: %s)"
-                       % (rule, ", ".join(_CHECK_RULES)))
     _emit(rep.to_json(), args.json)
     return 0 if rep.holds() else 1
 

@@ -10,9 +10,10 @@ families or frontier partitions are supplied by the caller and the premises
 are verified exactly.  For the sound-and-complete structural rules the
 checker also evaluates the conclusion directly and records agreement; for
 rules with existential auxiliaries it synthesizes the canonical witness when
-none is supplied (toy mode).  The while rules build the guarded body's
-triple once and assemble each antecedent's conclusion element with
-`interpreter.loop_post`, from the exact entry and divergence fixpoints.
+none is supplied (toy mode).  The conditional and while rules build the
+statement's structural post function once (`transformers.transformer`; for
+a loop the guarded body's triple and the divergence fixpoint come with it)
+and apply it to each antecedent.
 """
 
 from __future__ import annotations
@@ -159,78 +160,67 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
     return rep
 
 
-def _branch_pair(p, cond, s1, s2, space):
-    t1 = interpreter.sem(Seq(BoolTest(cond), s1), space)
-    t2 = interpreter.sem(Seq(BoolTest(neg(cond)), s2), space)
-    return post(t1, p), post(t2, p)
-
-
-def _rule_if_upper(space, pre, cond, s1, s2, post_q) -> RuleReport:
-    rep = RuleReport("if_upper")
+def _structural_upper(name, stmt, premise, space, pre, post_q) -> RuleReport:
+    """Upper rule for a conditional or loop: the structural post function
+    maps each antecedent into the consequent."""
+    rep = RuleReport(name)
     member = membership(post_q)
+    post_fn = interpreter.interpret(stmt, tf.transformer(space))
     ok = True
     for p in sorted(pre, key=SemTriple.sort_key):
-        q1, q2 = _branch_pair(p, cond, s1, s2, space)
-        if not member(join(q1, q2)):
-            ok = False
-            rep.witnesses.append((p, join(q1, q2)))
-    rep.premise("forall pre: tied branch join in consequent", ok)
-    direct = check_upper(Triple(pre, If(cond, s1, s2), post_q, "upper"), space)
-    rep.note("conclusion:direct", direct.holds())
-    rep.note("agreement", direct.holds() == ok)
-    return rep
-
-
-def _rule_if_lower(space, pre, cond, s1, s2, post_q) -> RuleReport:
-    rep = RuleReport("if_lower")
-    images = {}
-    for p in pre:
-        q1, q2 = _branch_pair(p, cond, s1, s2, space)
-        images[join(q1, q2)] = p
-    ok = True
-    for q in sorted(frozenset(post_q), key=SemTriple.sort_key):
-        if q not in images:
-            ok = False
-            rep.witnesses.append((q, q))
-    rep.premise("forall consequent: exists tied branch join", ok)
-    direct = check_lower(Triple(pre, If(cond, s1, s2), post_q, "lower"), space)
-    rep.note("conclusion:direct", direct.holds())
-    rep.note("agreement", direct.holds() == ok)
-    return rep
-
-
-def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
-    rep = RuleReport("while_upper")
-    member = membership(post_q)
-    bs = interpreter.body_triple(cond, body, space)
-    ok = True
-    for p in sorted(pre, key=SemTriple.sort_key):
-        q = interpreter.loop_post(cond, bs, p, space)
+        q = post_fn(p)
         if not member(q):
             ok = False
             rep.witnesses.append((p, q))
-    rep.premise("forall pre: element from exact fixpoints in consequent", ok)
-    direct = check_upper(Triple(pre, While(cond, body), post_q, "upper"), space)
+    rep.premise(premise, ok)
+    direct = check_upper(Triple(pre, stmt, post_q, "upper"), space)
     rep.note("conclusion:direct", direct.holds())
     rep.note("agreement", direct.holds() == ok)
     return rep
 
 
-def _rule_while_lower(space, pre, cond, body, post_q) -> RuleReport:
+def _structural_lower(name, stmt, premise, space, pre, post_q) -> RuleReport:
+    """Lower rule: every consequent element is the structural image of some
+    antecedent."""
     qs = _explicit(post_q)
-    rep = RuleReport("while_lower")
-    bs = interpreter.body_triple(cond, body, space)
-    images = {interpreter.loop_post(cond, bs, p, space): p for p in pre}
+    rep = RuleReport(name)
+    post_fn = interpreter.interpret(stmt, tf.transformer(space))
+    images = {post_fn(p): p for p in pre}
     ok = True
     for q in sorted(qs, key=SemTriple.sort_key):
         if q not in images:
             ok = False
             rep.witnesses.append((q, q))
-    rep.premise("forall consequent: element of some antecedent", ok)
-    direct = check_lower(Triple(pre, While(cond, body), post_q, "lower"), space)
+    rep.premise(premise, ok)
+    direct = check_lower(Triple(pre, stmt, post_q, "lower"), space)
     rep.note("conclusion:direct", direct.holds())
     rep.note("agreement", direct.holds() == ok)
     return rep
+
+
+def _rule_if_upper(space, pre, cond, s1, s2, post_q) -> RuleReport:
+    return _structural_upper("if_upper", If(cond, s1, s2),
+                             "forall pre: tied branch join in consequent",
+                             space, pre, post_q)
+
+
+def _rule_if_lower(space, pre, cond, s1, s2, post_q) -> RuleReport:
+    return _structural_lower("if_lower", If(cond, s1, s2),
+                             "forall consequent: exists tied branch join",
+                             space, pre, post_q)
+
+
+def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
+    return _structural_upper(
+        "while_upper", While(cond, body),
+        "forall pre: element from exact fixpoints in consequent",
+        space, pre, post_q)
+
+
+def _rule_while_lower(space, pre, cond, body, post_q) -> RuleReport:
+    return _structural_lower("while_lower", While(cond, body),
+                             "forall consequent: element of some antecedent",
+                             space, pre, post_q)
 
 
 def _rule_consequence(space, pre, stmt, post_q, wider_pre, narrower_post) -> RuleReport:

@@ -1,18 +1,16 @@
-"""Structural fixpoint semantics and an independent small-step oracle.
+"""The generic structural interpreter, its fixpoints, and a small-step oracle.
 
-`sem` computes the denotation triple by structural recursion: basic commands
-via `prim`, sequences via composition, conditionals as the join of the two
-guarded branches, and loops by `loop_post` applied to the identity.
-`loop_post` is the one loop routine of the lab: from the guarded body's
-triple and a precondition it takes two fixpoints, the least fixpoint of the
-forward entry transformer (the executions reaching the loop head) and the
-greatest fixpoint of the divergence transformer (the starts that iterate
-forever).  `transformers.post_structural` and the hyperlogic while rules call
-it too, each with its own body triple and precondition.  All fixpoints run
-to stabilization; every carrier here is finite, so no widening is needed and
-the iteration count is bounded by the carrier size.
+`interpret(s, d)` is the one routine that decides how a statement
+decomposes: a basic command is `d.prim`, a sequence `d.seq` of its parts, a
+conditional `d.join` of its two guarded branches, and a loop `d.loop` of its
+guard and guarded body.  The `Algebra` `d` is the relational one here
+(`sem`), the post transformers (`transformers.transformer`) or the bounded
+traces (`trace_domain.traces`).  The relational loop `loop_post` takes the
+divergence gfp once per guarded body and returns the post function, which
+takes the entry lfp from each precondition.  Every carrier is finite, so the
+fixpoints run to stabilization without widening.
 
-`oracle_sem` rebuilds the same triple operationally.  It compiles the
+`oracle_sem` rebuilds the denotation triple operationally.  It compiles the
 statement once into a flat instruction list over integer program points,
 encodes a configuration as the int pc * |S| + state index, and runs one
 Tarjan pass over the configuration graph, discovered on the fly from every
@@ -21,13 +19,14 @@ topological order, so each closed SCC folds in its successors' results: the
 reachable end and break states (bitmasks over state indexes) and whether it
 can diverge.  On a finite graph an execution diverges exactly when it can
 reach a cycle, i.e. an SCC with an internal edge.  The oracle uses only the
-AST, `StateSpace`, expression evaluation and `SemTriple`, never `sem`, the
-fixpoint routines or the relational operators; the two routes are
+AST, `StateSpace`, expression evaluation and `SemTriple`, never `interpret`,
+the fixpoint routines or the relational operators; the two routes are
 independent, which is what makes sem == oracle_sem a meaningful check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable
@@ -57,6 +56,20 @@ class FixpointReport:
     result: object
 
 
+def _iterate(f: Callable, x, ordered: Callable, max_iter: int) -> FixpointReport:
+    n = 0
+    while True:
+        y = f(x)
+        n += 1
+        if y == x:
+            return FixpointReport(n, x)
+        if ordered is not None and not ordered(x, y):
+            raise NonMonotoneError(n)
+        if max_iter is not None and n > max_iter:
+            raise FixpointDivergenceError("no fixpoint after %d iterations" % n)
+        x = y
+
+
 def lfp(f: Callable, bottom, le: Callable = None, max_iter: int = None) -> FixpointReport:
     """Least fixpoint by Kleene iteration from `bottom`.
 
@@ -65,71 +78,83 @@ def lfp(f: Callable, bottom, le: Callable = None, max_iter: int = None) -> Fixpo
     offending iterate.  `max_iter` bounds the iteration (use the lattice
     height); exceeding it raises instead of looping.
     """
-    x = bottom
-    n = 0
-    while True:
-        y = f(x)
-        n += 1
-        if y == x:
-            return FixpointReport(n, x)
-        if le is not None and not le(x, y):
-            raise NonMonotoneError(n)
-        if max_iter is not None and n > max_iter:
-            raise FixpointDivergenceError("no fixpoint after %d iterations" % n)
-        x = y
+    return _iterate(f, bottom, le, max_iter)
 
 
 def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> FixpointReport:
     """Greatest fixpoint by iteration from `top`; dual of lfp."""
-    x = top
-    n = 0
-    while True:
-        y = f(x)
-        n += 1
-        if y == x:
-            return FixpointReport(n, x)
-        if ge is not None and not ge(x, y):
-            raise NonMonotoneError(n)
-        if max_iter is not None and n > max_iter:
-            raise FixpointDivergenceError("no fixpoint after %d iterations" % n)
-        x = y
-
-
-def _subset(a, b):
-    return a <= b
-
-
-def _supset(a, b):
-    return a >= b
+    return _iterate(f, top, ge, max_iter)
 
 
 # ---------------------------------------------------------------------------
-# Loop transformers
+# The generic structural interpreter
+
+@dataclass(frozen=True)
+class Algebra:
+    """Values of a basic command `prim(s)`, a sequence `seq(a, b)`, a choice
+    `join(a, b)`, and `loop(cond, body)` given the guarded body's value."""
+    prim: Callable
+    seq: Callable
+    join: Callable
+    loop: Callable
+
+
+def guarded(b: lang.BExpr, s: lang.Stmt, d: Algebra):
+    """Value of the guarded command B;S."""
+    return d.seq(d.prim(BoolTest(b)), interpret(s, d))
+
+
+def interpret(s: lang.Stmt, d: Algebra):
+    """Value of a statement in the algebra `d`, by structural recursion."""
+    if isinstance(s, Seq):
+        return d.seq(interpret(s.first, d), interpret(s.second, d))
+    if isinstance(s, If):
+        return d.join(guarded(s.cond, s.then, d),
+                      guarded(neg(s.cond), s.orelse, d))
+    if isinstance(s, While):
+        return d.loop(s.cond, guarded(s.cond, s.body, d))
+    return d.prim(s)
+
+
+# ---------------------------------------------------------------------------
+# The relational algebra
+
+def loop_post(cond: lang.BExpr, bs: SemTriple,
+              space: StateSpace) -> Callable[[SemTriple], SemTriple]:
+    """post of `while (cond) body` as a function of the precondition p,
+    given bs = sem(B;S).
+
+    The greatest fixpoint of X -> pre[B;S](X), the starts that iterate
+    forever, does not depend on p.  The least fixpoint of
+    X -> p.e | X ; bs.e is reach = p.e ; bs.e*, the executions at the loop
+    head; they leave through the negated guard or a break of the body.  The
+    loop consumes its own breaks, so p.br passes through unchanged.
+    """
+    n = len(space.states())
+    div = gfp(lambda x: rd.rel_into(bs.e, x), frozenset(space.states()),
+              ge=operator.ge, max_iter=n + 2).result
+    exits = prim(BoolTest(neg(cond)), space).e | bs.br
+
+    def post(p: SemTriple) -> SemTriple:
+        reach = lfp(lambda x: p.e | rd.compose_rel(x, bs.e), frozenset(),
+                    le=operator.le, max_iter=n * n + 2).result
+        return SemTriple(rd.compose_rel(reach, exits),
+                         p.inf | rd.rel_into(reach, bs.inf)
+                         | rd.rel_into(p.e, div),
+                         p.br)
+    return post
+
+
+def relational(space: StateSpace) -> Algebra:
+    """Denotation triples; a loop is `loop_post` on the identity."""
+    return Algebra(lambda s: prim(s, space), compose, join,
+                   lambda cond, bs: loop_post(cond, bs, space)(
+                       prim("init", space)))
+
 
 def body_triple(b: lang.BExpr, body: lang.Stmt, space: StateSpace) -> SemTriple:
     """Denotation of the guarded body B;S."""
-    return compose(prim(BoolTest(b), space), sem(body, space))
-
-
-def loop_post(cond: lang.BExpr, bs: SemTriple, p: SemTriple,
-              space: StateSpace) -> SemTriple:
-    """post of `while (cond) body` on the precondition p, given bs = sem(B;S).
-
-    The least fixpoint of X -> p.e | X ; bs.e is reach = p.e ; bs.e*, the
-    executions at the loop head after finitely many body iterations; they
-    leave through the negated guard or a break of the body.  The greatest
-    fixpoint of X -> pre[B;S](X) is the set of starts that iterate forever.
-    The loop's own breaks are consumed, so p.br passes through unchanged.
-    """
-    n = len(space.states())
-    reach = lfp(lambda x: p.e | rd.compose_rel(x, bs.e), frozenset(),
-                le=_subset, max_iter=n * n + 2).result
-    div = gfp(lambda x: rd.rel_into(bs.e, x), frozenset(space.states()),
-              ge=_supset, max_iter=n + 2).result
-    exits = prim(BoolTest(neg(cond)), space).e | bs.br
-    return SemTriple(rd.compose_rel(reach, exits),
-                     p.inf | rd.rel_into(reach, bs.inf) | rd.rel_into(p.e, div),
-                     p.br)
+    return guarded(b, body, relational(space))
 
 
 def powers(rel, space: StateSpace, n: int) -> list:
@@ -140,27 +165,13 @@ def powers(rel, space: StateSpace, n: int) -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Structural semantics
-
 def sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
     """Denotation triple of a statement.
 
     Free breaks land in the br component; callers that want a whole program
     (empty top-level br) should run validate_breaks first.
     """
-    if isinstance(s, (Assign, RandAssign, Skip, Break, BoolTest)):
-        return prim(s, space)
-    if isinstance(s, Seq):
-        return compose(sem(s.first, space), sem(s.second, space))
-    if isinstance(s, If):
-        t1 = compose(prim(BoolTest(s.cond), space), sem(s.then, space))
-        t2 = compose(prim(BoolTest(neg(s.cond)), space), sem(s.orelse, space))
-        return join(t1, t2)
-    if isinstance(s, While):
-        return loop_post(s.cond, body_triple(s.cond, s.body, space),
-                         prim("init", space), space)
-    raise TypeError(s)
+    return interpret(s, relational(space))
 
 
 # ---------------------------------------------------------------------------

@@ -122,21 +122,6 @@ Stmt = Union[Assign, RandAssign, Skip, Break, Seq, If, While, BoolTest]
 # ---------------------------------------------------------------------------
 # Structural helpers
 
-def components(s: Stmt) -> frozenset:
-    """Immediate strict syntactic components of a statement.
-
-    Empty for basic commands; {S1,S2} for sequences and conditionals; {S} for
-    loops.  The relation is well founded, so structural recursion terminates.
-    """
-    if isinstance(s, Seq):
-        return frozenset((s.first, s.second))
-    if isinstance(s, If):
-        return frozenset((s.then, s.orelse))
-    if isinstance(s, While):
-        return frozenset((s.body,))
-    return frozenset()
-
-
 def children(s: Stmt) -> tuple:
     """Ordered child statements; index positions are used in AST paths."""
     if isinstance(s, Seq):

@@ -101,7 +101,8 @@ class StateSpace:
         try:
             return self.vars.index(name)
         except ValueError:
-            raise UnboundVariableError(name) from None
+            raise UnboundVariableError("unbound variable %r (space has: %s)"
+                                       % (name, ", ".join(self.vars))) from None
 
     def states(self) -> tuple:
         return _states(self.vars, self.lo, self.hi)

@@ -1,9 +1,11 @@
 """Finite-trace semantics at bounded length and its relational abstraction.
 
-Traces are nonempty state sequences.  Skips and assignments contribute one
-step (two states), tests and breaks act as filters (one state, and break
-traces simply stop at the break point, following the relational reading of
-the break-to constructor).  Concatenation merges the shared middle state.
+Traces are nonempty state sequences; `trace_sem` is `interpreter.interpret`
+on the trace algebra `traces(space, cap)`.  Skips and assignments
+contribute one step (two states: their relational pairs), tests and breaks
+act as filters (one state, and break traces simply stop at the break point,
+following the relational reading of the break-to constructor).
+Concatenation merges the shared middle state.
 
 Infinite traces are never materialized: the divergent component is carried as
 the set of divergent start states, which is the exact relational abstraction
@@ -14,10 +16,12 @@ commutation checks can skip flagged cases soundly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import interpreter, lang, rel_domain as rd
-from .lang import Assign, BoolTest, Break, If, RandAssign, Seq, Skip, While, neg
+from .interpreter import Algebra
+from .lang import BoolTest, Break, neg
 from .rel_domain import StateSpace
 
 
@@ -56,56 +60,44 @@ def concat(t1, t2, cap: int):
     return frozenset(out), cut
 
 
-def _prim_traces(s, space: StateSpace) -> _TR:
-    empty = frozenset()
-    if isinstance(s, Skip):
-        return _TR(frozenset((sig, sig) for sig in space.states()), empty, False)
-    if isinstance(s, Assign):
-        pairs = rd.prim(s, space).e
-        return _TR(frozenset(pairs), empty, False)
-    if isinstance(s, RandAssign):
-        pairs = rd.prim(s, space).e
-        return _TR(frozenset(pairs), empty, False)
-    if isinstance(s, BoolTest):
-        kept = frozenset((sig,) for sig in space.states()
-                         if rd.eval_bexpr(s.cond, space, sig))
-        return _TR(kept, empty, False)
-    if isinstance(s, Break):
-        return _TR(empty, frozenset((sig,) for sig in space.states()), False)
-    raise TypeError(s)
+def traces(space: StateSpace, cap: int) -> Algebra:
+    """Traces of length at most `cap`; a loop is every finite iteration of
+    its guarded body followed by its exits."""
+    singles, empty = frozenset((sig,) for sig in space.states()), frozenset()
 
+    def prim(s):
+        if isinstance(s, BoolTest):
+            return _TR(frozenset(t for t in singles
+                                 if rd.eval_bexpr(s.cond, space, t[0])),
+                       empty, False)
+        if isinstance(s, Break):
+            return _TR(empty, singles, False)
+        return _TR(rd.prim(s, space).e, empty, False)
 
-def _tr(s, space: StateSpace, cap: int) -> _TR:
-    if isinstance(s, (Skip, Assign, RandAssign, BoolTest, Break)):
-        return _prim_traces(s, space)
-    if isinstance(s, Seq):
-        a = _tr(s.first, space, cap)
-        b = _tr(s.second, space, cap)
+    def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)
         br2, c2 = concat(a.e, b.br, cap)
         return _TR(e, a.br | br2, a.truncated or b.truncated or c1 or c2)
-    if isinstance(s, If):
-        t = _tr(Seq(BoolTest(s.cond), s.then), space, cap)
-        f = _tr(Seq(BoolTest(neg(s.cond)), s.orelse), space, cap)
-        return _TR(t.e | f.e, t.br | f.br, t.truncated or f.truncated)
-    if isinstance(s, While):
-        body = _tr(Seq(BoolTest(s.cond), s.body), space, cap)
-        init = frozenset((sig,) for sig in space.states())
+
+    def loop(cond, body):
         cut = body.truncated
 
         def step(x):
             nonlocal cut
             grown, c = concat(body.e, x, cap)
             cut = cut or c
-            return init | grown
+            return singles | grown
 
-        reach = interpreter.lfp(step, frozenset(), le=lambda a, b: a <= b,
+        reach = interpreter.lfp(step, frozenset(), le=operator.le,
                                 max_iter=cap + 2).result
-        exits = _prim_traces(BoolTest(neg(s.cond)), space).e | body.br
+        exits = prim(BoolTest(neg(cond))).e | body.br
         e, c = concat(reach, exits, cap)
-        cut = cut or c
-        return _TR(e, frozenset(), cut)
-    raise TypeError(s)
+        return _TR(e, empty, cut or c)
+
+    return Algebra(prim, seq,
+                   lambda a, b: _TR(a.e | b.e, a.br | b.br,
+                                    a.truncated or b.truncated),
+                   loop)
 
 
 def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
@@ -116,7 +108,7 @@ def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tr = _tr(s, space, max_len)
+    tr = interpreter.interpret(s, traces(space, max_len))
     div = interpreter.sem(s, space).inf
     return TraceSet(tr.e, div, tr.truncated)
 

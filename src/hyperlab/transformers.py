@@ -3,11 +3,12 @@
 `post` maps a precondition triple through a denotation by sequential
 composition; `pre_tilde` is its upper adjoint.  `Post` is the elementwise
 lift of `post` to finite sets of triples; it is computed either directly from
-a denotation or structurally (`post_structural` / `Post_structural`), where
-the conditional keeps the two branch outcomes of each precondition tied
-together (one result element per precondition, never the cross product) and
-the loop hands its structurally computed guarded-body triple and the
-precondition to `interpreter.loop_post`.
+a denotation or structurally (`post_structural` / `Post_structural`) by
+`interpreter.interpret` on the transformer algebra, whose values are post
+functions p -> q.  Its conditional joins the two branch outcomes of each
+precondition (one result element per precondition, never the cross
+product), and the function is built once per statement, so each loop's
+guarded body and divergence fixpoint are computed once.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
 and is only offered in toy mode where the triple lattice is enumerable.
@@ -24,7 +25,8 @@ from itertools import combinations, product
 from typing import Tuple
 
 from . import interpreter, lang, rel_domain as rd
-from .lang import BoolTest, If, Seq, Skip, While, neg
+from .interpreter import Algebra
+from .lang import BoolTest, If, Skip, neg
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
 
 HyperSet = frozenset
@@ -83,33 +85,28 @@ def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
 # ---------------------------------------------------------------------------
 # Structural post calculus
 
-def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:
-    """post computed by the structural rules, without building sem(s) first.
+def transformer(space: StateSpace) -> Algebra:
+    """Post functions p -> q; a loop is `loop_post` on its guarded body's
+    function applied to the identity."""
+    def basic(s):
+        t = prim(s, space)
+        return lambda p: compose(p, t)
 
-    A loop's guarded body is itself handled by structural recursion, on the
-    identity; `interpreter.loop_post` then runs the loop's entry and
-    divergence fixpoints from the precondition.
-    """
-    if isinstance(s, (lang.Assign, lang.RandAssign, Skip, BoolTest)):
-        return SemTriple(rd.compose_rel(p.e, prim(s, space).e), p.inf, p.br)
-    if isinstance(s, lang.Break):
-        return SemTriple(frozenset(), p.inf, p.br | p.e)
-    if isinstance(s, Seq):
-        return post_structural(s.second, post_structural(s.first, p, space), space)
-    if isinstance(s, If):
-        q1 = post_structural(Seq(BoolTest(s.cond), s.then), p, space)
-        q2 = post_structural(Seq(BoolTest(neg(s.cond)), s.orelse), p, space)
-        return join(q1, q2)
-    if isinstance(s, While):
-        bs = post_structural(Seq(BoolTest(s.cond), s.body), prim("init", space),
-                             space)
-        return interpreter.loop_post(s.cond, bs, p, space)
-    raise TypeError(s)
+    def loop(cond, body):
+        return interpreter.loop_post(cond, body(prim("init", space)), space)
+
+    return Algebra(basic, lambda f, g: lambda p: g(f(p)),
+                   lambda f, g: lambda p: join(f(p), g(p)), loop)
+
+
+def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:
+    """post computed by the structural rules, without building sem(s) first."""
+    return interpreter.interpret(s, transformer(space))(p)
 
 
 def Post_structural(s: lang.Stmt, props: HyperSet, space: StateSpace) -> HyperSet:
     """Elementwise structural Post; the conditional stays tied per element."""
-    return frozenset(post_structural(s, p, space) for p in props)
+    return frozenset(map(interpreter.interpret(s, transformer(space)), props))
 
 
 # ---------------------------------------------------------------------------

@@ -364,3 +364,59 @@ def test_check_while_lower_rejects_an_oracle_consequent(workdir, capsys):
                              "--post-oracle", "NI", "--rule", "while_lower")
     assert (code, out) == (2, "")
     assert err == "error: lower triples need an explicit consequent\n"
+
+
+def test_check_request_rejects_what_no_rule_reads(workdir, capsys):
+    # the rule name is checked first; then ill-typed strings, and keys the
+    # rule does not read (unknown keys, an invariant on a rule other than
+    # forall_exists, an explicit consequent next to a named one) exit 2
+    # naming the key
+    loop = "while (h > 0) { h = h - 1; }"
+    base = {"program": loop, "space": {"vars": ["l", "h"], "lo": 0, "hi": 1},
+            "pre": LOOP_PRE, "post": LOOP_POST}
+    reads = "rule, program, space, pre, post"
+    for extra, want in (
+            ({"program": 5}, "request 'program' must be a string, got 5"),
+            ({"post_oracle": ["NI"]},
+             "request 'post_oracle' must be a string, got [\"NI\"]"),
+            ({"consequent": LOOP_POST, "lo": 0},
+             "request key 'consequent', 'lo' is not read by rule 'upper' "
+             "(it reads: %s)" % reads),
+            ({"rule": "while_upper", "invariant": LOOP_PRE},
+             "request key 'invariant' is not read by rule 'while_upper' "
+             "(it reads: %s)" % reads),
+            ({"low": "l"},
+             "request key 'low' is not read by rule 'upper' (it reads: %s)"
+             % reads),
+            ({"post_oracle": "NI"},
+             "request key 'post' is not read by rule 'upper' (it reads: "
+             "rule, program, space, pre, post_oracle, low, high)"),
+            ({"rule": "if_upper", "invariant": LOOP_PRE, "lo": 0},
+             "rule 'if_upper' is not supported by check (have: upper, "
+             "lower, while_upper, while_lower, forall_exists)"),
+            ({"program": "break;"},
+             "break without enclosing loop at AST path []")):
+        (workdir / "req.json").write_text(json.dumps({**base, **extra}))
+        code, out, err = run_cli(capsys, "check",
+                                 "--request", str(workdir / "req.json"))
+        assert (code, out, err) == (2, "", "error: %s\n" % want)
+    # forall_exists reads the invariant: LOOP_PRE is not closed under the body
+    (workdir / "req.json").write_text(json.dumps(
+        {**base, "rule": "forall_exists", "invariant": LOOP_PRE}))
+    code, out, _ = run_cli(capsys, "check", "--request",
+                           str(workdir / "req.json"), "--json")
+    premises = {p["name"]: p["ok"] for p in json.loads(out)["premises"]}
+    assert code == 1
+    assert premises["invariant closed under guarded body step"] is False
+
+
+def test_unbound_variable_is_named_with_the_space(workdir, capsys):
+    (workdir / "zz.hl").write_text("l = zz;\n")
+    want = "error: unbound variable 'zz' (space has: l, h)\n"
+    assert run_cli(capsys, "sem", "--program", str(workdir / "zz.hl"),
+                   "--space", str(workdir / "space_lh.json")) == (2, "", want)
+    (workdir / "init_lh.json").write_text(json.dumps(LOOP_PRE))
+    assert run_cli(capsys, "check", "--program", str(workdir / "leak.hl"),
+                   "--space", str(workdir / "space_lh.json"),
+                   "--pre", str(workdir / "init_lh.json"),
+                   "--post-oracle", "NI", "--low", "zz") == (2, "", want)

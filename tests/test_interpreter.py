@@ -7,12 +7,13 @@ from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.interpreter import (FixpointReport, NonMonotoneError, gfp, lfp,
                                   oracle_sem, sem)
+from hyperlab.hyperlogic import check_rule
 from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq, Skip,
-                           Var, While, parse, validate_breaks)
+                           Var, While, parse, subtrees, validate_breaks)
 from hyperlab.rel_domain import StateSpace
 from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
-                               S4_SRC, random_program, s3_expected,
-                               s4_expected)
+                               S4_SRC, random_program, random_triple,
+                               s3_expected, s4_expected)
 
 
 def test_lfp_identity_single_iteration():
@@ -41,12 +42,12 @@ def test_lfp_detects_non_monotone_step():
 def entry_fixpoint(bs, space):
     v = Var(space.vars[0])
     return it.loop_post(Cmp("!=", v, v), rd.pure_e(bs.e),
-                        rd.prim("init", space), space).e
+                        space)(rd.prim("init", space)).e
 
 
 def divergence_gfp(cond, bs, space):
-    return it.loop_post(cond, rd.pure_e(bs.e), rd.prim("init", space),
-                        space).inf
+    return it.loop_post(cond, rd.pure_e(bs.e),
+                        space)(rd.prim("init", space)).inf
 
 
 def backward_entry_fixpoint(bs, space):
@@ -250,21 +251,59 @@ def countdown_nest(depth):
     return parse(src), space
 
 
-def test_sem_evaluates_each_loop_body_once(monkeypatch):
-    calls = {"sem": 0, "body_triple": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(it, name), _name=name):
+def count_calls(monkeypatch, mod, names):
+    """Wrap each named function of `mod` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(it, name, counted)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_sem_evaluates_each_loop_body_once(monkeypatch):
+    calls = count_calls(monkeypatch, it, ("interpret",))
     for depth in range(1, 7):
         prog, space = countdown_nest(depth)
-        for name in calls:
-            calls[name] = 0
+        calls["interpret"] = 0
         t = it.sem(prog, space)
-        assert calls == {"sem": 3 * depth - 1, "body_triple": depth}
+        assert calls["interpret"] == len(list(subtrees(prog)))
         init = rd.prim("init", space)
         assert tf.post_structural(prog, init, space) == tf.post(t, init)
+
+
+def test_post_structural_builds_each_loop_once(monkeypatch):
+    # the divergence gfp and the guarded body do not depend on the
+    # precondition, so a program with k loops (and no conditional) takes
+    # k of each however many preconditions it is applied to
+    rng = random.Random(47)
+    calls = count_calls(monkeypatch, it, ("gfp", "guarded"))
+    for k in (1, 2, 3):
+        prog, space = countdown_nest(k)
+        for n in (1, 3, 6):
+            pres = frozenset(random_triple(rng, space) for _ in range(n))
+            calls.update(gfp=0, guarded=0)
+            got = tf.Post_structural(prog, pres, space)
+            assert calls == {"gfp": k, "guarded": k}
+            assert got == tf.Post(sem(prog, space), pres)
+
+
+def test_while_rule_runs_the_divergence_gfp_once(monkeypatch):
+    prog = parse("while (h > 0) { h = h - 1; l = l + 1; }")
+    space = StateSpace.make(("l", "h"), 0, 2)
+    rng = random.Random(48)
+    calls = count_calls(monkeypatch, it, ("gfp",))
+    for n in (1, 3, 6):
+        pre = frozenset(random_triple(rng, space, pure=True)
+                        for _ in range(n))
+        post_q = tf.Post(sem(prog, space), pre)
+        calls["gfp"] = 0
+        rep = check_rule("while_upper", space, pre=pre, cond=prog.cond,
+                         body=prog.body, post_q=post_q)
+        assert rep.holds()
+        # one for the premise's loop post, one in the direct check's sem
+        assert calls["gfp"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +369,8 @@ def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle_sem must not use the structural route")
 
-    for mod, names in ((it, ("sem", "lfp", "gfp", "body_triple", "loop_post",
-                             "prim", "compose", "join")),
+    for mod, names in ((it, ("sem", "interpret", "lfp", "gfp", "body_triple",
+                             "loop_post", "prim", "compose", "join")),
                        (rd, ("prim", "compose", "compose_rel", "rel_into",
                              "join", "identity_rel"))):
         for name in names:

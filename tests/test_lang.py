@@ -4,8 +4,8 @@ import pytest
 
 from hyperlab.lang import (ABin, Assign, BoolTest, Break, Cmp, Const, If,
                            ParseError, RandAssign, Seq, Skip, Var, While,
-                           components, parse, pretty, subtrees,
-                           validate_breaks, NEG_INF, POS_INF)
+                           parse, pretty, subtrees, validate_breaks, NEG_INF,
+                           POS_INF)
 from hyperlab.selftest import random_program
 
 
@@ -61,16 +61,6 @@ def test_validate_breaks_reports_path_after_loop():
     # exhaustive walk: the offending break is the second child of the Seq
     s = Seq(While(Cmp("<", Var("x"), Const(1)), Skip()), Break())
     assert validate_breaks(s) == [1]
-
-
-def test_components_of_basic_statement_is_empty():
-    assert components(Skip()) == frozenset()
-
-
-def test_components_of_seq_and_while():
-    a, b = Assign("x", Const(1)), Skip()
-    assert components(Seq(a, b)) == frozenset((a, b))
-    assert components(While(Cmp("<", Var("x"), Const(1)), a)) == frozenset((a,))
 
 
 def test_component_relation_is_well_founded():

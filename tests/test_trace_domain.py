@@ -3,10 +3,13 @@ import random
 import pytest
 
 from hyperlab import interpreter as it
+from hyperlab import rel_domain as rd
 from hyperlab import trace_domain as td
-from hyperlab.lang import Skip, parse, validate_breaks
+from hyperlab.lang import (Assign, BoolTest, Break, RandAssign, Skip, parse,
+                           validate_breaks)
 from hyperlab.rel_domain import StateSpace
-from hyperlab.selftest import SPACE_TRACE, TRACE_SRC, random_program, trace_expected
+from hyperlab.selftest import (SPACE_TRACE, TRACE_SRC, random_aexpr,
+                               random_bexpr, random_program, trace_expected)
 
 
 def test_trace_sem_skip_duplicates_each_state():
@@ -122,3 +125,45 @@ def test_dump_format_is_sorted_and_stable():
     t = td.trace_sem(Skip(), space, 3)
     text = td.dump_traces(t, space)
     assert text.splitlines() == ["x:0;x:0", "x:1;x:1"]
+
+
+def test_abstraction_commutes_with_each_trace_operation():
+    # Part II: the first/last-state abstraction is exact, so it maps each
+    # operation of the trace algebra to the relational algebra's operation
+    # on the abstracted arguments (e and br; traces carry no divergence)
+    rng = random.Random(24)
+    space = StateSpace.make(("x", "y"), 0, 2)
+    sts = space.states()
+    tr, rel = td.traces(space, 12), it.relational(space)
+
+    def rand_traces(k):
+        return frozenset(tuple(rng.choice(sts) for _ in range(rng.randint(1, 3)))
+                         for _ in range(rng.randint(0, k)))
+
+    def alpha(t):
+        assert not t.truncated
+        ends = lambda ts: frozenset((p[0], p[-1]) for p in ts)
+        return rd.SemTriple(ends(t.e), frozenset(), ends(t.br))
+
+    def same(t, r):
+        a = alpha(t)
+        return a.e == r.e and a.br == r.br
+
+    skipped = 0
+    for _ in range(1000):
+        for s in (Assign(rng.choice(space.vars), random_aexpr(rng, space.vars, 2)),
+                  RandAssign(rng.choice(space.vars), rng.randint(-1, 2),
+                             rng.randint(0, 3)),
+                  BoolTest(random_bexpr(rng, space.vars, 1)), Skip(), Break()):
+            assert same(tr.prim(s), rel.prim(s))
+        a = td._TR(rand_traces(5), rand_traces(2), False)
+        b = td._TR(rand_traces(5), rand_traces(2), False)
+        assert same(tr.seq(a, b), rel.seq(alpha(a), alpha(b)))
+        assert same(tr.join(a, b), rel.join(alpha(a), alpha(b)))
+        cond = random_bexpr(rng, space.vars, 1)
+        loop = tr.loop(cond, a)
+        if loop.truncated:
+            skipped += 1
+            continue
+        assert same(loop, rel.loop(cond, alpha(a)))
+    assert 0 < skipped < 500
