@@ -140,10 +140,15 @@ def cmd_hyper_post(args) -> int:
     return 0
 
 
+_FAMILIES = ("NI", "GNI", "GD")
+
+
 def _named_oracle(args, space):
     name = args.post_oracle
-    if name in ("NI", "GNI", "GD"):
-        return ab.family(name, space=space, low=args.low, high=args.high)
+    if name in _FAMILIES:
+        return ab.family(name, space=space,
+                         low="l" if args.low is None else args.low,
+                         high="h" if args.high is None else args.high)
     return _load_hyperset(name, space)
 
 
@@ -198,6 +203,14 @@ def cmd_check(args) -> int:
             raise CliError("check needs --request or %s" % ", ".join(
                 "--" + f.replace("_", "-") for f in missing))
         rule = _supported(args.rule)
+        if args.post_oracle not in _FAMILIES:
+            unread = [flag for flag, v in (("--low", args.low),
+                                           ("--high", args.high))
+                      if v is not None]
+            if unread:
+                raise CliError("flag %s is not read by rule %r (it reads: "
+                               "--rule, --program, --space, --pre, "
+                               "--post-oracle)" % (", ".join(unread), rule))
         space = _load_space(args.space)
         stmt = _load_program(args.program)
         pre = _load_hyperset(args.pre, space)
@@ -309,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="upper")
     p.add_argument("--post-oracle", dest="post_oracle",
                    help="NI|GNI|GD or a triples JSON file")
-    p.add_argument("--low", default="l")
-    p.add_argument("--high", default="h")
+    p.add_argument("--low", help="low variable of NI|GNI|GD (default l)")
+    p.add_argument("--high", help="high variable of NI|GNI|GD (default h)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
 from .abstractions import HyperOracle
-from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Skip, Stmt,
+from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq, prim
 from .transformers import HyperSet, Post, post
@@ -300,12 +300,13 @@ def _as_rel(p) -> frozenset:
     return p.e if isinstance(p, SemTriple) else frozenset(p)
 
 
-def weak_invariant_closure(pre_rels, cond, body, space: StateSpace) -> frozenset:
-    """Canonical invariant family {X^n(P)}: the minimal candidate, since
+def weak_invariant_closure(pre_rels, step, space: StateSpace) -> frozenset:
+    """Canonical invariant family {X^n(P)} under the loop's step relation
+    (`transformers.weak_while_iterates`): the minimal candidate, since
     premise 1 forces the antecedents in and premise 2 forces closure."""
     out = set()
     for p in pre_rels:
-        iterates, _ = tf.weak_while_iterates(cond, body, p, space)
+        iterates, _ = tf.weak_while_iterates(step, p, space)
         out.update(iterates)
     return frozenset(out)
 
@@ -323,16 +324,19 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
         qs = frozenset(_as_rel(q) for q in post_q)
         member_rel = lambda r: r in qs
 
+    # the guarded body is built once; the step, the exit test and the
+    # loop's triple come from it whatever the number of antecedents
+    bs = interpreter.body_triple(cond, body, space)
+    not_b = prim(BoolTest(neg(cond)), space).e
+    step = bs.e | not_b
     synthesized = invariant is None
     if synthesized:
-        inv = weak_invariant_closure(pre_rels, cond, body, space)
+        inv = weak_invariant_closure(pre_rels, step, space)
     else:
         inv = frozenset(_as_rel(i) for i in invariant)
-    if_e = interpreter.sem(If(cond, body, Skip()), space).e
-    not_b = prim(BoolTest(neg(cond)), space).e
 
     rep.premise("pre included in invariant", pre_rels <= inv)
-    closed = all(rd.compose_rel(i, if_e) in inv for i in inv)
+    closed = all(rd.compose_rel(i, step) in inv for i in inv)
     rep.premise("invariant closed under guarded body step", closed)
     exits_ok = all(member_rel(rd.compose_rel(i, not_b)) for i in inv)
     rep.premise("invariant exits in consequent", exits_ok)
@@ -341,7 +345,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     if synthesized:
         rep.note("invariant synthesized", True, "%d elements" % len(inv))
 
-    wsem = interpreter.sem(While(cond, body), space)
+    wsem = interpreter.loop_post(cond, bs, space)(prim("init", space))
     sound = all(member_rel(rd.compose_rel(p, wsem.e)) for p in pre_rels)
     rep.note("conclusion:direct", sound)
     weak, _ = tf.Post_weak_while(cond, body,

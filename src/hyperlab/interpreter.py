@@ -19,9 +19,10 @@ topological order, so each closed SCC folds in its successors' results: the
 reachable end and break states (bitmasks over state indexes) and whether it
 can diverge.  On a finite graph an execution diverges exactly when it can
 reach a cycle, i.e. an SCC with an internal edge.  The oracle uses only the
-AST, `StateSpace`, expression evaluation and `SemTriple`, never `interpret`,
-the fixpoint routines or the relational operators; the two routes are
-independent, which is what makes sem == oracle_sem a meaningful check.
+AST, `StateSpace`, compiled expression kernels (`rel_domain.compile_expr`)
+and `SemTriple`, never `interpret`, the fixpoint routines or the relational
+operators; the two routes are independent, which is what makes
+sem == oracle_sem a meaningful check.
 """
 
 from __future__ import annotations
@@ -200,20 +201,22 @@ def _compile(s: lang.Stmt, space: StateSpace):
         if isinstance(s, Seq):
             return comp(s.first, comp(s.second, nxt, brk), brk)
         if isinstance(s, Assign):
-            return emit(("assign", space.index(s.var), s.expr, nxt))
+            return emit(("assign", space.index(s.var),
+                         rd.compile_expr(s.expr, space), nxt))
         if isinstance(s, RandAssign):
             i = space.index(s.var)
             lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
             vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
             return emit(("rand", i, vals, nxt))
         if isinstance(s, BoolTest):
-            return emit(("test", s.cond, nxt))
+            return emit(("test", rd.compile_expr(s.cond, space), nxt))
         if isinstance(s, If):
-            return emit(("if", s.cond, comp(s.then, nxt, brk),
-                         comp(s.orelse, nxt, brk)))
+            return emit(("if", rd.compile_expr(s.cond, space),
+                         comp(s.then, nxt, brk), comp(s.orelse, nxt, brk)))
         if isinstance(s, While):
             head = emit(None)
-            code[head] = ("loop", s.cond, comp(s.body, head, nxt), nxt)
+            code[head] = ("loop", rd.compile_expr(s.cond, space),
+                          comp(s.body, head, nxt), nxt)
             return head
         raise TypeError(s)
 
@@ -234,26 +237,24 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
     entry, code = _compile(s, space)
     states = space.states()
     n = len(states)
-    stride = [1] * len(space.vars)  # mixed-radix place value of each variable
-    for i in range(len(stride) - 2, -1, -1):
-        stride[i] = stride[i + 1] * (space.hi[i + 1] - space.lo[i + 1] + 1)
+    stride = space.strides()
 
     def succ(cfg):
         pc, j = divmod(cfg, n)
         op, sigma = code[pc], states[j]
         kind = op[0]
         if kind == "assign":
-            _, i, expr, nxt = op
-            v = space.clip(i, rd.eval_aexpr(expr, space, sigma))
+            _, i, f, nxt = op
+            v = space.clip(i, f(sigma))
             return () if v is None else (nxt * n + j + (v - sigma[i]) * stride[i],)
         if kind == "rand":
             _, i, vals, nxt = op
             base = nxt * n + j - sigma[i] * stride[i]
             return tuple(base + v * stride[i] for v in vals)
         if kind == "test":
-            return (op[2] * n + j,) if rd.eval_bexpr(op[1], space, sigma) else ()
+            return (op[2] * n + j,) if op[1](sigma) else ()
         if kind in ("if", "loop"):
-            return ((op[2] if rd.eval_bexpr(op[1], space, sigma) else op[3])
+            return ((op[2] if op[1](sigma) else op[3])
                     * n + j,)
         return ()
 

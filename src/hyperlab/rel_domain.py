@@ -21,13 +21,14 @@ drops the transition.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Tuple
 
 from . import lang
-from .lang import BExpr, BoolTest, Cmp, Const, Not, Var
+from .lang import BBin, BoolTest, Const, Not, Var
 
 State = Tuple[int, ...]
 Rel = frozenset
@@ -40,8 +41,14 @@ class UnboundVariableError(Exception):
     pass
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+_INT = frozenset((int,))
+
+
+def _ints(xs) -> bool:
+    """Every item is an int and not a bool.  JSON integers are exactly
+    `int`, so the type test alone decides almost every input."""
+    return _INT.issuperset(map(type, xs)) or all(
+        isinstance(v, int) and not isinstance(v, bool) for v in xs)
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class StateSpace:
                              "distinct strings, got %s" % json.dumps(vs))
         for key in ("lo", "hi"):
             b = cfg[key]
-            if not (_is_int(b) or isinstance(b, list) and all(map(_is_int, b))):
+            if not _ints(b if isinstance(b, list) else (b,)):
                 raise ValueError("space config %r must be an integer or an "
                                  "array of integers, got %s"
                                  % (key, json.dumps(b)))
@@ -107,6 +114,10 @@ class StateSpace:
     def states(self) -> tuple:
         return _states(self.vars, self.lo, self.hi)
 
+    def strides(self) -> tuple:
+        """Mixed-radix place value of each variable in `states()` order."""
+        return _strides(self.lo, self.hi)
+
     def size(self) -> int:
         return len(self.states())
 
@@ -127,37 +138,47 @@ def _states(vars, lo, hi):
     return tuple(product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
 
 
+@lru_cache(maxsize=None)
+def _strides(lo, hi):
+    out = [1] * len(lo)
+    for i in range(len(lo) - 2, -1, -1):
+        out[i] = out[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expression kernels
 
-def eval_aexpr(e: lang.AExpr, space: StateSpace, sigma: State) -> int:
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compile_expr(e, space: StateSpace) -> Callable[[State], object]:
+    """The arithmetic or boolean expression `e` as a function of a state
+    tuple, with each variable's position resolved once.
+
+    An unbound variable compiles to a kernel that raises
+    UnboundVariableError when it is evaluated, so an operand that `&&`/`||`
+    never evaluates need not be bound.
+    """
     if isinstance(e, Const):
-        return e.value
+        value = e.value
+        return lambda s: value
     if isinstance(e, Var):
-        return sigma[space.index(e.name)]
-    l = eval_aexpr(e.left, space, sigma)
-    r = eval_aexpr(e.right, space, sigma)
-    if e.op == "+":
-        return l + r
-    if e.op == "-":
-        return l - r
-    return l * r
-
-
-_CMP = {"==": lambda a, b: a == b, "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
-
-
-def eval_bexpr(b: BExpr, space: StateSpace, sigma: State) -> bool:
-    if isinstance(b, Cmp):
-        return _CMP[b.op](eval_aexpr(b.left, space, sigma),
-                          eval_aexpr(b.right, space, sigma))
-    if isinstance(b, Not):
-        return not eval_bexpr(b.arg, space, sigma)
-    if b.op == "&&":
-        return eval_bexpr(b.left, space, sigma) and eval_bexpr(b.right, space, sigma)
-    return eval_bexpr(b.left, space, sigma) or eval_bexpr(b.right, space, sigma)
+        if e.name in space.vars:
+            return operator.itemgetter(space.index(e.name))
+        return lambda s: s[space.index(e.name)]  # raises UnboundVariableError
+    if isinstance(e, Not):
+        arg = compile_expr(e.arg, space)
+        return lambda s: not arg(s)
+    left, right = compile_expr(e.left, space), compile_expr(e.right, space)
+    if isinstance(e, BBin):
+        if e.op == "&&":
+            return lambda s: left(s) and right(s)
+        return lambda s: left(s) or right(s)
+    op = _OPS[e.op]
+    return lambda s: op(left(s), right(s))
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +233,29 @@ def prim(kind, space: StateSpace) -> SemTriple:
         return pure_e(identity_rel(space))
     if isinstance(kind, lang.Break):
         return SemTriple(frozenset(), frozenset(), identity_rel(space))
+    states = space.states()
     if isinstance(kind, BoolTest):
-        rel = frozenset((s, s) for s in space.states()
-                        if eval_bexpr(kind.cond, space, s))
-        return pure_e(rel)
-    if isinstance(kind, lang.Assign):
-        i = space.index(kind.var)
-        pairs = []
-        for s in space.states():
-            v = space.clip(i, eval_aexpr(kind.expr, space, s))
-            if v is not None:
-                pairs.append((s, s[:i] + (v,) + s[i + 1:]))
-        return pure_e(pairs)
+        test = compile_expr(kind.cond, space)
+        return pure_e((s, s) for s in states if test(s))
+    if not isinstance(kind, (lang.Assign, lang.RandAssign)):
+        raise TypeError("not a basic command: %r" % (kind,))
+    # setting position i of states[j] from s[i] to v gives
+    # states[j + (v - s[i]) * stride]: the tuples are shared, not rebuilt
+    i = space.index(kind.var)
+    stride = space.strides()[i]
     if isinstance(kind, lang.RandAssign):
-        i = space.index(kind.var)
         lo = max(space.lo[i], kind.lo)
         hi = min(space.hi[i], kind.hi)
         vals = range(int(lo), int(hi) + 1) if lo <= hi else ()
-        pairs = [(s, s[:i] + (v,) + s[i + 1:])
-                 for s in space.states() for v in vals]
-        return pure_e(pairs)
-    raise TypeError("not a basic command: %r" % (kind,))
+        return pure_e((s, states[j + (v - s[i]) * stride])
+                      for j, s in enumerate(states) for v in vals)
+    f = compile_expr(kind.expr, space)
+    pairs = []
+    for j, s in enumerate(states):
+        v = space.clip(i, f(s))
+        if v is not None:
+            pairs.append((s, states[j + (v - s[i]) * stride]))
+    return pure_e(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +317,7 @@ def triple_to_json(t: SemTriple) -> dict:
 
 
 def _state_from_json(s) -> State:
-    if isinstance(s, list) and all(map(_is_int, s)):
+    if isinstance(s, list) and _ints(s):
         return tuple(s)
     raise ValueError("a state must be an integer array, got %s" % json.dumps(s))
 

@@ -67,9 +67,9 @@ def traces(space: StateSpace, cap: int) -> Algebra:
 
     def prim(s):
         if isinstance(s, BoolTest):
-            return _TR(frozenset(t for t in singles
-                                 if rd.eval_bexpr(s.cond, space, t[0])),
-                       empty, False)
+            test = rd.compile_expr(s.cond, space)
+            return _TR(frozenset(t for t in singles if test(t[0])), empty,
+                       False)
         if isinstance(s, Break):
             return _TR(empty, singles, False)
         return _TR(rd.prim(s, space).e, empty, False)

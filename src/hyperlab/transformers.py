@@ -17,6 +17,9 @@ and is only offered in toy mode where the triple lattice is enumerable.
 loop-exit images of every finite iterate, on the finitary components only
 (its defining setting ignores breaks and nontermination).  On a finite state
 space it contains the exact loop Post of break-free loops, usually strictly.
+`weak_while_iterates` takes the loop's step relation
+[if (b) body else skip]e as an argument, so the body is evaluated once per
+hyper set, not once per antecedent.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Tuple
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
-from .lang import BoolTest, If, Skip, neg
+from .lang import BoolTest, neg
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
 
 HyperSet = frozenset
@@ -112,18 +115,19 @@ def Post_structural(s: lang.Stmt, props: HyperSet, space: StateSpace) -> HyperSe
 # ---------------------------------------------------------------------------
 # Weak hypercollecting loop semantics
 
-def weak_while_iterates(b, body, p_e, space: StateSpace) -> Tuple:
-    """The relation iterates X^0 = P, X^{n+1} = X^n ; [if (b) body else skip]e.
+def weak_while_iterates(step, p_e, space: StateSpace) -> Tuple:
+    """The relation iterates X^0 = P, X^{n+1} = X^n ; step, where `step` is
+    [if (b) body else skip]e = [b;body]e | [!b]e.  The step does not depend
+    on P, so callers build it once for all their antecedents.
 
     Returns (iterates, stabilization_index): iteration stops at the first
     repeated iterate, by which point every distinct exit image has appeared.
     """
-    if_e = interpreter.sem(If(b, body, Skip()), space).e
     iterates = [frozenset(p_e)]
     seen = {iterates[0]}
     cap = 4 * len(space.states()) ** 2 + 16
     while True:
-        nxt = rd.compose_rel(iterates[-1], if_e)
+        nxt = rd.compose_rel(iterates[-1], step)
         if nxt in seen:
             return iterates, len(iterates) - 1
         if len(iterates) > cap:
@@ -141,10 +145,11 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     stabilization.
     """
     not_b = prim(BoolTest(neg(b)), space).e
+    step = interpreter.body_triple(b, body, space).e | not_b
     out = set()
     stab = 0
     for p in props:
-        iterates, n = weak_while_iterates(b, body, p.e, space)
+        iterates, n = weak_while_iterates(step, p.e, space)
         stab = max(stab, n)
         for x in iterates:
             out.add(rd.pure_e(rd.compose_rel(x, not_b)))

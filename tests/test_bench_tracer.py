@@ -66,3 +66,29 @@ def test_traced_sem_records_the_relational_layer(tracer_mod, lab, tmp_path):
     for name in ("rel_domain.compose", "rel_domain.prim", "interpreter.lfp",
                  "interpreter.gfp"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_traced_forall_exists_check_records_the_weak_iterates(tracer_mod, lab,
+                                                               tmp_path):
+    # the rule runs the weak iterates of each antecedent twice: once for the
+    # synthesized invariant, once for the weak-hypercollecting conclusion
+    space = {"vars": ["l", "h"], "lo": 0, "hi": 1}
+    pre = [{"e": [[[a, b], [a, b]]]} for a, b in ((0, 0), (0, 1), (1, 1))]
+    files = {"loop.hl": "while (h > 0) { h = h - 1; l = l + 1; }\n",
+             "space.json": json.dumps(space), "pre.json": json.dumps(pre),
+             "post.json": json.dumps(pre)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    tracer = tracer_mod.Tracer()
+    tracer.install(lab)
+    tracer.begin_op()
+    assert lab["cli"].main(["check", "--rule", "forall_exists",
+                            "--program", str(tmp_path / "loop.hl"),
+                            "--space", str(tmp_path / "space.json"),
+                            "--pre", str(tmp_path / "pre.json"),
+                            "--post-oracle", str(tmp_path / "post.json"),
+                            "--json"]) in (0, 1)
+    tracer.end_op(1.0)
+    calls = {name: c for name, (c, _self_s) in tracer.totals().items()}
+    assert calls["transformers.weak_while_iterates"] == 2 * len(pre)
+    assert calls["rel_domain.prim"] > 0

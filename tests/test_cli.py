@@ -252,7 +252,11 @@ def test_check_rejects_states_outside_the_space(workdir, capsys):
               "post": [{"e": [[[0, 1], [1, 1]]], "inf": [[2, 0]]}]},
              "[2, 0]"),
             ({"program": "l = h;", "space": space, "post_oracle": "NI",
-              "pre": [{"e": [[[[0], 0], [0, 0]]]}]}, "[[0], 0]")):
+              "pre": [{"e": [[[[0], 0], [0, 0]]]}]}, "[[0], 0]"),
+            ({"program": "l = h;", "space": space, "post_oracle": "NI",
+              "pre": [{"e": [[[True, 0], [0, 0]]]}]}, "[true, 0]"),
+            ({"program": "l = h;", "space": space, "post_oracle": "NI",
+              "pre": [{"e": [[[0.5, 0], [0, 0]]]}]}, "[0.5, 0]")):
         (workdir / "req.json").write_text(json.dumps(req))
         code, out, err = run_cli(capsys, "check",
                                  "--request", str(workdir / "req.json"))
@@ -408,6 +412,32 @@ def test_check_request_rejects_what_no_rule_reads(workdir, capsys):
     premises = {p["name"]: p["ok"] for p in json.loads(out)["premises"]}
     assert code == 1
     assert premises["invariant closed under guarded body step"] is False
+
+
+def test_check_flags_reject_low_high_next_to_a_consequent_file(workdir,
+                                                              capsys):
+    # --low/--high name the variables of NI, GNI and GD only; next to a file
+    # of explicit triples they are read by nothing
+    (workdir / "pre_lh.json").write_text(json.dumps(LOOP_PRE))
+    (workdir / "post_lh.json").write_text(json.dumps(LOOP_PRE))
+    flags = ("--program", str(workdir / "leak.hl"),
+             "--space", str(workdir / "space_lh.json"),
+             "--pre", str(workdir / "pre_lh.json"))
+    reads = "--rule, --program, --space, --pre, --post-oracle"
+    for extra, rule, unread in (
+            (("--low", "zz", "--high", "qq"), "upper", "--low, --high"),
+            (("--high", "h"), "upper", "--high"),
+            (("--low", "l", "--rule", "lower"), "lower", "--low")):
+        assert run_cli(capsys, "check", *flags,
+                       "--post-oracle", str(workdir / "post_lh.json"),
+                       *extra) == (
+            2, "", "error: flag %s is not read by rule %r (it reads: %s)\n"
+            % (unread, rule, reads))
+    # with a family they are read, and the defaults are l and h
+    named = [run_cli(capsys, "check", *flags, "--post-oracle", "NI", *extra,
+                     "--json")
+             for extra in ((), ("--low", "l", "--high", "h"))]
+    assert named[0] == named[1] and named[0][0] == 1
 
 
 def test_unbound_variable_is_named_with_the_space(workdir, capsys):

@@ -274,6 +274,37 @@ def test_forall_exists_incomplete_for_exact_consequents():
     assert _agreement(rep)["conclusion:direct"]  # yet the triple holds
 
 
+def test_forall_exists_builds_the_step_relation_once(monkeypatch):
+    # the weak step relation does not depend on the antecedent, so the rule
+    # and Post_weak_while evaluate the loop body equally often over 1, 3 and
+    # 6 antecedents
+    prog = parse("while (h > 0) { h = h - 1; l = l + 1; }")
+    space = StateSpace.make(("l", "h"), 0, 2)
+    rng = random.Random(50)
+    calls = {"guarded": 0, "interpret": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(it, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(it, name, counted)
+    seen = []
+    for n in (1, 3, 6):
+        pre = set()
+        while len(pre) < n:
+            pre.add(random_triple(rng, space, pure=True))
+        pre = frozenset(pre)
+        calls.update(guarded=0, interpret=0)
+        weak, _ = tf.Post_weak_while(prog.cond, prog.body, pre, space)
+        weak_calls = dict(calls)
+        calls.update(guarded=0, interpret=0)
+        rep = check_rule("forall_exists", space, pre=pre, cond=prog.cond,
+                         body=prog.body, post_q=weak)
+        assert rep.holds()
+        seen.append((weak_calls, dict(calls)))
+    assert seen[0][1]["guarded"] > 0
+    assert seen[0] == seen[1] == seen[2]
+
+
 def test_principal_ideal_rule_example_and_dual():
     space = StateSpace.make(("x",), 0, 13)
     prog = parse("while (x > 10) x = x - 1;")

@@ -3,12 +3,15 @@ from itertools import combinations, product
 
 import pytest
 
-from hyperlab.lang import ABin, Assign, BoolTest, Break, Cmp, Const, Skip, Var, parse
+from hyperlab.lang import (ABin, Assign, BBin, BoolTest, Break, Cmp, Const,
+                           Not, RandAssign, Skip, Var, parse)
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
-from hyperlab.rel_domain import (BOTTOM, SemTriple, StateSpace, compose, join,
-                                 leq, meet, prim, pure_e, top_triple)
-from hyperlab.selftest import random_program, random_triple
+from hyperlab.rel_domain import (ARITH_MODES, BOTTOM, SemTriple, StateSpace,
+                                 compose, join, leq, meet, prim, pure_e,
+                                 top_triple)
+from hyperlab.selftest import (random_aexpr, random_bexpr, random_program,
+                               random_triple)
 
 
 def test_prim_skip_is_pointwise_identity():
@@ -50,6 +53,98 @@ def test_prim_unbound_variable():
     space = StateSpace.make(("y",), 0, 1)
     with pytest.raises(rd.UnboundVariableError):
         prim(Assign("z", Const(0)), space)
+
+
+# ---------------------------------------------------------------------------
+# Expression kernels against a definitional evaluator
+
+def _eval(e, space, s):
+    """Tree-walking evaluation of an expression on the state tuple s."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return s[space.vars.index(e.name)]
+    if isinstance(e, Not):
+        return not _eval(e.arg, space, s)
+    if isinstance(e, BBin):
+        if e.op == "&&":
+            return _eval(e.left, space, s) and _eval(e.right, space, s)
+        return _eval(e.left, space, s) or _eval(e.right, space, s)
+    a, b = _eval(e.left, space, s), _eval(e.right, space, s)
+    return {"+": a + b, "-": a - b, "*": a * b, "==": a == b, "!=": a != b,
+            "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
+
+
+def _slicing_prim_e(cmd, space):
+    """The e-relation of a basic command, new states built by slicing."""
+    sts = space.states()
+    if isinstance(cmd, BoolTest):
+        return frozenset((s, s) for s in sts if _eval(cmd.cond, space, s))
+    i = space.vars.index(cmd.var)
+    if isinstance(cmd, Assign):
+        out = set()
+        for s in sts:
+            v = space.clip(i, _eval(cmd.expr, space, s))
+            if v is not None:
+                out.add((s, s[:i] + (v,) + s[i + 1:]))
+        return frozenset(out)
+    lo, hi = max(space.lo[i], cmd.lo), min(space.hi[i], cmd.hi)
+    vals = range(int(lo), int(hi) + 1) if lo <= hi else ()
+    return frozenset((s, s[:i] + (v,) + s[i + 1:]) for s in sts for v in vals)
+
+
+def _ops(e):
+    if isinstance(e, (Const, Var)):
+        return {type(e).__name__}
+    if isinstance(e, Not):
+        return {"!"} | _ops(e.arg)
+    return {e.op} | _ops(e.left) | _ops(e.right)
+
+
+def test_kernels_and_prim_match_the_definitional_evaluator():
+    rng = random.Random(61)
+    seen = set()
+    negative = False
+    for k in range(300):
+        nv = rng.randint(1, 3)
+        lo = [rng.randint(-3, 0) for _ in range(nv)]
+        hi = [b + rng.randint(0, 3) for b in lo]
+        space = StateSpace.make(("x", "y", "z")[:nv], lo, hi,
+                                ARITH_MODES[k % 3])
+        a = random_aexpr(rng, space.vars, 3)
+        b = random_bexpr(rng, space.vars, 3)
+        seen |= _ops(a) | _ops(b)
+        negative = negative or "Const(value=-" in repr((a, b))
+        fa, fb = rd.compile_expr(a, space), rd.compile_expr(b, space)
+        for s in space.states():
+            assert fa(s) == _eval(a, space, s)
+            assert fb(s) is _eval(b, space, s)
+        var = rng.choice(space.vars)
+        bounds = [rng.randint(-4, 4) for _ in range(2)]
+        rlo = rng.choice((rd.lang.NEG_INF, min(bounds)))
+        rhi = rng.choice((rd.lang.POS_INF, max(bounds)))
+        for cmd in (Assign(var, a), RandAssign(var, rlo, rhi), BoolTest(b),
+                    RandAssign(var, max(bounds) + 5, rd.lang.POS_INF)):
+            assert prim(cmd, space) == pure_e(_slicing_prim_e(cmd, space))
+    assert seen == {"Const", "Var", "+", "-", "*", "==", "!=", "<", "<=",
+                    ">", ">=", "!", "&&", "||"}
+    assert negative
+
+
+def test_kernels_evaluate_unbound_variables_lazily():
+    space = StateSpace.make(("x",), 0, 3)
+    assert rd.compile_expr(Var("zz"), space) is not None  # nothing raised
+    lazy = parse("while ((x > 5) && (zz > 0)) x = 0;")
+    assert it.sem(lazy, space) == it.oracle_sem(lazy, space) == \
+        it.sem(Skip(), space)
+    lazy = parse("if ((x >= 0) || (zz > 0)) x = 0;")
+    assert it.sem(lazy, space) == it.oracle_sem(lazy, space) == \
+        it.sem(parse("x = 0;"), space)
+    strict = parse("if ((zz > 0) || (x > 0)) x = 0;")
+    for run in (it.sem, it.oracle_sem):
+        with pytest.raises(rd.UnboundVariableError) as exc:
+            run(strict, space)
+        assert str(exc.value) == "unbound variable 'zz' (space has: x)"
 
 
 def test_compose_init_is_two_sided_unit():

@@ -200,9 +200,7 @@ def test_weak_while_reports_stabilization():
     space = StateSpace.make(("x",), 0, 3)
     cond = Cmp(">", Var("x"), Const(0))
     body = Assign("x", rd.lang.ABin("-", Var("x"), Const(1)))
-    iterates, n = tf.weak_while_iterates(cond, body,
-                                         rd.identity_rel(space), space)
+    step = it.sem(If(cond, body, Skip()), space).e
+    iterates, n = tf.weak_while_iterates(step, rd.identity_rel(space), space)
     assert len(iterates) == n + 1
-    assert iterates[-1] == rd.compose_rel(iterates[-1],
-                                          it.sem(If(cond, body, Skip()),
-                                                 space).e)
+    assert iterates[-1] == rd.compose_rel(iterates[-1], step)
