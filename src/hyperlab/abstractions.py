@@ -505,9 +505,6 @@ class HyperOracle:
     def contains(self, t) -> bool:
         return bool(self.fn(t))
 
-    def complement(self) -> "HyperOracle":
-        return HyperOracle(lambda t: not self.fn(t), "not(%s)" % self.name)
-
 
 def _aeh(a):
     def member(p):
@@ -563,7 +560,7 @@ def _gd(space, low, high):
     return lambda t: not gni(t)
 
 
-def family(name: str, *, A=None, carrier=None, space=None,
+def family(name: str, *, A=None, space=None,
            low="l", high="h") -> HyperOracle:
     """Membership oracle for a hyperproperty family member.
 
@@ -588,19 +585,74 @@ def family(name: str, *, A=None, carrier=None, space=None,
 # ---------------------------------------------------------------------------
 # Lattice description files
 
+# error texts are formatted only on failure: the benchmark builds a lattice
+# from its description on every operation
+
+def _listed(value, what, *args) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise LatticeError("%s must be a list, got %r" % (what % args, value))
+    return value
+
+
+def _known(items, known, what, *args) -> tuple:
+    """`items` as a tuple, each of them an element; else the error names
+    `what % args` and the first that is not."""
+    for e in items:
+        try:
+            ok = e in known
+        except TypeError:  # unhashable, so no element
+            ok = False
+        if not ok:
+            raise LatticeError("%s names unknown element %r"
+                               % (what % args, e))
+    return tuple(items)
+
+
 def lattice_from_config(cfg: dict):
     """Build a ToyLattice or ChainPoset from a description dict.
 
     Keys: elements (list of names), leq (list of [a,b] order pairs,
     reflexive-transitive closure taken), optional families with
-    {family, elements, limit, direction, parametric}.
+    {family, elements, limit, direction, parametric}.  A malformed
+    description raises LatticeError naming the bad value.
     """
-    lat = ToyLattice.from_pairs(cfg["elements"],
-                                [tuple(p) for p in cfg.get("leq", [])])
-    fams = tuple(
-        Family(f.get("family", "F%d" % k), tuple(f["elements"]), f["limit"],
-               f.get("direction", "down"), f.get("parametric", True))
-        for k, f in enumerate(cfg.get("families", ())))
+    if not isinstance(cfg, dict):
+        raise LatticeError("a lattice description is an object, got %r"
+                           % (cfg,))
+    if "elements" not in cfg:
+        raise LatticeError('lattice description has no "elements"')
+    elements = _listed(cfg["elements"], '"elements"')
+    try:
+        known = set(elements)
+    except TypeError:
+        raise LatticeError("elements %r are not all hashable"
+                           % (elements,)) from None
+    pairs = []
+    for pair in _listed(cfg.get("leq", []), '"leq"'):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise LatticeError("leq entry %r is not a pair" % (pair,))
+        pairs.append(_known(pair, known, "leq pair %r", pair))
+    lat = ToyLattice.from_pairs(elements, pairs)
+    fams = []
+    for k, f in enumerate(_listed(cfg.get("families", []), '"families"')):
+        if not isinstance(f, dict):
+            raise LatticeError("family %r is not an object" % (f,))
+        name = f.get("family", "F%d" % k)
+        members = _listed(f.get("elements", []), "elements of family %r", name)
+        if not members:
+            raise LatticeError("family %r has no elements" % (name,))
+        if "limit" not in f:
+            raise LatticeError("family %r has no limit" % (name,))
+        direction = f.get("direction", "down")
+        if not isinstance(direction, str):
+            raise LatticeError("bad direction %r" % (direction,))
+        parametric = f.get("parametric", True)
+        if not isinstance(parametric, bool):
+            raise LatticeError("parametric of family %r must be true or "
+                               "false, got %r" % (name, parametric))
+        limit, = _known((f["limit"],), known, "limit of family %r", name)
+        fams.append(Family(name, _known(members, known, "family %r", name),
+                           limit, direction, parametric))
     if fams:
-        return ChainPoset(lat, fams)
+        return ChainPoset(lat, tuple(fams))
     return lat

@@ -216,9 +216,9 @@ def cmd_check(args) -> int:
         pre = _load_hyperset(args.pre, space)
         post_q = _named_oracle(args, space)
     if rule == "upper":
-        rep = hl.check_upper(hl.Triple(pre, stmt, post_q, "upper"), space)
+        rep = hl.check_upper(hl.Triple(pre, stmt, post_q), space)
     elif rule == "lower":
-        rep = hl.check_lower(hl.Triple(pre, stmt, post_q, "lower"), space)
+        rep = hl.check_lower(hl.Triple(pre, stmt, post_q), space)
     else:
         if not isinstance(stmt, hl.While):
             raise CliError("rule %r needs a single while loop" % rule)

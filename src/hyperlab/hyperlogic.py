@@ -5,35 +5,35 @@ explicit set or a membership oracle.  The upper triple holds when every
 antecedent's exact post lands in the consequent; the lower triple (explicit
 consequents only) when every consequent is the exact post of some antecedent.
 
+Both polarities read one post function: `_violations` yields the
+antecedents whose image the consequent rejects (upper), `_unmatched` the
+consequent elements that are no antecedent's image (lower).  The direct
+checks and `negate_upper` pass the exact post of `sem`; the conditional,
+loop and choice rules pass their structural post function, built once per
+statement (`transformers.transformer`).
+
 Rule checkers are certificate checkers: auxiliary objects such as invariant
 families or frontier partitions are supplied by the caller and the premises
 are verified exactly.  For the sound-and-complete structural rules the
-checker also evaluates the conclusion directly and records agreement; for
-rules with existential auxiliaries it synthesizes the canonical witness when
-none is supplied (toy mode).  The conditional and while rules build the
-statement's structural post function once (`transformers.transformer`; for
-a loop the guarded body's triple and the divergence fixpoint come with it)
-and apply it to each antecedent.
+checker also evaluates the conclusion directly through `sem` and records
+agreement; for rules with existential auxiliaries it synthesizes the
+canonical witness when none is supplied (toy mode), e.g. the forall-exists
+rule's weak family (`transformers.weak_family`), built once, which also
+gives its weak-hypercollecting conclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
 from .abstractions import HyperOracle
 from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq, prim
-from .transformers import HyperSet, Post, post
-
-
-def membership(q) -> Callable:
-    if hasattr(q, "contains"):
-        return q.contains
-    qs = frozenset(q)
-    return lambda t: t in qs
+from .transformers import HyperSet, Post, membership, post
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class Triple:
     pre: HyperSet
     stmt: Stmt
     post: object  # HyperSet or HyperOracle
-    polarity: str = "upper"
 
 
 @dataclass
@@ -81,47 +80,65 @@ def _require_valid(stmt):
         raise ValueError("break without enclosing loop at path %s" % bad)
 
 
-# ---------------------------------------------------------------------------
-# Direct triple checks
-
-def check_upper(t: Triple, space: StateSpace) -> RuleReport:
-    """Upper triple: every antecedent's exact post belongs to the consequent."""
-    _require_valid(t.stmt)
-    rep = RuleReport("upper")
-    member = membership(t.post)
-    s_sem = interpreter.sem(t.stmt, space)
-    ok = True
-    for p in sorted(t.pre, key=SemTriple.sort_key):
-        q = post(s_sem, p)
-        if not member(q):
-            ok = False
-            rep.witnesses.append((p, q))
-    rep.premise("forall pre: post in consequent", ok,
-                "" if ok else "%d violations" % len(rep.witnesses))
-    return rep
-
-
 def _explicit(post_q) -> frozenset:
     if hasattr(post_q, "contains"):
         raise ValueError("lower triples need an explicit consequent")
     return frozenset(post_q)
 
 
+def _violations(post_fn, pre, post_q):
+    """Lazily, (p, post_fn(p)) for each antecedent p in sort order whose
+    image the consequent rejects."""
+    member = membership(post_q)
+    for p in sorted(pre, key=SemTriple.sort_key):
+        q = post_fn(p)
+        if not member(q):
+            yield p, q
+
+
+def _unmatched(post_fn, pre, post_q: frozenset) -> list:
+    """(q, q) for each element q, in sort order, of the explicit consequent
+    that no antecedent's image equals."""
+    images = {post_fn(p) for p in pre}
+    return [(q, q) for q in sorted(post_q, key=SemTriple.sort_key)
+            if q not in images]
+
+
+def _report(rule, premise, witnesses, detail="") -> RuleReport:
+    """A report whose one premise holds when there are no witnesses;
+    `detail` formats their number when it fails."""
+    rep = RuleReport(rule, witnesses=witnesses)
+    rep.premise(premise, not witnesses,
+                detail % len(witnesses) if witnesses and detail else "")
+    return rep
+
+
+def _conclude(rep, direct) -> RuleReport:
+    """Record the directly evaluated conclusion and whether the rule's
+    verdict agrees with it."""
+    rep.note("conclusion:direct", direct)
+    rep.note("agreement", direct == rep.holds())
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# Direct triple checks
+
+def check_upper(t: Triple, space: StateSpace) -> RuleReport:
+    """Upper triple: every antecedent's exact post belongs to the consequent."""
+    _require_valid(t.stmt)
+    post_fn = partial(post, interpreter.sem(t.stmt, space))
+    return _report("upper", "forall pre: post in consequent",
+                   list(_violations(post_fn, t.pre, t.post)), "%d violations")
+
+
 def check_lower(t: Triple, space: StateSpace) -> RuleReport:
     """Lower triple: every consequent is the exact post of some antecedent."""
     _require_valid(t.stmt)
     qs = _explicit(t.post)
-    rep = RuleReport("lower")
-    s_sem = interpreter.sem(t.stmt, space)
-    images = {post(s_sem, p): p for p in t.pre}
-    ok = True
-    for q in sorted(qs, key=SemTriple.sort_key):
-        if q not in images:
-            ok = False
-            rep.witnesses.append((q, q))
-    rep.premise("forall consequent: exists matching pre", ok,
-                "" if ok else "%d unmatched" % len(rep.witnesses))
-    return rep
+    post_fn = partial(post, interpreter.sem(t.stmt, space))
+    return _report("lower", "forall consequent: exists matching pre",
+                   _unmatched(post_fn, t.pre, qs), "%d unmatched")
 
 
 def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
@@ -131,12 +148,9 @@ def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
     Returns (failed, witness_subset) with a minimal singleton witness.
     """
     _require_valid(stmt)
-    member = membership(post_q)
-    s_sem = interpreter.sem(stmt, space)
-    for p in sorted(pre, key=SemTriple.sort_key):
-        if not member(post(s_sem, p)):
-            return True, frozenset((p,))
-    return False, None
+    post_fn = partial(post, interpreter.sem(stmt, space))
+    first = next(_violations(post_fn, pre, post_q), None)
+    return (False, None) if first is None else (True, frozenset((first[0],)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +161,15 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
         raise ValueError("intermediate hyper property must be explicit")
     mid_set = frozenset(mid)
     rep = RuleReport("seq")
-    r1 = check_upper(Triple(pre, s1, mid_set, "upper"), space)
+    r1 = check_upper(Triple(pre, s1, mid_set), space)
     rep.premise("pre s1 mid", r1.holds())
-    r2 = check_upper(Triple(mid_set, s2, post_q, "upper"), space)
+    r2 = check_upper(Triple(mid_set, s2, post_q), space)
     rep.premise("mid s2 post", r2.holds())
     rep.witnesses.extend(r1.witnesses + r2.witnesses)
-    direct = check_upper(Triple(pre, Seq(s1, s2), post_q, "upper"), space)
+    direct = check_upper(Triple(pre, Seq(s1, s2), post_q), space)
     rep.note("conclusion:direct", direct.holds())
     canonical = Post(interpreter.sem(s1, space), pre)
-    complete = check_upper(Triple(canonical, s2, post_q, "upper"), space)
+    complete = check_upper(Triple(canonical, s2, post_q), space)
     rep.note("agreement:canonical-mid", complete.holds() == direct.holds())
     return rep
 
@@ -163,39 +177,20 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
 def _structural_upper(name, stmt, premise, space, pre, post_q) -> RuleReport:
     """Upper rule for a conditional or loop: the structural post function
     maps each antecedent into the consequent."""
-    rep = RuleReport(name)
-    member = membership(post_q)
     post_fn = interpreter.interpret(stmt, tf.transformer(space))
-    ok = True
-    for p in sorted(pre, key=SemTriple.sort_key):
-        q = post_fn(p)
-        if not member(q):
-            ok = False
-            rep.witnesses.append((p, q))
-    rep.premise(premise, ok)
-    direct = check_upper(Triple(pre, stmt, post_q, "upper"), space)
-    rep.note("conclusion:direct", direct.holds())
-    rep.note("agreement", direct.holds() == ok)
-    return rep
+    rep = _report(name, premise, list(_violations(post_fn, pre, post_q)))
+    direct = check_upper(Triple(pre, stmt, post_q), space)
+    return _conclude(rep, direct.holds())
 
 
 def _structural_lower(name, stmt, premise, space, pre, post_q) -> RuleReport:
     """Lower rule: every consequent element is the structural image of some
     antecedent."""
     qs = _explicit(post_q)
-    rep = RuleReport(name)
     post_fn = interpreter.interpret(stmt, tf.transformer(space))
-    images = {post_fn(p): p for p in pre}
-    ok = True
-    for q in sorted(qs, key=SemTriple.sort_key):
-        if q not in images:
-            ok = False
-            rep.witnesses.append((q, q))
-    rep.premise(premise, ok)
-    direct = check_lower(Triple(pre, stmt, post_q, "lower"), space)
-    rep.note("conclusion:direct", direct.holds())
-    rep.note("agreement", direct.holds() == ok)
-    return rep
+    rep = _report(name, premise, _unmatched(post_fn, pre, qs))
+    direct = check_lower(Triple(pre, stmt, post_q), space)
+    return _conclude(rep, direct.holds())
 
 
 def _rule_if_upper(space, pre, cond, s1, s2, post_q) -> RuleReport:
@@ -227,7 +222,7 @@ def _rule_consequence(space, pre, stmt, post_q, wider_pre, narrower_post) -> Rul
     # sound but not needed for completeness
     rep = RuleReport("consequence")
     rep.premise("pre included in wider pre", frozenset(pre) <= frozenset(wider_pre))
-    inner = check_upper(Triple(frozenset(wider_pre), stmt, narrower_post, "upper"),
+    inner = check_upper(Triple(frozenset(wider_pre), stmt, narrower_post),
                         space)
     rep.premise("wider triple holds", inner.holds())
     member = membership(post_q)
@@ -267,29 +262,20 @@ def _project_triple(t: SemTriple) -> SemTriple:
 
 
 def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
-    rep = RuleReport("choice")
-    member = membership(post_q)
     sem1 = interpreter.sem(s1, space)
     sem2 = interpreter.sem(s2, space)
-    ok = True
-    for p in sorted(pre, key=SemTriple.sort_key):
-        q = join(post(sem1, p), post(sem2, p))
-        if not member(q):
-            ok = False
-            rep.witnesses.append((p, q))
-    rep.premise("forall pre: join of both outcomes in consequent", ok)
+
+    def both(p):
+        return join(post(sem1, p), post(sem2, p))
+    rep = _report("choice", "forall pre: join of both outcomes in consequent",
+                  list(_violations(both, pre, post_q)))
 
     cvar = _fresh_choice_var(space, s1, s2)
     ext = StateSpace(space.vars + (cvar,), space.lo + (0,), space.hi + (1,),
                      space.arith)
-    desugared = choice_statement(s1, s2, cvar)
-    dsem = interpreter.sem(desugared, ext)
-    agree = True
-    for p in pre:
-        lifted = post(dsem, _lift_triple(p, (0, 1)))
-        direct = _project_triple(lifted)
-        if direct != join(post(sem1, p), post(sem2, p)):
-            agree = False
+    dsem = interpreter.sem(choice_statement(s1, s2, cvar), ext)
+    agree = all(_project_triple(post(dsem, _lift_triple(p, (0, 1)))) == both(p)
+                for p in pre)
     rep.note("agreement:desugared-choice", agree)
     return rep
 
@@ -298,17 +284,6 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 def _as_rel(p) -> frozenset:
     return p.e if isinstance(p, SemTriple) else frozenset(p)
-
-
-def weak_invariant_closure(pre_rels, step, space: StateSpace) -> frozenset:
-    """Canonical invariant family {X^n(P)} under the loop's step relation
-    (`transformers.weak_while_iterates`): the minimal candidate, since
-    premise 1 forces the antecedents in and premise 2 forces closure."""
-    out = set()
-    for p in pre_rels:
-        iterates, _ = tf.weak_while_iterates(step, p, space)
-        out.update(iterates)
-    return frozenset(out)
 
 
 def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
@@ -324,21 +299,23 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
         qs = frozenset(_as_rel(q) for q in post_q)
         member_rel = lambda r: r in qs
 
-    # the guarded body is built once; the step, the exit test and the
-    # loop's triple come from it whatever the number of antecedents
+    # the guarded body is built once; the step, the exit test, the loop's
+    # triple and the weak family come from it whatever the number of
+    # antecedents.  The family is the canonical (minimal) invariant:
+    # premise 1 forces the antecedents in and premise 2 forces closure.
     bs = interpreter.body_triple(cond, body, space)
     not_b = prim(BoolTest(neg(cond)), space).e
     step = bs.e | not_b
+    family, _ = tf.weak_family(step, pre_rels, space)
     synthesized = invariant is None
-    if synthesized:
-        inv = weak_invariant_closure(pre_rels, step, space)
-    else:
-        inv = frozenset(_as_rel(i) for i in invariant)
+    inv = family if synthesized else frozenset(_as_rel(i) for i in invariant)
 
     rep.premise("pre included in invariant", pre_rels <= inv)
     closed = all(rd.compose_rel(i, step) in inv for i in inv)
     rep.premise("invariant closed under guarded body step", closed)
-    exits_ok = all(member_rel(rd.compose_rel(i, not_b)) for i in inv)
+    def exit_in_consequent(rels):
+        return all(member_rel(rd.compose_rel(i, not_b)) for i in rels)
+    exits_ok = exit_in_consequent(inv)
     rep.premise("invariant exits in consequent", exits_ok)
     rep.note("consequent chain-limit closed", True,
              "automatic on a finite space")
@@ -348,11 +325,9 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     wsem = interpreter.loop_post(cond, bs, space)(prim("init", space))
     sound = all(member_rel(rd.compose_rel(p, wsem.e)) for p in pre_rels)
     rep.note("conclusion:direct", sound)
-    weak, _ = tf.Post_weak_while(cond, body,
-                                 frozenset(rd.pure_e(p) for p in pre_rels),
-                                 space)
-    weak_ok = all(member_rel(q.e) for q in weak)
-    rep.note("conclusion:weak-hypercollecting", weak_ok)
+    # the weak conclusion is the exit premise of the family
+    rep.note("conclusion:weak-hypercollecting",
+             exits_ok if synthesized else exit_in_consequent(family))
     return rep
 
 
@@ -370,12 +345,9 @@ def _rule_principal_ideal(space, pre, stmt, generator, dual=False) -> RuleReport
                     leq(post(s_sem, lumped), generator))
         direct = all(leq(post(s_sem, p), generator) for p in pre)
     else:
-        rep.premise("execution triples: generator below each post",
-                    all(leq(generator, post(s_sem, p)) for p in pre))
         direct = all(leq(generator, post(s_sem, p)) for p in pre)
-    rep.note("conclusion:direct", direct)
-    rep.note("agreement", direct == rep.holds())
-    return rep
+        rep.premise("execution triples: generator below each post", direct)
+    return _conclude(rep, direct)
 
 
 # -- conjunctive ------------------------------------------------------------
@@ -389,15 +361,13 @@ def _rule_conjunctive(space, pre, stmt, post_q) -> RuleReport:
     ideal = frozenset(t for t in carrier if any(leq(t, q) for q in qs))
     filt = frozenset(t for t in carrier if any(leq(q, t) for q in qs))
     rep.premise("consequent conjunctively closed", ideal & filt == qs)
-    up = check_upper(Triple(frozenset(pre), stmt, ideal, "upper"), space)
+    up = check_upper(Triple(frozenset(pre), stmt, ideal), space)
     rep.premise("upper triple for order ideal part", up.holds())
-    down = check_upper(Triple(frozenset(pre), stmt, filt, "upper"), space)
+    down = check_upper(Triple(frozenset(pre), stmt, filt), space)
     rep.premise("upper triple for order filter part", down.holds())
     rep.witnesses.extend(up.witnesses + down.witnesses)
-    direct = check_upper(Triple(frozenset(pre), stmt, qs, "upper"), space)
-    rep.note("conclusion:direct", direct.holds())
-    rep.note("agreement", direct.holds() == rep.holds())
-    return rep
+    direct = check_upper(Triple(frozenset(pre), stmt, qs), space)
+    return _conclude(rep, direct.holds())
 
 
 # -- frontier rho elimination ------------------------------------------------
@@ -424,10 +394,11 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     """
     rep = RuleReport("frontier_rho")
     qs = list(post_q)
+    qset = set(qs)
     frontier = _minimal(qs, le)
     phis = {f: _phi_interval(f, qs, carrier, le) for f in frontier}
     rep.premise("consequent rho-frontier closed",
-                set().union(*phis.values()) == set(qs))
+                set().union(*phis.values()) == qset)
 
     posts = {p: post_fn(p) for p in pre}
     if partition is None:
@@ -450,7 +421,7 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
                     cells_ok = False
     rep.premise("per-frontier upper and lower triples", cells_ok)
 
-    direct = all(posts[p] in set(qs) for p in pre)
+    direct = all(posts[p] in qset for p in pre)
     rep.note("conclusion:direct", direct)
     return rep
 

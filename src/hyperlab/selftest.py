@@ -500,15 +500,15 @@ def _family_checks(seed=20240805):
     for _ in range(60):
         a = frozenset((x, y) for x in base for y in base
                       if rng.random() < 0.5)
-        aeh = ab.family("AEH", A=a, carrier=base)
+        aeh = ab.family("AEH", A=a)
         members = frozenset(p for p in lat.elements if aeh.contains(p))
         if ab.chain_up_star(cp, members) != members:
             ok_aeh = False
-        eah = ab.family("EAH", A=a, carrier=base)
+        eah = ab.family("EAH", A=a)
         emem = frozenset(p for p in lat.elements if eah.contains(p))
         if ab.rho_frontier(lat, emem) != emem:
             ok_eah = False
-    ident = ab.family("AEH", A=[(x, x) for x in base], carrier=base)
+    ident = ab.family("AEH", A=[(x, x) for x in base])
     trivial = all(ident.contains(p) for p in lat.elements)
     return [
         ("AEH families are chain-limit closed", ok_aeh,
@@ -659,21 +659,21 @@ def suite_rules(n=120, seed=20240806):
         p = random_triple(rng, space)
         q = tf.post(s_sem, p)
         up = hl.check_upper(hl.Triple(frozenset((p,)), s,
-                                      frozenset((q,)), "upper"), space)
+                                      frozenset((q,))), space)
         low = hl.check_lower(hl.Triple(frozenset((p,)), s,
-                                       frozenset((q,)), "lower"), space)
+                                       frozenset((q,))), space)
         if up.holds() != low.holds() or not up.holds():
             coincide = False
         other = random_triple(rng, space)
         props = frozenset((p, other))
         quos = frozenset((q,))
         failed, witness = hl.negate_upper(props, s, quos, space)
-        direct = hl.check_upper(hl.Triple(props, s, quos, "upper"), space)
+        direct = hl.check_upper(hl.Triple(props, s, quos), space)
         if failed == direct.holds():
             dual = False
         if failed:
             comp = hl.HyperOracle(lambda t, qs=quos: t not in qs, "neg")
-            sub = hl.check_upper(hl.Triple(witness, s, comp, "upper"), space)
+            sub = hl.check_upper(hl.Triple(witness, s, comp), space)
             if not sub.holds():
                 dual = False
 
@@ -709,8 +709,8 @@ def suite_rules(n=120, seed=20240806):
                         body=loop.body, post_q=exact)
     direct = hl.check_upper(
         hl.Triple(init, loop,
-                  hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e"),
-                  "upper"), space2)
+                  hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e")),
+        space2)
     brute = _forall_exists_bruteforce(
         space2, loop.cond, loop.body, [p.e for p in init],
         lambda r: pure_e(r) in exact)

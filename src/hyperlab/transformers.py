@@ -11,7 +11,9 @@ product), and the function is built once per statement, so each loop's
 guarded body and divergence fixpoint are computed once.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
-and is only offered in toy mode where the triple lattice is enumerable.
+and is only offered in toy mode where the triple lattice is enumerable.  A
+hyper property is an explicit finite set or an oracle; `membership` gives
+its test either way.
 
 `Post_weak_while` is the weak hypercollecting loop semantics: the set of
 loop-exit images of every finite iterate, on the finitary components only
@@ -19,13 +21,15 @@ loop-exit images of every finite iterate, on the finitary components only
 space it contains the exact loop Post of break-free loops, usually strictly.
 `weak_while_iterates` takes the loop's step relation
 [if (b) body else skip]e as an argument, so the body is evaluated once per
-hyper set, not once per antecedent.
+hyper set, not once per antecedent; `weak_family` collects the iterates of
+all antecedents, which `Post_weak_while` maps to their exit images and the
+forall-exists rule takes as its canonical invariant.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Tuple
+from typing import Callable, Tuple
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
@@ -56,6 +60,15 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     return SemTriple(frozenset(e), q.inf, q.br)
 
 
+def membership(q) -> Callable:
+    """Membership test of a hyper property: an oracle's predicate, or
+    inclusion in an explicit finite set."""
+    if hasattr(q, "contains"):
+        return q.contains
+    qs = frozenset(q)
+    return lambda t: t in qs
+
+
 def Post(s_sem: SemTriple, props: HyperSet) -> HyperSet:
     return frozenset(post(s_sem, p) for p in props)
 
@@ -79,8 +92,7 @@ def enumerate_triples(space: StateSpace) -> list:
 
 def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
     """Weakest hyper precondition {P | post(S)P in Q}; toy mode only."""
-    member = props.contains if hasattr(props, "contains") else \
-        (lambda t: t in props)
+    member = membership(props)
     return frozenset(p for p in enumerate_triples(space)
                      if member(post(s_sem, p)))
 
@@ -137,6 +149,22 @@ def weak_while_iterates(step, p_e, space: StateSpace) -> Tuple:
         seen.add(nxt)
 
 
+def weak_family(step, pre_rels, space: StateSpace) -> Tuple:
+    """Every weak iterate of every antecedent relation under `step`.
+
+    Returns (family, stabilization), the union of the iterate lists and the
+    largest stabilization index (0 without antecedents).  The family is the
+    canonical invariant of the forall-exists rule.
+    """
+    family = set()
+    stab = 0
+    for p in pre_rels:
+        iterates, n = weak_while_iterates(step, p, space)
+        family.update(iterates)
+        stab = max(stab, n)
+    return frozenset(family), stab
+
+
 def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     """Weak hypercollecting semantics of `while (b) body` on e-components.
 
@@ -146,11 +174,6 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     """
     not_b = prim(BoolTest(neg(b)), space).e
     step = interpreter.body_triple(b, body, space).e | not_b
-    out = set()
-    stab = 0
-    for p in props:
-        iterates, n = weak_while_iterates(step, p.e, space)
-        stab = max(stab, n)
-        for x in iterates:
-            out.add(rd.pure_e(rd.compose_rel(x, not_b)))
-    return frozenset(out), stab
+    family, stab = weak_family(step, (p.e for p in props), space)
+    return frozenset(rd.pure_e(rd.compose_rel(x, not_b))
+                     for x in family), stab

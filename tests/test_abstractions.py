@@ -225,21 +225,19 @@ def test_presented_fragment_has_empty_max_frontier():
 
 def test_family_aeh_identity_is_trivial():
     base = ("p", "q")
-    ident = family("AEH", A=[(x, x) for x in base], carrier=base)
+    ident = family("AEH", A=[(x, x) for x in base])
     lat = ToyLattice.powerset(base)
     assert all(ident.contains(p) for p in lat.elements)
 
 
 def test_family_aah_requires_total_agreement():
-    base = (0, 1)
-    aah = family("AAH", A=[(0, 0), (1, 1)], carrier=base)
+    aah = family("AAH", A=[(0, 0), (1, 1)])
     assert aah.contains(frozenset((0,)))
     assert not aah.contains(frozenset((0, 1)))
 
 
 def test_family_eah_needs_one_dominator():
-    base = (0, 1)
-    eah = family("EAH", A=[(0, 0), (0, 1)], carrier=base)
+    eah = family("EAH", A=[(0, 0), (0, 1)])
     assert eah.contains(frozenset((0, 1)))
     assert not eah.contains(frozenset((1,)))
 

@@ -177,6 +177,39 @@ def test_lattice_lab_reports_construction_error(workdir, capsys):
     assert code == 2 and "construction error" in err
 
 
+_CHAIN = {"elements": ["bot", "top"], "leq": [["bot", "top"]]}
+BAD_LATTICES = (
+    pytest.param({"leq": [["bot", "top"]]}, '"elements"', id="no-elements"),
+    pytest.param(dict(_CHAIN, families=[{"elements": ["top"]}]), "no limit",
+                 id="no-limit"),
+    pytest.param({"elements": ["bot", "top"], "leq": [["bot", "mid"]]},
+                 "'mid'", id="unknown-in-leq"),
+    pytest.param(dict(_CHAIN, families=[{"elements": ["mid"],
+                                         "limit": "bot"}]),
+                 "'mid'", id="unknown-in-family"),
+    pytest.param(["bot", "top"], "['bot', 'top']", id="not-an-object"),
+    pytest.param({"elements": "ab", "leq": [["a", "b"]]}, "'ab'",
+                 id="elements-string"),
+    pytest.param(dict(_CHAIN, families=[{"family": "F", "elements": [],
+                                         "limit": "bot"}]),
+                 "'F' has no elements", id="empty-family"),
+    pytest.param(dict(_CHAIN, families=[{"elements": ["top"], "limit": "bot",
+                                         "parametric": "false"}]),
+                 "'false'", id="parametric-string"),
+)
+
+
+@pytest.mark.parametrize("cfg,named", BAD_LATTICES)
+@pytest.mark.parametrize("command", ("abstract", "lattice-lab"))
+def test_malformed_lattice_description_exits_2_naming_the_value(
+        workdir, capsys, command, cfg, named):
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    extra = ("--op", "order_ideal") if command == "abstract" else ()
+    code, _, err = run_cli(capsys, command,
+                           "--lattice", str(workdir / "bad.json"), *extra)
+    assert code == 2 and named in err
+
+
 def test_selftest_filter_runs_single_suite(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--filter", "relational")
     assert code == 0

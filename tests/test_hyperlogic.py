@@ -28,7 +28,7 @@ def test_upper_holds_on_countdown_oracle():
 
 def test_upper_vacuous_on_empty_antecedent():
     rep = check_upper(Triple(frozenset(), parse("skip;"),
-                             frozenset(), "upper"),
+                             frozenset()),
                       StateSpace.make(("x",), 0, 1))
     assert rep.holds()
 
@@ -51,7 +51,7 @@ def test_upper_noninterference_constant_output_holds():
 
 def test_lower_empty_consequent_holds():
     rep = check_lower(Triple(frozenset(), parse("skip;"),
-                             frozenset(), "lower"),
+                             frozenset()),
                       StateSpace.make(("x",), 0, 1))
     assert rep.holds()
 
@@ -68,7 +68,7 @@ def test_lower_single_element_corollary():
         other = random_triple(rng, space)
         q0 = tf.post(it.sem(s, space), p0)
         rep = check_lower(Triple(frozenset((p0, other)), s,
-                                 frozenset((q0,)), "lower"), space)
+                                 frozenset((q0,))), space)
         assert rep.holds()
 
 
@@ -83,15 +83,14 @@ def test_singletons_make_both_logics_agree():
         p = random_triple(rng, space)
         q = tf.post(it.sem(s, space), p)
         up = check_upper(Triple(frozenset((p,)), s, frozenset((q,))), space)
-        low = check_lower(Triple(frozenset((p,)), s, frozenset((q,)),
-                                 "lower"), space)
+        low = check_lower(Triple(frozenset((p,)), s, frozenset((q,))), space)
         assert up.holds() and low.holds()
         wrong = rd.join(q, prim("init", space))
         if wrong != q:
             up2 = check_upper(Triple(frozenset((p,)), s,
                                      frozenset((wrong,))), space)
             low2 = check_lower(Triple(frozenset((p,)), s,
-                                      frozenset((wrong,)), "lower"), space)
+                                      frozenset((wrong,))), space)
             assert up2.holds() == low2.holds() == False  # noqa: E712
 
 
@@ -113,7 +112,7 @@ def test_triples_equal_their_pointwise_singleton_forms():
 
         up = check_upper(Triple(pre, s, post_q), space).holds()
         assert up == all(any(single(p, q) for q in post_q) for p in pre)
-        low = check_lower(Triple(pre, s, post_q, "lower"), space).holds()
+        low = check_lower(Triple(pre, s, post_q), space).holds()
         assert low == all(any(single(p, q) for p in pre) for q in post_q)
 
 
@@ -125,6 +124,36 @@ def test_negate_upper_minimal_witness_and_trivial_cases():
     assert failed and witness == pre  # singleton antecedent is its own witness
     failed, witness = hl.negate_upper(pre, parse("l = 0;"), oracle, LH)
     assert not failed and witness is None
+
+
+def test_witnesses_come_in_sort_order():
+    # upper witnesses are antecedents, lower witnesses consequent elements,
+    # each listed in SemTriple.sort_key order; negate_upper takes the first
+    rng = random.Random(58)
+    done = 0
+    while done < 10:
+        body, space = random_program(rng, depth=2)
+        if validate_breaks(body) is not None:
+            continue
+        done += 1
+        cond = Cmp(">", Var(space.vars[0]), Const(0))
+        loop = While(cond, body)
+        pre = frozenset(random_triple(rng, space) for _ in range(4))
+        strangers = frozenset(random_triple(rng, space) for _ in range(4))
+        q_set = strangers - tf.Post(it.sem(loop, space), pre)
+        want_pre = sorted(pre, key=rd.SemTriple.sort_key)
+        want_q = [(q, q) for q in sorted(q_set, key=rd.SemTriple.sort_key)]
+        nothing = HyperOracle(lambda t: False, "nothing")
+        for rep in (check_upper(Triple(pre, loop, nothing), space),
+                    check_rule("while_upper", space, pre=pre, cond=cond,
+                               body=body, post_q=nothing)):
+            assert [p for p, _ in rep.witnesses] == want_pre
+        for rep in (check_lower(Triple(pre, loop, q_set), space),
+                    check_rule("while_lower", space, pre=pre, cond=cond,
+                               body=body, post_q=q_set)):
+            assert rep.witnesses == want_q
+        assert hl.negate_upper(pre, loop, nothing, space) == \
+            (True, frozenset(want_pre[:1]))
 
 
 def test_rule_reports_are_serializable():
@@ -303,6 +332,54 @@ def test_forall_exists_builds_the_step_relation_once(monkeypatch):
         seen.append((weak_calls, dict(calls)))
     assert seen[0][1]["guarded"] > 0
     assert seen[0] == seen[1] == seen[2]
+
+
+def test_forall_exists_weak_note_reads_the_weak_semantics():
+    # on random break-free loops the weak-hypercollecting note is the weak
+    # loop semantics landing in the consequent, whatever invariant is given;
+    # with the synthesized invariant it is the exit premise itself
+    rng = random.Random(57)
+    done = 0
+    outcomes = set()
+    while done < 25:
+        body, space = random_program(rng, depth=2)
+        if validate_breaks(body) is not None:
+            continue
+        done += 1
+        cond = Cmp(">", Var(space.vars[0]), Const(0))
+        loop = While(cond, body)
+        pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
+        weak, stab = tf.Post_weak_while(cond, body, pre, space)
+        assert stab == max(tf.Post_weak_while(cond, body, {p}, space)[1]
+                           for p in pre)
+        explicit = frozenset(sorted(weak, key=rd.SemTriple.sort_key)[1:]
+                             + [random_triple(rng, space, pure=True)])
+        ni = ab.family("NI", space=space, low=space.vars[0],
+                       high=space.vars[-1])
+        extra = random_triple(rng, space, pure=True)
+        not_b = prim(BoolTest(hl.neg(cond)), space).e
+        step = it.body_triple(cond, body, space).e | not_b
+        wider, _ = tf.weak_family(step, {p.e for p in pre | {extra}}, space)
+        bad = frozenset(p.e for p in pre) | {extra.e}
+        for post_q in (ni, explicit):
+            member = tf.membership(post_q)
+            want = all(member(q) for q in weak)
+            for invariant in (None, wider, bad):
+                rep = check_rule("forall_exists", space, pre=pre, cond=cond,
+                                 body=body, post_q=post_q, invariant=invariant)
+                notes = _agreement(rep)
+                assert notes["conclusion:weak-hypercollecting"] == want, loop
+                if invariant is None:
+                    assert notes["invariant exits in consequent"] == want
+                if invariant is wider:  # a valid invariant, not the least
+                    assert notes["pre included in invariant"]
+                    assert notes["invariant closed under guarded body step"]
+                outcomes.add((invariant is None, want, rep.holds()))
+    assert {(True, True, True), (True, False, False)} <= outcomes
+    # supplied invariants meet both readings of the note, and a bad family
+    # fails the rule while the weak semantics still lands in the consequent
+    assert {o[1] for o in outcomes if not o[0]} == {True, False}
+    assert (False, True, False) in outcomes
 
 
 def test_principal_ideal_rule_example_and_dual():
