@@ -465,7 +465,9 @@ def _frontier_presented(cp: ChainPoset, explicit, included_families,
     m = lat.mask(explicit)
     blocked = 0
     for name in included_families:
-        fam = next(f for f in cp.families if f.name == name)
+        fam = next((f for f in cp.families if f.name == name), None)
+        if fam is None:
+            raise LatticeError("unknown family %r" % (name,))
         if fam.direction != direction or not fam.parametric:
             raise LatticeError("included family %s is not a parametric "
                                "%s-chain" % (name, direction))
@@ -611,10 +613,11 @@ def _known(items, known, what, *args) -> tuple:
 def lattice_from_config(cfg: dict):
     """Build a ToyLattice or ChainPoset from a description dict.
 
-    Keys: elements (list of names), leq (list of [a,b] order pairs,
+    Keys: elements (list of string names), leq (list of [a,b] order pairs,
     reflexive-transitive closure taken), optional families with
-    {family, elements, limit, direction, parametric}.  A malformed
-    description raises LatticeError naming the bad value.
+    {family, elements, limit, direction, parametric}, each family under a
+    distinct string name.  A malformed description raises LatticeError
+    naming the bad value.
     """
     if not isinstance(cfg, dict):
         raise LatticeError("a lattice description is an object, got %r"
@@ -622,11 +625,10 @@ def lattice_from_config(cfg: dict):
     if "elements" not in cfg:
         raise LatticeError('lattice description has no "elements"')
     elements = _listed(cfg["elements"], '"elements"')
-    try:
-        known = set(elements)
-    except TypeError:
-        raise LatticeError("elements %r are not all hashable"
-                           % (elements,)) from None
+    if not set(map(type, elements)) <= {str}:  # one pass, no Python loop
+        bad = next(e for e in elements if type(e) is not str)
+        raise LatticeError("element %r is not a string" % (bad,))
+    known = set(elements)
     pairs = []
     for pair in _listed(cfg.get("leq", []), '"leq"'):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -638,6 +640,10 @@ def lattice_from_config(cfg: dict):
         if not isinstance(f, dict):
             raise LatticeError("family %r is not an object" % (f,))
         name = f.get("family", "F%d" % k)
+        if type(name) is not str:
+            raise LatticeError("family name %r is not a string" % (name,))
+        if any(g.name == name for g in fams):
+            raise LatticeError("two families are named %r" % (name,))
         members = _listed(f.get("elements", []), "elements of family %r", name)
         if not members:
             raise LatticeError("family %r has no elements" % (name,))

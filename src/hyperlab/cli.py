@@ -2,7 +2,10 @@
 
 All reports are JSON with canonical ordering (states as value arrays in
 declared variable order), so identical inputs give byte-identical output.
-Exit codes for `check`: 0 holds, 1 fails, 2 error.
+Hyper-set files and request keys hold JSON arrays of triples.  `check` takes
+a request file or flags; the flags become the same request, with paths in its
+file-valued keys, and one sequence checks, loads and dispatches both.  Exit
+codes for `check`: 0 holds, 1 fails, 2 error.
 """
 
 from __future__ import annotations
@@ -70,14 +73,7 @@ def _triples(data, space: StateSpace, where: str):
 
 
 def _load_hyperset(path: str, space: StateSpace):
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    return _triples(data, space, path)
-
-
-def _request_triples(req: dict, key: str, space: StateSpace):
-    return _triples(req.get(key, []), space, "request %r" % key)
+    return _triples(_load_json(path), space, path)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -141,80 +137,76 @@ def cmd_hyper_post(args) -> int:
 
 
 _FAMILIES = ("NI", "GNI", "GD")
-
-
-def _named_oracle(args, space):
-    name = args.post_oracle
-    if name in _FAMILIES:
-        return ab.family(name, space=space,
-                         low="l" if args.low is None else args.low,
-                         high="h" if args.high is None else args.high)
-    return _load_hyperset(name, space)
-
-
 _CHECK_RULES = ("upper", "lower", "while_upper", "while_lower", "forall_exists")
 
 
-def _supported(rule):
-    if rule not in _CHECK_RULES:
-        raise CliError("rule %r is not supported by check (have: %s)"
-                       % (rule, ", ".join(_CHECK_RULES)))
-    return rule
+def _flag_request(args) -> dict:
+    """The flags of `hl check` as a request whose file-valued keys (program,
+    space, pre, post) hold the paths the flags name."""
+    post = "post_oracle" if args.post_oracle in _FAMILIES else "post"
+    req = {"rule": args.rule, "program": args.program, "space": args.space,
+           "pre": args.pre, post: args.post_oracle, "low": args.low,
+           "high": args.high}
+    return {k: v for k, v in req.items() if v is not None}
+
+
+def _flag(key: str) -> str:
+    return "--post-oracle" if key == "post" else "--" + key.replace("_", "-")
 
 
 def cmd_check(args) -> int:
-    invariant = None
-    if args.request:
-        req = _load_json(args.request)
-        missing = [k for k in ("space", "program")
-                   if not isinstance(req, dict) or k not in req]
-        if missing:
-            raise CliError("request has no %s" %
-                           ", ".join(repr(k) for k in missing))
-        rule = _supported(req.get("rule", "upper"))
-        for key in ("program", "post_oracle"):
-            if key in req and not isinstance(req[key], str):
-                raise CliError("request %r must be a string, got %s"
-                               % (key, json.dumps(req[key])))
-        consequent = (("post_oracle", "low", "high") if "post_oracle" in req
-                      else ("post",))
-        reads = (("rule", "program", "space", "pre") + consequent
-                 + (("invariant",) if rule == "forall_exists" else ()))
-        unread = sorted(k for k in req if k not in reads)
-        if unread:
-            raise CliError("request key %s is not read by rule %r (it reads: "
-                           "%s)" % (", ".join(map(repr, unread)), rule,
-                                    ", ".join(reads)))
-        space = StateSpace.from_config(req["space"])
-        stmt = _program(req["program"])
-        pre = _request_triples(req, "pre", space)
-        if "post_oracle" in req:
-            post_q = ab.family(req["post_oracle"], space=space,
-                               low=req.get("low", "l"),
-                               high=req.get("high", "h"))
-        else:
-            post_q = _request_triples(req, "post", space)
-        if req.get("invariant") is not None:
-            invariant = _request_triples(req, "invariant", space)
+    """Check a request read from --request or made of the flags; errors name
+    what the user typed: a flag or file path, or a request key."""
+    by_flag = not args.request
+    if by_flag:
+        req, name, listed = _flag_request(args), _flag, _flag
+        need = ("program", "space", "pre",
+                "post_oracle" if "post_oracle" in req else "post")
+        missing = "check needs --request or %s"
     else:
-        missing = [f for f in ("program", "space", "pre", "post_oracle")
-                   if getattr(args, f) is None]
-        if missing:
-            raise CliError("check needs --request or %s" % ", ".join(
-                "--" + f.replace("_", "-") for f in missing))
-        rule = _supported(args.rule)
-        if args.post_oracle not in _FAMILIES:
-            unread = [flag for flag, v in (("--low", args.low),
-                                           ("--high", args.high))
-                      if v is not None]
-            if unread:
-                raise CliError("flag %s is not read by rule %r (it reads: "
-                               "--rule, --program, --space, --pre, "
-                               "--post-oracle)" % (", ".join(unread), rule))
-        space = _load_space(args.space)
-        stmt = _load_program(args.program)
-        pre = _load_hyperset(args.pre, space)
-        post_q = _named_oracle(args, space)
+        req, name, listed = _load_json(args.request), repr, str
+        need, missing = ("space", "program"), "request has no %s"
+    absent = [k for k in need if not isinstance(req, dict) or k not in req]
+    if absent:
+        raise CliError(missing % ", ".join(map(name, absent)))
+    rule = req.get("rule", "upper")
+    if rule not in _CHECK_RULES:
+        raise CliError("rule %r is not supported by check (have: %s)"
+                       % (rule, ", ".join(_CHECK_RULES)))
+    for key in ("program", "post_oracle"):
+        if key in req and not isinstance(req[key], str):
+            raise CliError("request %r must be a string, got %s"
+                           % (key, json.dumps(req[key])))
+    consequent = (("post_oracle", "low", "high") if "post_oracle" in req
+                  else ("post",))
+    reads = (("rule", "program", "space", "pre") + consequent
+             + (("invariant",) if rule == "forall_exists" and not by_flag
+                else ()))
+    unread = [k for k in (req if by_flag else sorted(req)) if k not in reads]
+    if unread:
+        raise CliError("%s %s is not read by rule %r (it reads: %s)" % (
+            "flag" if by_flag else "request key",
+            ", ".join(map(name, unread)), rule, ", ".join(map(listed, reads))))
+
+    # each file is read at the step that needs it, so that of several bad
+    # inputs the first in this order is the one reported
+    def value(key):
+        return _load_json(req[key]) if by_flag else req.get(key, [])
+
+    def triples(key):
+        where = req[key] if by_flag else "request %r" % key
+        return _triples(value(key), space, where)
+
+    space = StateSpace.from_config(value("space"))
+    stmt = (_load_program if by_flag else _program)(req["program"])
+    pre = triples("pre")
+    if "post_oracle" in req:
+        post_q = ab.family(req["post_oracle"], space=space,
+                           low=req.get("low", "l"), high=req.get("high", "h"))
+    else:
+        post_q = triples("post")
+    invariant = (triples("invariant") if req.get("invariant") is not None
+                 else None)
     if rule == "upper":
         rep = hl.check_upper(hl.Triple(pre, stmt, post_q), space)
     elif rule == "lower":
@@ -288,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True):
-        if program:
-            p.add_argument("--program", required=True, help="program file")
-            p.add_argument("--space", required=True, help="state space JSON")
+    def common(p):
+        p.add_argument("--program", required=True, help="program file")
+        p.add_argument("--space", required=True, help="state space JSON")
         p.add_argument("--json", action="store_true",
                        help="single-line canonical JSON")
 

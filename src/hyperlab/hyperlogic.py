@@ -248,13 +248,6 @@ def choice_statement(s1, s2, cvar="c"):
                If(Cmp("==", Var(cvar), Const(1)), s1, s2))
 
 
-def _lift_triple(t: SemTriple, cvals) -> SemTriple:
-    e = frozenset((a + (i,), b + (j,)) for a, b in t.e for i in cvals for j in cvals)
-    inf = frozenset(a + (i,) for a in t.inf for i in cvals)
-    br = frozenset((a + (i,), b + (j,)) for a, b in t.br for i in cvals for j in cvals)
-    return SemTriple(e, inf, br)
-
-
 def _project_triple(t: SemTriple) -> SemTriple:
     return SemTriple(frozenset((a[:-1], b[:-1]) for a, b in t.e),
                      frozenset(a[:-1] for a in t.inf),
@@ -273,9 +266,11 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
     cvar = _fresh_choice_var(space, s1, s2)
     ext = StateSpace(space.vars + (cvar,), space.lo + (0,), space.hi + (1,),
                      space.arith)
-    dsem = interpreter.sem(choice_statement(s1, s2, cvar), ext)
-    agree = all(_project_triple(post(dsem, _lift_triple(p, (0, 1)))) == both(p)
-                for p in pre)
+    # an antecedent lifts to the full cylinder over the fresh variable, so
+    # projecting the desugared denotation once gives the same posts
+    dsem = _project_triple(
+        interpreter.sem(choice_statement(s1, s2, cvar), ext))
+    agree = all(post(dsem, p) == both(p) for p in pre)
     rep.note("agreement:desugared-choice", agree)
     return rep
 
@@ -377,10 +372,9 @@ def _minimal(elems, le) -> list:
             if not any(le(q, p) and q != p for q in elems)]
 
 
-def _phi_interval(f, qs, carrier, le):
+def _phi_interval(f, qset, carrier, le):
     """phi(F)Q: members of Q whose whole interval [F, .] stays inside Q."""
-    qset = set(qs)
-    return {p for p in qs
+    return {p for p in qset
             if le(f, p) and all(x in qset for x in carrier
                                 if le(f, x) and le(x, p))}
 
@@ -396,7 +390,7 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     qs = list(post_q)
     qset = set(qs)
     frontier = _minimal(qs, le)
-    phis = {f: _phi_interval(f, qs, carrier, le) for f in frontier}
+    phis = {f: _phi_interval(f, qset, carrier, le) for f in frontier}
     rep.premise("consequent rho-frontier closed",
                 set().union(*phis.values()) == qset)
 

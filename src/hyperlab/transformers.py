@@ -48,16 +48,11 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     """Largest p with post(s_sem, p) <= q (upper adjoint of post).
 
     post preserves arbitrary unions in p, so membership is pairwise: an
-    e-pair enters p exactly when all of its images land inside q.
+    e-pair enters p exactly when its own post lies below q.
     """
-    e = set()
-    for (a, b) in product(space.states(), space.states()):
-        ok = all((a, c) in q.e for (b2, c) in s_sem.e if b2 == b)
-        ok = ok and (b not in s_sem.inf or a in q.inf)
-        ok = ok and all((a, c) in q.br for (b2, c) in s_sem.br if b2 == b)
-        if ok:
-            e.add((a, b))
-    return SemTriple(frozenset(e), q.inf, q.br)
+    e = frozenset(x for x in product(space.states(), repeat=2)
+                  if rd.leq(post(s_sem, rd.pure_e((x,))), q))
+    return SemTriple(e, q.inf, q.br)
 
 
 def membership(q) -> Callable:

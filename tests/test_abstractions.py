@@ -220,6 +220,17 @@ def test_presented_fragment_has_empty_max_frontier():
             (), ("d",))
 
 
+def test_presented_frontier_names_an_unknown_family():
+    cp = lattice_from_config({
+        "elements": ["bot", "a", "top"], "leq": [["bot", "a"], ["a", "top"]],
+        "families": [{"family": "d", "elements": ["a"], "limit": "bot"}]})
+    with pytest.raises(LatticeError, match="unknown family 'zz'"):
+        ab.frontier_min_presented(cp, (), ("zz",))
+    with pytest.raises(LatticeError, match="unknown family 'zz'"):
+        ab.frontier_max_presented(cp, ("a",), ("zz",))
+    assert ab.frontier_min_presented(cp, (), ("d",)) == frozenset()
+
+
 # ---------------------------------------------------------------------------
 # Families
 
@@ -321,6 +332,24 @@ def test_lattice_from_config_with_families():
         frozenset(("top", "a", "bot"))
     plain = lattice_from_config({"elements": ["x"], "leq": []})
     assert isinstance(plain, ToyLattice)
+
+
+@pytest.mark.parametrize("cfg, named", (
+    ({"elements": [1, 2], "leq": [[1, 2]]}, "element 1 is not a string"),
+    ({"elements": ["bot", None], "leq": []}, "element None is not a string"),
+    ({"elements": ["bot", "top"], "leq": [["bot", "top"]],
+      "families": [{"family": ["x"], "elements": ["top"], "limit": "bot"}]},
+     "family name ['x'] is not a string"),
+    ({"elements": ["bot", "top"], "leq": [["bot", "top"]],
+      "families": [{"family": "F", "elements": ["top"], "limit": "bot"},
+                   {"family": "F", "elements": ["bot"], "limit": "top",
+                    "direction": "up"}]},
+     "two families are named 'F'")))
+def test_lattice_from_config_names_elements_and_families_by_strings(cfg,
+                                                                    named):
+    with pytest.raises(LatticeError) as exc:
+        lattice_from_config(cfg)
+    assert str(exc.value) == named
 
 
 def test_helpers_used_by_rel_domain_are_not_shadowed():

@@ -196,6 +196,16 @@ BAD_LATTICES = (
     pytest.param(dict(_CHAIN, families=[{"elements": ["top"], "limit": "bot",
                                          "parametric": "false"}]),
                  "'false'", id="parametric-string"),
+    pytest.param({"elements": [1, 2], "leq": [[1, 2]]},
+                 "element 1 is not a string", id="element-not-a-string"),
+    pytest.param(dict(_CHAIN, families=[{"family": ["x"], "elements": ["top"],
+                                         "limit": "bot"}]),
+                 "family name ['x'] is not a string",
+                 id="family-name-not-a-string"),
+    pytest.param(dict(_CHAIN, families=[
+        {"family": "F", "elements": ["top"], "limit": "bot"},
+        {"family": "F", "elements": ["top"], "limit": "bot"}]),
+                 "two families are named 'F'", id="family-name-twice"),
 )
 
 
@@ -483,3 +493,53 @@ def test_unbound_variable_is_named_with_the_space(workdir, capsys):
                    "--space", str(workdir / "space_lh.json"),
                    "--pre", str(workdir / "init_lh.json"),
                    "--post-oracle", "NI", "--low", "zz") == (2, "", want)
+
+
+def test_a_lone_triple_object_is_not_a_hyper_set(workdir, capsys):
+    # --pre and --post-oracle files hold a JSON array of triples
+    lone = {"e": [[[0, 0], [0, 0]]], "inf": [], "br": []}
+    (workdir / "lone.json").write_text(json.dumps(lone))
+    (workdir / "pre_lh.json").write_text(json.dumps(LOOP_PRE))
+    path = str(workdir / "lone.json")
+    want = "error: %s: expected an array of triples, got %s\n" % (
+        path, json.dumps(lone))
+    flags = ("--program", str(workdir / "leak.hl"),
+             "--space", str(workdir / "space_lh.json"))
+    for argv in (("post", *flags, "--pre", path),
+                 ("hyper-post", *flags, "--pre", path),
+                 ("check", *flags, "--pre", path, "--post-oracle", "NI"),
+                 ("check", *flags, "--pre", str(workdir / "pre_lh.json"),
+                  "--post-oracle", path)):
+        assert run_cli(capsys, *argv) == (2, "", want)
+
+
+def test_check_flags_report_the_first_of_two_errors(workdir, capsys):
+    # the flags are checked, then their files read in the order space,
+    # program, pre, consequent: a later bad input never hides an earlier one
+    (workdir / "pre_lh.json").write_text(json.dumps(LOOP_PRE))
+    (workdir / "bad_space.json").write_text(json.dumps(
+        {"vars": ["l", "h"], "lo": 0}))
+    (workdir / "bad_pre.json").write_text(json.dumps(
+        [{"e": [[[0, 9], [0, 9]]], "inf": [], "br": []}]))
+    (workdir / "bad_post.json").write_text(json.dumps({"e": []}))
+    program = ("--program", str(workdir / "leak.hl"))
+    space = ("--space", str(workdir / "space_lh.json"))
+    bad_space = ("--space", str(workdir / "bad_space.json"))
+    pre = ("--pre", str(workdir / "pre_lh.json"))
+    bad_pre = ("--pre", str(workdir / "bad_pre.json"))
+    for argv, want in (
+            ((*program, *space, "--pre", str(workdir / "no_such.json"),
+              "--post-oracle", "NI", "--rule", "seq"),
+             "rule 'seq' is not supported by check (have: upper, lower, "
+             "while_upper, while_lower, forall_exists)"),
+            ((*program, *bad_space, *pre,
+              "--post-oracle", str(workdir / "pre_lh.json"), "--low", "l"),
+             "flag --low is not read by rule 'upper' (it reads: --rule, "
+             "--program, --space, --pre, --post-oracle)"),
+            ((*program, *bad_space, *bad_pre, "--post-oracle", "NI"),
+             "space config has no 'hi'"),
+            ((*program, *space, *bad_pre,
+              "--post-oracle", str(workdir / "bad_post.json")),
+             "%s: state [0, 9] is outside the state space"
+             % (workdir / "bad_pre.json"))):
+        assert run_cli(capsys, "check", *argv) == (2, "", "error: %s\n" % want)
