@@ -9,8 +9,17 @@ suffices for every counterexample reproduced here.  A family may be marked
 parametric, meaning the listed members stand for an infinite chain whose
 limit is the declared one rather than the least listed member.
 
-Subsets of the carrier are plain frozensets in the public API; internally
-they are bitmasks so the exhaustive law batteries stay fast.
+Subsets of the carrier are plain frozensets in the public API and bitmasks
+inside.  Each public operator crosses that boundary once each way: `mask`
+on the way in (an element outside the carrier raises KeyError naming it),
+then only ints, composed and starred operators included, then `unmask` on
+the way out, or the input set itself when a composed operator leaves it
+unchanged.  `chain_down`/`chain_up` alone test sets, against each family's
+member set computed once, since that beats the round trip.  `unmask` keeps
+the frozensets it builds for masks below 2^10 (at most 1024 sets of up to
+10 elements, under 0.8 MB) and builds the others bit by bit; `down_mask`
+ORs one entry per byte of the mask from tables of at most 256 entries,
+built on first use.  A lattice and its dual share the memo and the tables.
 
 Order duality: `ToyLattice.dual` is the same carrier with the order
 reversed; it shares the parent's tables with down/up sets, join/meet and
@@ -33,13 +42,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .rel_domain import SemTriple
 
 
 class LatticeError(Exception):
     pass
+
+
+# `unmask` keeps the frozensets of masks below this bound: every subset of a
+# carrier of up to 10 elements, under 0.8 MB of sets on any carrier
+_MEMO_LIMIT = 1 << 10
+
+
+def _byte_tables(rows: list) -> list:
+    """Per byte of a mask, the OR of `rows[i]` over the bits i set in each
+    value of that byte, so a union of rows takes one entry per byte.  Each
+    entry extends the one without its lowest bit."""
+    tabs = []
+    for lo in range(0, len(rows), 8):
+        byte_rows = rows[lo:lo + 8]
+        t = [0] * (1 << len(byte_rows))
+        for b in range(1, len(t)):
+            low = b & -b
+            t[b] = t[b ^ low] | byte_rows[low.bit_length() - 1]
+        tabs.append(t)
+    return tabs
 
 
 class ToyLattice:
@@ -50,9 +79,12 @@ class ToyLattice:
         if len(set(self.elements)) != len(self.elements):
             raise LatticeError("duplicate elements")
         self._idx = {e: i for i, e in enumerate(self.elements)}
+        self._bit = {e: 1 << i for i, e in enumerate(self.elements)}
+        self._sets = {}  # unmask memo, masks below _MEMO_LIMIT only
         n = len(self.elements)
         self._down = [0] * n  # down[i]: mask of elements below element i
         self._up = [0] * n
+        self._down_tabs, self._up_tabs = [], []  # byte tables, on first use
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 if leq(b, a):
@@ -71,12 +103,14 @@ class ToyLattice:
         self.top = self.elements[self._top_i]
         self._join_tab = {}
         self._meet_tab = {}
+        # the lub of i, j is the element whose up-set is exactly their common
+        # upper bounds (antisymmetry makes up-sets distinct); dually the glb
+        by_up = {u: k for k, u in enumerate(self._up)}
+        by_down = {d: k for k, d in enumerate(self._down)}
         for i in range(n):
             for j in range(i, n):
-                ub = self._up[i] & self._up[j]
-                lb = self._down[i] & self._down[j]
-                jn = self._unique_extreme(ub, lower=True)
-                mt = self._unique_extreme(lb, lower=False)
+                jn = by_up.get(self._up[i] & self._up[j])
+                mt = by_down.get(self._down[i] & self._down[j])
                 if jn is None or mt is None:
                     raise LatticeError(
                         "no unique lub/glb for %r, %r" %
@@ -95,8 +129,9 @@ class ToyLattice:
         if self._dual is None:
             d = ToyLattice.__new__(ToyLattice)
             d.elements = self.elements
-            d._idx = self._idx
+            d._idx, d._bit, d._sets = self._idx, self._bit, self._sets
             d._down, d._up = self._up, self._down
+            d._down_tabs, d._up_tabs = self._up_tabs, self._down_tabs
             d._bot_i, d._top_i = self._top_i, self._bot_i
             d.bot, d.top = self.top, self.bot
             d._join_tab, d._meet_tab = self._meet_tab, self._join_tab
@@ -115,20 +150,6 @@ class ToyLattice:
                     raise LatticeError("order not antisymmetric")
                 if below and (self._down[j] & ~self._down[i]):
                     raise LatticeError("order not transitive")
-
-    def _unique_extreme(self, mask: int, lower: bool) -> Optional[int]:
-        # least element of an upper-bound set / greatest of a lower-bound set
-        best = None
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            cover = self._down[i] if not lower else self._up[i]
-            if cover & mask == mask:
-                if best is not None:
-                    return None
-                best = i
-        return best
 
     # ---- constructors -----------------------------------------------------
     @classmethod
@@ -167,18 +188,25 @@ class ToyLattice:
         return bool(self._down[self._idx[b]] & (1 << self._idx[a]))
 
     def mask(self, subset: Iterable) -> int:
+        bit = self._bit
         m = 0
         for e in subset:
-            m |= 1 << self._idx[e]
+            m |= bit[e]
         return m
 
     def unmask(self, m: int) -> frozenset:
-        out = []
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(self.elements[i])
-        return frozenset(out)
+        s = self._sets.get(m)
+        if s is None:
+            out = []
+            rest = m
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                out.append(self.elements[i])
+            s = frozenset(out)
+            if m < _MEMO_LIMIT:
+                self._sets[m] = s
+        return s
 
     def subsets(self):
         """All subsets of the carrier as masks (exhaustive batteries)."""
@@ -198,11 +226,13 @@ class ToyLattice:
 
     # ---- mask-level operators ---------------------------------------------
     def down_mask(self, m: int) -> int:
+        tabs = self._down_tabs
+        if not tabs:
+            tabs.extend(_byte_tables(self._down))
         out = 0
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= self._down[i]
+        for t in tabs:
+            out |= t[m & 255]
+            m >>= 8
         return out
 
     def min_mask(self, m: int) -> int:
@@ -285,18 +315,32 @@ class ChainPoset:
 
     def __post_init__(self):
         # an "up" family is checked as a "down" family of the dual lattice
+        lat = self.lattice
+        chains = {"down": [], "up": []}
         for f in self.families:
             if f.direction not in _WORDS:
                 raise LatticeError("bad direction %r" % f.direction)
-            lat = _oriented(self.lattice, f.direction)
+            oriented = _oriented(lat, f.direction)
             monotone, bound = _WORDS[f.direction]
             seq = f.elements
-            if not all(lat.leq(b, a) for a, b in zip(seq, seq[1:])):
+            if not all(oriented.leq(b, a) for a, b in zip(seq, seq[1:])):
                 raise LatticeError("family %s not %s" % (f.name, monotone))
-            if not all(lat.leq(f.limit, e) for e in seq):
+            if not all(oriented.leq(f.limit, e) for e in seq):
                 raise LatticeError("limit of %s not %s bound" % (f.name, bound))
-            if not f.parametric and lat.meet(seq) != f.limit:
+            if not f.parametric and oriented.meet(seq) != f.limit:
                 raise LatticeError("limit of %s is not its glb/lub" % f.name)
+            chains[f.direction].append((frozenset(seq), lat.mask(seq),
+                                        f.limit, lat._bit[f.limit]))
+        # per direction: (member set, member mask, limit, limit bit)
+        object.__setattr__(self, "_chains", chains)
+
+    def chain_mask(self, m: int, direction: str) -> int:
+        """m with the limit of each `direction` family wholly inside m."""
+        out = m
+        for _, members, _, limit in self._chains[direction]:
+            if members & m == members:
+                out |= limit
+        return out
 
 
 def _as_chainposet(cp) -> ChainPoset:
@@ -371,15 +415,14 @@ def _chain(cp, props, direction: str) -> frozenset:
     """Add the limits of declared `direction` chains wholly inside the set.
 
     Finite chains contribute nothing new: on a finite carrier the limit of a
-    finite chain is its last member, already in the set.
+    finite chain is its last member, already in the set.  Set tests beat
+    the mask round trip here, and a set that gains no limit is returned.
     """
-    cp = _as_chainposet(cp)
     given = frozenset(props)
-    out = set(given)
-    for f in cp.families:
-        if f.direction == direction and set(f.elements) <= given:
-            out.add(f.limit)
-    return frozenset(out)
+    added = [limit for members, _, limit, _ in
+             _as_chainposet(cp)._chains[direction]
+             if limit not in given and members <= given]
+    return given.union(added) if added else given
 
 
 def chain_down(cp, props: Iterable) -> frozenset:
@@ -390,59 +433,90 @@ def chain_up(cp, props: Iterable) -> frozenset:
     return _chain(cp, props, "up")
 
 
-def _star(op, cp, props):
-    cp = _as_chainposet(cp)
-    cap = len(cp.families) + len(cp.lattice.elements) + 1
-    x = frozenset(props)
-    for _ in range(cap):
-        y = x | op(cp, x)
-        if y == x:
-            return x
-        x = y
+# mask-level steps of the starred operators and the conjunctive members:
+# (ChainPoset, mask) -> mask
+
+def _chain_down_step(cp: ChainPoset, m: int) -> int:
+    return cp.chain_mask(m, "down")
+
+
+def _chain_up_step(cp: ChainPoset, m: int) -> int:
+    return cp.chain_mask(m, "up")
+
+
+def _ideal_chain_up_step(cp: ChainPoset, m: int) -> int:
+    return cp.lattice.down_mask(cp.chain_mask(m, "up"))
+
+
+def _filter_chain_down_step(cp: ChainPoset, m: int) -> int:
+    return cp.lattice.dual.down_mask(cp.chain_mask(m, "down"))
+
+
+def _star(step, cp: ChainPoset, m: int) -> int:
+    """The least mask above m closed under `step`, by iterating
+    x -> x | step(cp, x)."""
+    for _ in range(len(cp.families) + len(cp.lattice.elements) + 1):
+        y = m | step(cp, m)
+        if y == m:
+            return m
+        m = y
     raise LatticeError("starred chain closure did not stabilize")
 
 
+def _on_masks(step, cp, props, star=False) -> frozenset:
+    """`step`, or with star=True its starred closure, applied to the mask of
+    `props`: one crossing each way."""
+    cp = _as_chainposet(cp)
+    lat = cp.lattice
+    m = lat.mask(props)
+    out = _star(step, cp, m) if star else step(cp, m)
+    if out == m and type(props) is frozenset:
+        return props
+    return lat.unmask(out)
+
+
 def chain_down_star(cp, props: Iterable) -> frozenset:
-    return _star(chain_down, cp, props)
+    return _on_masks(_chain_down_step, cp, props, star=True)
 
 
 def chain_up_star(cp, props: Iterable) -> frozenset:
-    return _star(chain_up, cp, props)
+    return _on_masks(_chain_up_step, cp, props, star=True)
 
 
 def order_ideal_chain_up(cp, props: Iterable) -> frozenset:
     """The composed operator alpha-ideal after chain-up (one application)."""
-    cp = _as_chainposet(cp)
-    return order_ideal(cp.lattice, chain_up(cp, props))
+    return _on_masks(_ideal_chain_up_step, cp, props)
 
 
 def order_ideal_chain_up_star(cp, props: Iterable) -> frozenset:
-    return _star(lambda c, p: order_ideal_chain_up(c, p), cp, props)
+    return _on_masks(_ideal_chain_up_step, cp, props, star=True)
 
 
 def order_filter_chain_down(cp, props: Iterable) -> frozenset:
-    cp = _as_chainposet(cp)
-    return order_filter(cp.lattice, chain_down(cp, props))
+    return _on_masks(_filter_chain_down_step, cp, props)
 
 
 def order_filter_chain_down_star(cp, props: Iterable) -> frozenset:
-    return _star(lambda c, p: order_filter_chain_down(c, p), cp, props)
+    return _on_masks(_filter_chain_down_step, cp, props, star=True)
 
 
+# the members of a conjunction, on masks: (ChainPoset, mask) -> mask
 OPS_IDEAL_KIND = {
-    "order_ideal": lambda cp, p: order_ideal(_as_chainposet(cp).lattice, p),
-    "frontier_order_ideal_dual": lambda cp, p: frontier_order_ideal(
-        _as_chainposet(cp).lattice, p, dual=True),
-    "order_ideal_chain_up_star": order_ideal_chain_up_star,
-    "principal_ideal": lambda cp, p: principal_ideal(_as_chainposet(cp).lattice, p),
+    "order_ideal": lambda cp, m: cp.lattice.down_mask(m),
+    "frontier_order_ideal_dual": lambda cp, m: cp.lattice.down_mask(
+        cp.lattice.dual.min_mask(m)),
+    "order_ideal_chain_up_star": lambda cp, m: _star(_ideal_chain_up_step,
+                                                     cp, m),
+    "principal_ideal": lambda cp, m: cp.lattice.principal_ideal_mask(m),
 }
 
 OPS_FILTER_KIND = {
-    "order_filter": lambda cp, p: order_filter(_as_chainposet(cp).lattice, p),
-    "frontier_order_ideal": lambda cp, p: frontier_order_ideal(
-        _as_chainposet(cp).lattice, p),
-    "order_filter_chain_down_star": order_filter_chain_down_star,
-    "principal_filter": lambda cp, p: principal_filter(_as_chainposet(cp).lattice, p),
+    "order_filter": lambda cp, m: cp.lattice.dual.down_mask(m),
+    "frontier_order_ideal": lambda cp, m: cp.lattice.dual.down_mask(
+        cp.lattice.min_mask(m)),
+    "order_filter_chain_down_star": lambda cp, m: _star(
+        _filter_chain_down_step, cp, m),
+    "principal_filter": lambda cp, m: cp.lattice.dual.principal_ideal_mask(m),
 }
 
 
@@ -453,7 +527,8 @@ def conjunctive(alpha1: str, alpha2: str, cp, props: Iterable) -> frozenset:
         raise ValueError("alpha1 must be ideal-kind, got %r" % alpha1)
     if alpha2 not in OPS_FILTER_KIND:
         raise ValueError("alpha2 must be filter-kind, got %r" % alpha2)
-    return OPS_IDEAL_KIND[alpha1](cp, props) & OPS_FILTER_KIND[alpha2](cp, props)
+    ideal, filt = OPS_IDEAL_KIND[alpha1], OPS_FILTER_KIND[alpha2]
+    return _on_masks(lambda c, m: ideal(c, m) & filt(c, m), cp, props)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,23 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     """Largest p with post(s_sem, p) <= q (upper adjoint of post).
 
     post preserves arbitrary unions in p, so membership is pairwise: an
-    e-pair enters p exactly when its own post lies below q.
+    e-pair (a, b) enters p exactly when its own post lies below q.  That
+    post is <{(a, c) : (b, c) in s_sem.e}, {a} if b in s_sem.inf,
+    {(a, c) : (b, c) in s_sem.br}>, read off s_sem indexed once by source.
     """
+    succ_e, succ_br = {}, {}
+    for rel, succ in ((s_sem.e, succ_e), (s_sem.br, succ_br)):
+        for a, b in rel:
+            succ.setdefault(a, []).append(b)
+    diverges = s_sem.inf
+
+    def post_below_q(a, b):
+        return ((b not in diverges or a in q.inf)
+                and all((a, c) in q.e for c in succ_e.get(b, ()))
+                and all((a, c) in q.br for c in succ_br.get(b, ())))
+
     e = frozenset(x for x in product(space.states(), repeat=2)
-                  if rd.leq(post(s_sem, rd.pure_e((x,))), q))
+                  if post_below_q(*x))
     return SemTriple(e, q.inf, q.br)
 
 

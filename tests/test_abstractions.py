@@ -366,7 +366,9 @@ def _n5():
         (("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")))
     fams = (Family("u", ("a",), "b", "up"),
             Family("v", ("c", "top"), "top", "up", parametric=False),
-            Family("d", ("b",), "a", "down"))
+            Family("d", ("b",), "a", "down"),
+            Family("e", ("top", "c"), "c", "down", parametric=False),
+            Family("f", ("a",), "bot", "down"))  # starts at d's limit
     return ChainPoset(lat, fams), ("u",)
 
 
@@ -381,7 +383,10 @@ def _m3_times_2():
             Family("w", (("b", 0),), ("top", 1), "up"),
             Family("v", (("b", 0), ("b", 1)), ("b", 1), "up",
                    parametric=False),
-            Family("d", (("top", 1), ("c", 1)), ("bot", 0), "down"))
+            Family("d", (("top", 1), ("c", 1)), ("bot", 0), "down"),
+            Family("e", (("a", 1), ("a", 0)), ("a", 0), "down",
+                   parametric=False),
+            Family("x", (("a", 1),), ("top", 1), "up"))  # starts at u's limit
     return ChainPoset(lat, fams), ("u", "w")
 
 
@@ -500,3 +505,170 @@ def test_gni_matches_its_definition_and_gd_is_its_negation():
         assert gd.contains(t) == (not want)
         seen.add(want)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The set/mask boundary: composed, starred and conjunctive operators against
+# their definitions, input forms, unknown elements, layout and memory
+
+IDEAL_KIND, FILTER_KIND = tuple(ab.OPS_IDEAL_KIND), tuple(ab.OPS_FILTER_KIND)
+
+
+def _definitions(cp):
+    """name -> the operator's order-theoretic definition on frozensets."""
+    lat = cp.lattice
+    els = lat.elements
+
+    def down(xs):
+        return frozenset(y for y in els if any(lat.leq(y, x) for x in xs))
+
+    def up(xs):
+        return frozenset(y for y in els if any(lat.leq(x, y) for x in xs))
+
+    def bound(xs, upper):  # the least upper or greatest lower bound
+        cands = [y for y in els
+                 if all(lat.leq(x, y) if upper else lat.leq(y, x) for x in xs)]
+        return next(b for b in cands if all(
+            lat.leq(b, c) if upper else lat.leq(c, b) for c in cands))
+
+    def extremal(xs, keep_max):
+        return frozenset(x for x in xs if not any(
+            x != y and (lat.leq(x, y) if keep_max else lat.leq(y, x))
+            for y in xs))
+
+    def chain(direction):
+        return lambda xs: xs | frozenset(
+            f.limit for f in cp.families
+            if f.direction == direction and set(f.elements) <= xs)
+
+    def star(op):
+        def starred(xs):
+            while not op(xs) <= xs:
+                xs = xs | op(xs)
+            return xs
+        return starred
+
+    ideal_up, filter_down = (lambda xs: down(chain("up")(xs)),
+                             lambda xs: up(chain("down")(xs)))
+    return {
+        "order_ideal": down,
+        "frontier_order_ideal_dual": lambda xs: down(extremal(xs, True)),
+        "order_ideal_chain_up_star": star(ideal_up),
+        "principal_ideal": lambda xs: down((bound(xs, True),)),
+        "order_filter": up,
+        "frontier_order_ideal": lambda xs: up(extremal(xs, False)),
+        "order_filter_chain_down_star": star(filter_down),
+        "principal_filter": lambda xs: up((bound(xs, False),)),
+        "order_ideal_chain_up": ideal_up,
+        "order_filter_chain_down": filter_down,
+        "chain_down_star": star(chain("down")),
+        "chain_up_star": star(chain("up")),
+    }
+
+
+def test_fixtures_declare_families_in_both_directions_both_kinds():
+    for make in (_n5, _m3_times_2):
+        kinds = {(f.direction, f.parametric) for f in make()[0].families}
+        assert kinds == {("down", True), ("down", False),
+                         ("up", True), ("up", False)}
+
+
+@pytest.mark.parametrize("make", (_n5, _m3_times_2))
+def test_composed_starred_and_conjunctive_operators_match_definitions(make):
+    cp = make()[0]
+    lat = cp.lattice
+    want = _definitions(cp)
+    composed = ("order_ideal_chain_up", "order_filter_chain_down",
+                "chain_down_star", "chain_up_star",
+                "order_ideal_chain_up_star", "order_filter_chain_down_star")
+    changed = set()
+    for m in lat.subsets():
+        xs = lat.unmask(m)
+        for name in composed:
+            got = getattr(ab, name)(cp, xs)
+            assert got == want[name](xs), (name, sorted(map(str, xs)))
+            if got != xs:
+                changed.add(name)
+        members = {name: want[name](xs) for name in IDEAL_KIND + FILTER_KIND}
+        for a1 in IDEAL_KIND:
+            for a2 in FILTER_KIND:
+                assert conjunctive(a1, a2, cp, xs) == \
+                    members[a1] & members[a2], (a1, a2)
+    assert changed == set(composed)  # every composite adds something somewhere
+
+
+def _public_operators(cp):
+    lat = cp.lattice
+    f = lat.elements[1]
+    ops = {name: (lambda xs, op=getattr(ab, name): op(lat, xs)) for name in (
+        "principal_ideal", "principal_filter", "order_ideal", "order_filter",
+        "frontier_min", "frontier_max", "frontier_order_ideal",
+        "rho_subseteq", "rho_frontier")}
+    ops.update({name: (lambda xs, op=getattr(ab, name): op(cp, xs)) for name in (
+        "chain_down", "chain_up", "chain_down_star", "chain_up_star",
+        "order_ideal_chain_up", "order_ideal_chain_up_star",
+        "order_filter_chain_down", "order_filter_chain_down_star")})
+    ops["frontier_order_ideal_dual"] = lambda xs: frontier_order_ideal(
+        lat, xs, dual=True)
+    ops["phi_subseteq"] = lambda xs: phi_subseteq(lat, f, xs)
+    for a1, a2 in zip(IDEAL_KIND, FILTER_KIND):
+        ops["conjunctive %s/%s" % (a1, a2)] = \
+            lambda xs, a1=a1, a2=a2: conjunctive(a1, a2, cp, xs)
+    ops["frontier_max_presented"] = lambda xs: ab.frontier_max_presented(
+        cp, xs, ("u",))
+    ops["frontier_min_presented"] = lambda xs: ab.frontier_min_presented(
+        cp, xs, ("d",))
+    return ops
+
+
+@pytest.mark.parametrize("make", (_n5, _m3_times_2))
+def test_operators_take_lists_and_generators_with_repeats(make):
+    cp = make()[0]
+    lat = cp.lattice
+    ops = _public_operators(cp)
+    for m in range(0, 1 << len(lat.elements), 7):
+        xs = lat.unmask(m)
+        twice = sorted(xs, key=lat.index) * 2
+        assert lat.mask(twice) == lat.mask(iter(twice)) == m
+        for name, op in ops.items():
+            want = op(xs)
+            assert op(list(twice)) == want, name
+            assert op(x for x in twice) == want, name
+
+
+def test_unknown_element_raises_key_error_naming_it():
+    cp = _n5()[0]
+    lat = cp.lattice
+    with pytest.raises(KeyError) as exc:
+        lat.mask(["bot", "zz", "a"])
+    assert exc.value.args == ("zz",)
+    for name, op in _public_operators(cp).items():
+        if name in ("chain_down", "chain_up"):  # set tests, no mask
+            continue
+        with pytest.raises(KeyError) as exc:
+            op(["a", "zz"])
+        assert exc.value.args == ("zz",), name
+
+
+@pytest.mark.parametrize("make", (_n5, _m3_times_2))
+def test_dual_keeps_the_instance_dict_layout(make):
+    lat = make()[0].lattice
+    assert list(vars(lat)) == list(vars(lat.dual))
+    assert list(vars(ToyLattice.powerset("ab"))) == list(vars(lat))
+
+
+def test_sweeping_subsets_leaves_a_bounded_memo():
+    # every 16th of the 65536 subsets of a 16-element carrier (tracing makes
+    # each allocation slow): an unbounded memo of their frozensets would
+    # hold about 3 MB, and of all 65536 tens of megabytes
+    tracemalloc = pytest.importorskip("tracemalloc")
+    lat = ToyLattice.powerset("abcd")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in lat.subsets()[::16]:
+            order_ideal(lat, lat.unmask(m))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held

@@ -76,6 +76,45 @@ def test_pre_tilde_routing_example():
     assert got.inf == frozenset() and got.br == frozenset()
 
 
+def test_pre_tilde_indexes_the_denotation_once(monkeypatch):
+    # s_sem is indexed by source once per call; composing a singleton with
+    # s_sem per pair of states rebuilt the index of e and br |S|^2 times
+    space = StateSpace.make(("x", "y"), 0, 2)
+    s_sem = it.sem(parse("while (x > 0) { x = x - 1; y = [0,2]; }"), space)
+    calls = []
+    compose_rel = rd.compose_rel
+
+    def counting(r1, r2):
+        calls.append(len(r2))
+        return compose_rel(r1, r2)
+
+    monkeypatch.setattr(rd, "compose_rel", counting)
+    tf.pre_tilde(s_sem, s_sem, space)
+    assert len(calls) <= 2
+
+
+def test_pre_tilde_matches_the_pairwise_definition():
+    # an e-pair is in pre_tilde exactly when the post of that pair alone
+    # lies below q; loops give inf and free-break fragments give br
+    rng = random.Random(37)
+    seen_inf = seen_br = 0
+    for k in range(60):
+        s, space = random_program(rng, depth=3, allow_free_break=k % 2 == 1)
+        if len(space.states()) > 9:
+            continue
+        s_sem = it.sem(s, space)
+        seen_inf += bool(s_sem.inf)
+        seen_br += bool(s_sem.br)
+        states = space.states()
+        for q in (s_sem, random_triple(rng, space), rd.top_triple(space)):
+            want = frozenset(
+                (a, b) for a in states for b in states
+                if leq(tf.post(s_sem, pure_e({(a, b)})), q))
+            assert tf.pre_tilde(s_sem, q, space) == \
+                SemTriple(want, q.inf, q.br)
+    assert seen_inf and seen_br
+
+
 def test_galois_adjunction_sampled():
     space = StateSpace.make(("y",), 0, 1)
     rng = random.Random(35)
