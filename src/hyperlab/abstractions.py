@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
+from . import rel_domain as rd
 from .rel_domain import SemTriple
 
 
@@ -601,18 +602,20 @@ def _eah(a):
     return member
 
 
-def _executions(t) -> frozenset:
-    # finite executions of a denotation triple, as (first, last) state pairs
-    return t.e if isinstance(t, SemTriple) else frozenset(t)
+def _executions(t, space):
+    # finite executions of a denotation triple or a relation, as
+    # (first, last) state pairs
+    return rd.pairs(t.e if isinstance(t, SemTriple) else t, space)
 
 
 def _ni(space, low, high):
     li = space.index(low)
 
     def member(t):
-        runs = _executions(t)
-        return all(s1[li] != s2[li] or e1[li] == e2[li]
-                   for (s1, e1) in runs for (s2, e2) in runs)
+        # low-equal starts end low-equal: one low end per low start
+        end = {}
+        return all(end.setdefault(s[li], e[li]) == e[li]
+                   for s, e in _executions(t, space))
     return member
 
 
@@ -623,7 +626,7 @@ def _gni(space, low, high):
 
     def member(t):
         by_low, by_start = {}, {}
-        for (s, e) in _executions(t):
+        for (s, e) in _executions(t, space):
             by_low.setdefault(s[li], set()).add(e[li])
             by_start.setdefault((s[li], s[hi]), set()).add(e[li])
         return all(by_low[lo] <= outs for (lo, _), outs in by_start.items())

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import chain
 
 from . import abstractions as ab
 from . import hyperlogic as hl
@@ -59,17 +58,19 @@ def _triples(data, space: StateSpace, where: str):
     if not isinstance(data, list):
         raise CliError("%s: expected an array of triples, got %s"
                        % (where, json.dumps(data)))
-    try:
-        triples = frozenset(rd.triple_from_json(d) for d in data)
-    except ValueError as exc:
-        raise CliError("%s: %s" % (where, exc)) from None
-    inside = frozenset(space.states())
-    for t in triples:
-        for sigma in chain(t.inf, *t.e, *t.br):
-            if sigma not in inside:
-                raise CliError("%s: state %s is outside the state space"
-                               % (where, list(sigma)))
-    return triples
+    # an ill-typed triple anywhere is reported before a state outside the
+    # space, and of those the first in the file
+    triples, outside = [], None
+    for d in data:
+        try:
+            triples.append(rd.triple_from_json(d, space))
+        except rd.OutsideSpaceError as exc:
+            outside = outside or exc
+        except ValueError as exc:
+            raise CliError("%s: %s" % (where, exc)) from None
+    if outside is not None:
+        raise CliError("%s: %s" % (where, outside))
+    return frozenset(triples)
 
 
 def _load_hyperset(path: str, space: StateSpace):
@@ -88,7 +89,8 @@ def cmd_sem(args) -> int:
     space = _load_space(args.space)
     t = it.sem(stmt, space)
     agree = it.oracle_sem(stmt, space) == t
-    _emit({"triple": rd.triple_to_json(t), "oracle_agrees": agree}, args.json)
+    _emit({"triple": rd.triple_to_json(t, space), "oracle_agrees": agree},
+          args.json)
     return 0
 
 
@@ -119,7 +121,7 @@ def cmd_post(args) -> int:
     space = _load_space(args.space)
     s_sem = it.sem(stmt, space)
     pres = _load_hyperset(args.pre, space)
-    results = [rd.triple_to_json(tf.post(s_sem, p))
+    results = [rd.triple_to_json(tf.post(s_sem, p), space)
                for p in sorted(pres, key=rd.SemTriple.sort_key)]
     _emit({"post": results}, args.json)
     return 0
@@ -130,7 +132,7 @@ def cmd_hyper_post(args) -> int:
     space = _load_space(args.space)
     pres = _load_hyperset(args.pre, space)
     out = tf.Post_structural(stmt, pres, space)
-    _emit({"Post": [rd.triple_to_json(t)
+    _emit({"Post": [rd.triple_to_json(t, space)
                     for t in sorted(out, key=rd.SemTriple.sort_key)]},
           args.json)
     return 0
@@ -217,7 +219,7 @@ def cmd_check(args) -> int:
         extra = {"invariant": invariant} if rule == "forall_exists" else {}
         rep = hl.check_rule(rule, space, pre=pre, cond=stmt.cond,
                             body=stmt.body, post_q=post_q, **extra)
-    _emit(rep.to_json(), args.json)
+    _emit(rep.to_json(space), args.json)
     return 0 if rep.holds() else 1
 
 

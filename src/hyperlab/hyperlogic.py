@@ -62,14 +62,15 @@ class RuleReport:
         # diagnostic only; does not affect the verdict
         self.premises.append((name, bool(ok), detail))
 
-    def to_json(self) -> dict:
+    def to_json(self, space: StateSpace) -> dict:
         return {
             "rule": self.rule,
             "verdict": self.verdict,
             "premises": [{"name": n, "ok": ok, "detail": d}
                          for n, ok, d in self.premises],
             "witnesses": [
-                {"pre": rd.triple_to_json(p), "post": rd.triple_to_json(q)}
+                {"pre": rd.triple_to_json(p, space),
+                 "post": rd.triple_to_json(q, space)}
                 for p, q in self.witnesses],
         }
 
@@ -248,10 +249,13 @@ def choice_statement(s1, s2, cvar="c"):
                If(Cmp("==", Var(cvar), Const(1)), s1, s2))
 
 
-def _project_triple(t: SemTriple) -> SemTriple:
-    return SemTriple(frozenset((a[:-1], b[:-1]) for a, b in t.e),
-                     frozenset(a[:-1] for a in t.inf),
-                     frozenset((a[:-1], b[:-1]) for a, b in t.br))
+def _project_triple(t: SemTriple, ext: StateSpace,
+                    space: StateSpace) -> SemTriple:
+    """`t` over `ext` with its last variable dropped, over `space`."""
+    def project(r):
+        return ((a[:-1], b[:-1]) for a, b in rd.pairs(r, ext))
+    return rd.triple(space, project(t.e),
+                     (a[:-1] for a in rd.members(t.inf, ext)), project(t.br))
 
 
 def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
@@ -269,7 +273,7 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
     # an antecedent lifts to the full cylinder over the fresh variable, so
     # projecting the desugared denotation once gives the same posts
     dsem = _project_triple(
-        interpreter.sem(choice_statement(s1, s2, cvar), ext))
+        interpreter.sem(choice_statement(s1, s2, cvar), ext), ext, space)
     agree = all(post(dsem, p) == both(p) for p in pre)
     rep.note("agreement:desugared-choice", agree)
     return rep
@@ -277,8 +281,8 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 # -- forall-exists ----------------------------------------------------------
 
-def _as_rel(p) -> frozenset:
-    return p.e if isinstance(p, SemTriple) else frozenset(p)
+def _as_rel(p) -> tuple:
+    return p.e if isinstance(p, SemTriple) else tuple(p)
 
 
 def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
@@ -300,7 +304,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     # premise 1 forces the antecedents in and premise 2 forces closure.
     bs = interpreter.body_triple(cond, body, space)
     not_b = prim(BoolTest(neg(cond)), space).e
-    step = bs.e | not_b
+    step = rd.union(bs.e, not_b)
     family, _ = tf.weak_family(step, pre_rels, space)
     synthesized = invariant is None
     inv = family if synthesized else frozenset(_as_rel(i) for i in invariant)
@@ -335,7 +339,7 @@ def _rule_principal_ideal(space, pre, stmt, generator, dual=False) -> RuleReport
     _require_valid(stmt)
     s_sem = interpreter.sem(stmt, space)
     if not dual:
-        lumped = rd.join_all(pre)
+        lumped = rd.join_all(pre, space)
         rep.premise("execution triple: post(join pre) below generator",
                     leq(post(s_sem, lumped), generator))
         direct = all(leq(post(s_sem, p), generator) for p in pre)

@@ -5,10 +5,13 @@ decomposes: a basic command is `d.prim`, a sequence `d.seq` of its parts, a
 conditional `d.join` of its two guarded branches, and a loop `d.loop` of its
 guard and guarded body.  The `Algebra` `d` is the relational one here
 (`sem`), the post transformers (`transformers.transformer`) or the bounded
-traces (`trace_domain.traces`).  The relational loop `loop_post` takes the
-divergence gfp once per guarded body and returns the post function, which
-takes the entry lfp from each precondition.  Every carrier is finite, so the
-fixpoints run to stabilization without widening.
+traces (`trace_domain.traces`).  The relational values are dense: a
+relation is one target bitmask per source state index, a state set one mask
+(`rel_domain`).  The relational loop `loop_post` takes both fixpoints once
+per guarded body, the divergence gfp on masks and the closure lfp on rows,
+and returns the post function, which composes each precondition with the
+loop's triple.  Every carrier is finite, so the fixpoints run to
+stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
 statement once into a flat instruction list over integer program points,
@@ -18,16 +21,17 @@ start state.  Tarjan closes the strongly connected components in reverse
 topological order, so each closed SCC folds in its successors' results: the
 reachable end and break states (bitmasks over state indexes) and whether it
 can diverge.  On a finite graph an execution diverges exactly when it can
-reach a cycle, i.e. an SCC with an internal edge.  The oracle uses only the
-AST, `StateSpace`, compiled expression kernels (`rel_domain.compile_expr`)
-and `SemTriple`, never `interpret`, the fixpoint routines or the relational
-operators; the two routes are independent, which is what makes
-sem == oracle_sem a meaningful check.
+reach a cycle, i.e. an SCC with an internal edge.  The start states' end
+and break bitmasks are already the rows of the e and br relations.  The
+oracle uses only the AST, `StateSpace`, compiled expression kernels
+(`rel_domain.compile_expr`, built when the pass first reaches an
+instruction) and `SemTriple`, never `interpret`, the fixpoint routines or
+the relational operators; the two routes are independent, which is what
+makes sem == oracle_sem a meaningful check.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable
@@ -125,25 +129,32 @@ def loop_post(cond: lang.BExpr, bs: SemTriple,
     """post of `while (cond) body` as a function of the precondition p,
     given bs = sem(B;S).
 
-    The greatest fixpoint of X -> pre[B;S](X), the starts that iterate
-    forever, does not depend on p.  The least fixpoint of
-    X -> p.e | X ; bs.e is reach = p.e ; bs.e*, the executions at the loop
-    head; they leave through the negated guard or a break of the body.  The
-    loop consumes its own breaks, so p.br passes through unchanged.
+    Neither fixpoint depends on p.  The greatest fixpoint of
+    X -> pre[B;S](X), a state mask, holds the starts that iterate forever.
+    The least fixpoint of X -> id | X ; bs.e is the closure bs.e*, taken
+    semi-naively: each round composes only the pairs the previous round
+    added.  The executions at the loop head are p.e ; bs.e*; they leave
+    through the negated guard or a break of the body, or diverge in the
+    body.  So post(p) composes p with one loop triple; the loop consumes its
+    own breaks, and p.br passes through unchanged.
     """
-    n = len(space.states())
-    div = gfp(lambda x: rd.rel_into(bs.e, x), frozenset(space.states()),
-              ge=operator.ge, max_iter=n + 2).result
-    exits = prim(BoolTest(neg(cond)), space).e | bs.br
+    n = space.size()
+    div = gfp(lambda x: rd.rel_into(bs.e, x), (1 << n) - 1,
+              ge=lambda x, y: x | y == x, max_iter=n + 2).result
+    frontier = rd.identity_rel(space)
 
-    def post(p: SemTriple) -> SemTriple:
-        reach = lfp(lambda x: p.e | rd.compose_rel(x, bs.e), frozenset(),
-                    le=operator.le, max_iter=n * n + 2).result
-        return SemTriple(rd.compose_rel(reach, exits),
-                         p.inf | rd.rel_into(reach, bs.inf)
-                         | rd.rel_into(p.e, div),
-                         p.br)
-    return post
+    def grow(x):
+        nonlocal frontier
+        x = rd.union(x, frontier)
+        frontier = rd.difference(rd.compose_rel(frontier, bs.e), x)
+        return x
+
+    star = lfp(grow, rd.empty_rel(space), le=rd.rel_leq,
+               max_iter=n + 2).result
+    exits = rd.union(prim(BoolTest(neg(cond)), space).e, bs.br)
+    loop = SemTriple(rd.compose_rel(star, exits),
+                     rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
+    return lambda p: compose(p, loop)
 
 
 def relational(space: StateSpace) -> Algebra:
@@ -185,7 +196,9 @@ def _compile(s: lang.Stmt, space: StateSpace):
     """(entry pc, code): `s` as instructions whose successors are pcs.
 
     `Skip` compiles to its continuation and `Break` to the exit of its
-    innermost loop, or to the free-break terminal outside any loop.
+    innermost loop, or to the free-break terminal outside any loop.  An
+    instruction's expression stays an AST, in slot 1; assignment targets
+    are resolved here, so an unbound one raises wherever it is.
     """
     code = [("end",), ("break",)]
 
@@ -201,22 +214,20 @@ def _compile(s: lang.Stmt, space: StateSpace):
         if isinstance(s, Seq):
             return comp(s.first, comp(s.second, nxt, brk), brk)
         if isinstance(s, Assign):
-            return emit(("assign", space.index(s.var),
-                         rd.compile_expr(s.expr, space), nxt))
+            return emit(("assign", s.expr, space.index(s.var), nxt))
         if isinstance(s, RandAssign):
             i = space.index(s.var)
             lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
             vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
-            return emit(("rand", i, vals, nxt))
+            return emit(("rand", vals, i, nxt))
         if isinstance(s, BoolTest):
-            return emit(("test", rd.compile_expr(s.cond, space), nxt))
+            return emit(("test", s.cond, nxt))
         if isinstance(s, If):
-            return emit(("if", rd.compile_expr(s.cond, space),
-                         comp(s.then, nxt, brk), comp(s.orelse, nxt, brk)))
+            return emit(("if", s.cond, comp(s.then, nxt, brk),
+                         comp(s.orelse, nxt, brk)))
         if isinstance(s, While):
             head = emit(None)
-            code[head] = ("loop", rd.compile_expr(s.cond, space),
-                          comp(s.body, head, nxt), nxt)
+            code[head] = ("loop", s.cond, comp(s.body, head, nxt), nxt)
             return head
         raise TypeError(s)
 
@@ -232,31 +243,37 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
     end-state and break-state bitmasks and "can diverge" flags.  An SCC can
     diverge when it has an internal edge (it lies on a cycle) or a successor
     SCC can.  A free break terminates the program via the br component,
-    matching the structural semantics on such fragments.
+    matching the structural semantics on such fragments.  An instruction's
+    kernel is compiled when the pass first reaches it, so code that no start
+    reaches is never compiled.  The masks of the start configurations are
+    the rows of the e and br relations.
     """
     entry, code = _compile(s, space)
     states = space.states()
     n = len(states)
     stride = space.strides()
+    kernels = [None] * len(code)
 
     def succ(cfg):
         pc, j = divmod(cfg, n)
         op, sigma = code[pc], states[j]
         kind = op[0]
-        if kind == "assign":
-            _, i, f, nxt = op
-            v = space.clip(i, f(sigma))
-            return () if v is None else (nxt * n + j + (v - sigma[i]) * stride[i],)
         if kind == "rand":
-            _, i, vals, nxt = op
+            _, vals, i, nxt = op
             base = nxt * n + j - sigma[i] * stride[i]
             return tuple(base + v * stride[i] for v in vals)
+        if kind in ("end", "break"):
+            return ()
+        f = kernels[pc]
+        if f is None:
+            f = kernels[pc] = rd.compile_expr(op[1], space)
+        if kind == "assign":
+            _, _, i, nxt = op
+            v = space.clip(i, f(sigma))
+            return () if v is None else (nxt * n + j + (v - sigma[i]) * stride[i],)
         if kind == "test":
-            return (op[2] * n + j,) if op[1](sigma) else ()
-        if kind in ("if", "loop"):
-            return ((op[2] if op[1](sigma) else op[3])
-                    * n + j,)
-        return ()
+            return (op[2] * n + j,) if f(sigma) else ()
+        return ((op[2] if f(sigma) else op[3]) * n + j,)
 
     size = len(code) * n
     num = [0] * size        # DFS number; 0 = not yet discovered
@@ -309,14 +326,7 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
                 for m in scc:
                     res[m] = r
 
-    def pairs(sigma, mask):
-        while mask:
-            bit = mask & -mask
-            yield sigma, states[bit.bit_length() - 1]
-            mask ^= bit
-
-    starts = [(sigma, res[entry * n + j]) for j, sigma in enumerate(states)]
-    return SemTriple(
-        frozenset(p for sigma, r in starts for p in pairs(sigma, r[0])),
-        frozenset(sigma for sigma, r in starts if r[2]),
-        frozenset(p for sigma, r in starts for p in pairs(sigma, r[1])))
+    starts = res[entry * n:entry * n + n]
+    return SemTriple(tuple(r[0] for r in starts),
+                     sum(1 << j for j, r in enumerate(starts) if r[2]),
+                     tuple(r[1] for r in starts))

@@ -1,12 +1,18 @@
 """Relational instance of the computational domain over a finite state space.
 
 States are total maps from the declared variables to bounded integers,
-represented as value tuples in declared variable order.  The finitary domain
-is the powerset of state pairs, the infinitary domain the powerset of states
-(a divergent start state stands for the pair with the bottom pseudo-state).
+represented as value tuples in declared variable order.  `space.states()`
+lists them as the lexicographic product of ascending ranges, so a state's
+index in that tuple orders states exactly as the tuples do.  The finitary
+domain is the powerset of state pairs, the infinitary domain the powerset
+of states (a divergent start state stands for the pair with the bottom
+pseudo-state).  A relation is stored as a tuple of |S| ints whose row i is
+the bitmask of the targets of state i, and a state set as one int mask.
 A program denotation is the triple ``SemTriple(e, inf, br)`` of terminating
 pairs, divergent start states, and pairs terminating via break, ordered by
-componentwise inclusion.
+componentwise inclusion.  This module alone knows the format: other modules
+build values with `triple`/`rel`/`mask` and read them with
+`pairs`/`members`.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -24,21 +30,28 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterable, Tuple
 
 from . import lang
 from .lang import BBin, BoolTest, Const, Not, Var
 
 State = Tuple[int, ...]
-Rel = frozenset
-StateSet = frozenset
+Rel = tuple       # one target mask per source state index
+StateSet = int    # bit i stands for the state of index i
 
 ARITH_MODES = ("saturate", "wrap", "prune")
 
 
 class UnboundVariableError(Exception):
     pass
+
+
+class OutsideSpaceError(ValueError):
+    """A well-typed state that is not in the state space."""
+
+    def __init__(self, state: list):
+        super().__init__("state %s is outside the state space" % (state,))
 
 
 _INT = frozenset((int,))
@@ -114,6 +127,10 @@ class StateSpace:
     def states(self) -> tuple:
         return _states(self.vars, self.lo, self.hi)
 
+    def positions(self) -> dict:
+        """State tuple -> its index in `states()`."""
+        return _positions(self.vars, self.lo, self.hi)
+
     def strides(self) -> tuple:
         """Mixed-radix place value of each variable in `states()` order."""
         return _strides(self.lo, self.hi)
@@ -136,6 +153,11 @@ class StateSpace:
 @lru_cache(maxsize=None)
 def _states(vars, lo, hi):
     return tuple(product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
+
+
+@lru_cache(maxsize=None)
+def _positions(vars, lo, hi):
+    return {s: i for i, s in enumerate(_states(vars, lo, hi))}
 
 
 @lru_cache(maxsize=None)
@@ -172,13 +194,98 @@ def compile_expr(e, space: StateSpace) -> Callable[[State], object]:
     if isinstance(e, Not):
         arg = compile_expr(e.arg, space)
         return lambda s: not arg(s)
-    left, right = compile_expr(e.left, space), compile_expr(e.right, space)
+    left = compile_expr(e.left, space)
     if isinstance(e, BBin):
+        right = compile_expr(e.right, space)
         if e.op == "&&":
             return lambda s: left(s) and right(s)
         return lambda s: left(s) or right(s)
     op = _OPS[e.op]
+    if isinstance(e.right, Const):  # x - 1, x != 0: no call for the constant
+        value = e.right.value
+        return lambda s: op(left(s), value)
+    right = compile_expr(e.right, space)
     return lambda s: op(left(s), right(s))
+
+
+# ---------------------------------------------------------------------------
+# Relations as rows, state sets as masks
+
+def bits(m: int):
+    """The set bits of `m`, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _pairs(rel: Rel, labels) -> list:
+    """(labels[i], labels[j]) for the pairs (i, j) of `rel`, ascending."""
+    out = []
+    for i, m in compress(enumerate(rel), rel):  # the rows with a target
+        a = labels[i]
+        while m:
+            low = m & -m
+            out.append((a, labels[low.bit_length() - 1]))
+            m ^= low
+    return out
+
+
+def pairs(rel: Rel, space: StateSpace) -> list:
+    """The pairs of `rel` as state tuples, in sorted order."""
+    return _pairs(rel, space.states())
+
+
+def members(m: StateSet, space: StateSpace):
+    """The states of the mask `m`, in sorted order."""
+    states = space.states()
+    return (states[i] for i in bits(m))
+
+
+def rel(state_pairs: Iterable, space: StateSpace) -> Rel:
+    """The relation holding the given (state, state) pairs."""
+    at = space.positions()
+    rows = [0] * len(at)
+    for a, b in state_pairs:
+        rows[at[a]] |= 1 << at[b]
+    return tuple(rows)
+
+
+def mask(states: Iterable, space: StateSpace) -> StateSet:
+    """The state set holding the given states."""
+    at = space.positions()
+    return sum(1 << i for i in set(map(at.__getitem__, states)))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> Rel:
+    return tuple(1 << i for i in range(n))
+
+
+def empty_rel(space: StateSpace) -> Rel:
+    return (0,) * space.size()
+
+
+def identity_rel(space: StateSpace) -> Rel:
+    return _identity(space.size())
+
+
+def union(r1: Rel, r2: Rel) -> Rel:
+    return tuple(map(operator.or_, r1, r2))
+
+
+def intersection(r1: Rel, r2: Rel) -> Rel:
+    return tuple(map(operator.and_, r1, r2))
+
+
+def difference(r1: Rel, r2: Rel) -> Rel:
+    """The pairs of r1 that are not in r2."""
+    return tuple(map(operator.and_, r1, map(operator.invert, r2)))
+
+
+def rel_leq(r1: Rel, r2: Rel) -> bool:
+    """Inclusion of relations."""
+    return union(r1, r2) == r2
 
 
 # ---------------------------------------------------------------------------
@@ -186,36 +293,41 @@ def compile_expr(e, space: StateSpace) -> Callable[[State], object]:
 
 @dataclass(frozen=True)
 class SemTriple:
-    """<e: terminating pairs, inf: divergent starts, br: break pairs>."""
+    """<e: terminating pairs, inf: divergent starts, br: break pairs>.
+
+    `e` and `br` are relations (one target mask per source index) and `inf`
+    is a state mask, all over one space."""
 
     e: Rel
     inf: StateSet
     br: Rel
 
     def sort_key(self):
-        return (tuple(sorted(self.e)), tuple(sorted(self.inf)),
-                tuple(sorted(self.br)))
+        """The order of the sorted state pairs and states: index order is
+        tuple order, so index pairs give it without the space."""
+        indexes = range(len(self.e))
+        return (tuple(_pairs(self.e, indexes)), tuple(bits(self.inf)),
+                tuple(_pairs(self.br, indexes)))
 
 
-BOTTOM = SemTriple(frozenset(), frozenset(), frozenset())
+def bottom(space: StateSpace) -> SemTriple:
+    empty = empty_rel(space)
+    return SemTriple(empty, 0, empty)
 
 
-def triple(e=(), inf=(), br=()) -> SemTriple:
-    return SemTriple(frozenset(e), frozenset(inf), frozenset(br))
+def triple(space: StateSpace, e=(), inf=(), br=()) -> SemTriple:
+    """The triple of the given state pairs and divergent states."""
+    return SemTriple(rel(e, space), mask(inf, space), rel(br, space))
 
 
-def pure_e(rel: Iterable) -> SemTriple:
-    return SemTriple(frozenset(rel), frozenset(), frozenset())
-
-
-def identity_rel(space: StateSpace) -> Rel:
-    return frozenset((s, s) for s in space.states())
+def pure_e(r: Rel) -> SemTriple:
+    return SemTriple(r, 0, (0,) * len(r))
 
 
 def top_triple(space: StateSpace) -> SemTriple:
-    sts = space.states()
-    full = frozenset(product(sts, sts))
-    return SemTriple(full, frozenset(sts), full)
+    n = space.size()
+    full = ((1 << n) - 1,) * n
+    return SemTriple(full, (1 << n) - 1, full)
 
 
 # ---------------------------------------------------------------------------
@@ -232,45 +344,70 @@ def prim(kind, space: StateSpace) -> SemTriple:
     if kind == "init" or isinstance(kind, lang.Skip):
         return pure_e(identity_rel(space))
     if isinstance(kind, lang.Break):
-        return SemTriple(frozenset(), frozenset(), identity_rel(space))
+        return SemTriple(empty_rel(space), 0, identity_rel(space))
     states = space.states()
     if isinstance(kind, BoolTest):
-        test = compile_expr(kind.cond, space)
-        return pure_e((s, s) for s in states if test(s))
+        test = compile_expr(kind.cond, space)  # a bool per state
+        return pure_e(tuple(map(operator.mul, identity_rel(space),
+                                map(test, states))))
     if not isinstance(kind, (lang.Assign, lang.RandAssign)):
         raise TypeError("not a basic command: %r" % (kind,))
-    # setting position i of states[j] from s[i] to v gives
-    # states[j + (v - s[i]) * stride]: the tuples are shared, not rebuilt
+    # setting position i of states[j] from s[i] to v gives the state of
+    # index j + (v - s[i]) * stride
     i = space.index(kind.var)
     stride = space.strides()[i]
     if isinstance(kind, lang.RandAssign):
         lo = max(space.lo[i], kind.lo)
         hi = min(space.hi[i], kind.hi)
-        vals = range(int(lo), int(hi) + 1) if lo <= hi else ()
-        return pure_e((s, states[j + (v - s[i]) * stride])
-                      for j, s in enumerate(states) for v in vals)
+        if lo > hi:
+            return pure_e(empty_rel(space))
+        lo, hi = int(lo), int(hi)
+        # the targets of states[j] are this pattern shifted to its value lo
+        pattern = sum(1 << k * stride for k in range(hi - lo + 1))
+        return pure_e(tuple(pattern << j + (lo - s[i]) * stride
+                            for j, s in enumerate(states)))
     f = compile_expr(kind.expr, space)
-    pairs = []
+    rows = []
     for j, s in enumerate(states):
         v = space.clip(i, f(s))
-        if v is not None:
-            pairs.append((s, states[j + (v - s[i]) * stride]))
-    return pure_e(pairs)
+        rows.append(0 if v is None else 1 << j + (v - s[i]) * stride)
+    return pure_e(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # Operators
 
 def compose_rel(r1: Rel, r2: Rel) -> Rel:
-    by_src: dict = {}
-    for a, b in r2:
-        by_src.setdefault(a, []).append(b)
-    return frozenset((a, c) for a, b in r1 for c in by_src.get(b, ()))
+    """r1 ; r2: row i is the union of the rows of r2 that row i of r1
+    selects."""
+    if not any(r2):
+        return r2
+    if max(map(int.bit_count, r1)) <= 1:  # a partial function: look rows up
+        return tuple(map(((0,) + r2).__getitem__, map(int.bit_length, r1)))
+    out = []
+    for m in r1:
+        acc = 0
+        while m:
+            low = m & -m
+            acc |= r2[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def residual(r1: Rel, r2: Rel) -> Rel:
+    """The largest X with X ; r1 <= r2: the pairs (a, b) where the targets
+    of b in r1 are targets of a in r2."""
+    ids = _identity(len(r1))
+    return tuple(sum(compress(ids, [not m & ~row for m in r1])) for row in r2)
 
 
 def rel_into(r: Rel, targets: StateSet) -> StateSet:
     """States that can reach `targets` in one r-step: r ; (targets x {bot})."""
-    return frozenset(a for a, b in r if b in targets)
+    if not targets:
+        return 0
+    # the bits of the sources whose rows meet the targets, summed
+    return sum(compress(_identity(len(r)), map(targets.__and__, r)))
 
 
 def compose(t1: SemTriple, t2: SemTriple) -> SemTriple:
@@ -282,24 +419,26 @@ def compose(t1: SemTriple, t2: SemTriple) -> SemTriple:
     return SemTriple(
         compose_rel(t1.e, t2.e),
         t1.inf | rel_into(t1.e, t2.inf),
-        t1.br | compose_rel(t1.e, t2.br),
+        union(t1.br, compose_rel(t1.e, t2.br)),
     )
 
 
 def join(t1: SemTriple, t2: SemTriple) -> SemTriple:
-    return SemTriple(t1.e | t2.e, t1.inf | t2.inf, t1.br | t2.br)
+    return SemTriple(union(t1.e, t2.e), t1.inf | t2.inf, union(t1.br, t2.br))
 
 
 def meet(t1: SemTriple, t2: SemTriple) -> SemTriple:
-    return SemTriple(t1.e & t2.e, t1.inf & t2.inf, t1.br & t2.br)
+    return SemTriple(intersection(t1.e, t2.e), t1.inf & t2.inf,
+                     intersection(t1.br, t2.br))
 
 
 def leq(t1: SemTriple, t2: SemTriple) -> bool:
-    return t1.e <= t2.e and t1.inf <= t2.inf and t1.br <= t2.br
+    return (t1.inf | t2.inf == t2.inf and rel_leq(t1.e, t2.e)
+            and rel_leq(t1.br, t2.br))
 
 
-def join_all(ts: Iterable) -> SemTriple:
-    out = BOTTOM
+def join_all(ts: Iterable, space: StateSpace) -> SemTriple:
+    out = bottom(space)
     for t in ts:
         out = join(out, t)
     return out
@@ -308,29 +447,43 @@ def join_all(ts: Iterable) -> SemTriple:
 # ---------------------------------------------------------------------------
 # Serialization (states as value arrays in declared variable order)
 
-def triple_to_json(t: SemTriple) -> dict:
-    return {
-        "e": [[list(a), list(b)] for a, b in sorted(t.e)],
-        "inf": [list(s) for s in sorted(t.inf)],
-        "br": [[list(a), list(b)] for a, b in sorted(t.br)],
-    }
+def triple_to_json(t: SemTriple, space: StateSpace) -> dict:
+    states = space.states()
+
+    def pair_list(r):
+        return [[list(a), list(b)] for a, b in _pairs(r, states)]
+    return {"e": pair_list(t.e), "inf": [list(states[i]) for i in bits(t.inf)],
+            "br": pair_list(t.br)}
 
 
-def _state_from_json(s) -> State:
-    if isinstance(s, list) and _ints(s):
-        return tuple(s)
+def _locate(s, index: dict, outside: dict, key: str) -> int:
+    """The index of the JSON state `s`; a well-typed state outside the space
+    is noted under `key` (the first per key) and located at 0."""
+    if isinstance(s, list) and (_INT.issuperset(map(type, s)) or _ints(s)):
+        i = index.get(tuple(s))
+        if i is not None:
+            return i
+        outside.setdefault(key, s)
+        return 0
     raise ValueError("a state must be an integer array, got %s" % json.dumps(s))
 
 
-def _pair_from_json(p) -> Tuple[State, State]:
-    if isinstance(p, list) and len(p) == 2:
-        return _state_from_json(p[0]), _state_from_json(p[1])
-    raise ValueError("a pair must be two states, got %s" % json.dumps(p))
+def _rel_from_json(ps: list, index: dict, outside: dict, key: str) -> Rel:
+    rows = [0] * len(index)
+    for p in ps:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError("a pair must be two states, got %s" % json.dumps(p))
+        a, b = p
+        rows[_locate(a, index, outside, key)] |= \
+            1 << _locate(b, index, outside, key)
+    return tuple(rows)
 
 
-def triple_from_json(d: dict) -> SemTriple:
-    """The triple {"e": pairs, "inf": states, "br": pairs}; a missing
-    component is empty.  Ill-typed input raises ValueError naming it."""
+def triple_from_json(d: dict, space: StateSpace) -> SemTriple:
+    """The triple {"e": pairs, "inf": states, "br": pairs} over `space`; a
+    missing component is empty.  Ill-typed input raises ValueError naming
+    it; when the whole triple is well typed, a state outside the space
+    raises OutsideSpaceError naming the first such state in file order."""
     if not isinstance(d, dict):
         raise ValueError("a triple must be a JSON object, got %s"
                          % json.dumps(d))
@@ -338,11 +491,16 @@ def triple_from_json(d: dict) -> SemTriple:
         if not isinstance(d.get(key, []), list):
             raise ValueError("triple component %r must be an array, got %s"
                              % (key, json.dumps(d[key])))
-    return SemTriple(
-        frozenset(map(_pair_from_json, d.get("e", []))),
-        frozenset(map(_state_from_json, d.get("inf", []))),
-        frozenset(map(_pair_from_json, d.get("br", []))),
-    )
+    index, outside = space.positions(), {}
+    e = _rel_from_json(d.get("e", ()), index, outside, "e")
+    inf = 0
+    for s in d.get("inf", ()):
+        inf |= 1 << _locate(s, index, outside, "inf")
+    br = _rel_from_json(d.get("br", ()), index, outside, "br")
+    for key in d:
+        if key in outside:
+            raise OutsideSpaceError(outside[key])
+    return SemTriple(e, inf, br)
 
 
 def dumps_canonical(obj) -> str:

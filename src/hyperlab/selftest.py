@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from functools import reduce
 
 from . import abstractions as ab
 from . import hyperlogic as hl
@@ -36,31 +36,27 @@ SPACE_TRACE = StateSpace.make(("x",), -4, 5)
 
 def s1_expected(space):
     sts = space.states()
-    return SemTriple(
-        frozenset((s, (0,)) for s in sts if s[0] >= 0),
-        frozenset(s for s in sts if s[0] < 0),
-        frozenset())
+    return rd.triple(space, e=((s, (0,)) for s in sts if s[0] >= 0),
+                     inf=(s for s in sts if s[0] < 0))
 
 
 def s2_expected(space):
     sts = space.states()
-    return SemTriple(frozenset((s, (0,)) for s in sts),
-                     frozenset(sts), frozenset())
+    return rd.triple(space, e=((s, (0,)) for s in sts), inf=sts)
 
 
 def s3_expected(space):
     sts = space.states()
     e = {(s, s) for s in sts if s[0] == 0}
     e |= {(s, (0, 0)) for s in sts if s[0] > 0}
-    return SemTriple(frozenset(e),
-                     frozenset(s for s in sts if s[0] != 0), frozenset())
+    return rd.triple(space, e=e, inf=(s for s in sts if s[0] != 0))
 
 
 def s4_expected(space):
     sts = space.states()
     e = {(s, (0, s[1])) for s in sts}
     e |= {(s, (0, 0)) for s in sts}
-    return SemTriple(frozenset(e), frozenset(sts), frozenset())
+    return rd.triple(space, e=e, inf=sts)
 
 
 def trace_expected():
@@ -159,10 +155,10 @@ def random_triple(rng, space, pure=False) -> SemTriple:
     k = max(1, len(pairs) // 3)
     e = frozenset(rng.sample(pairs, rng.randint(0, k)))
     if pure:
-        return pure_e(e)
+        return rd.triple(space, e=e)
     inf = frozenset(rng.sample(sts, rng.randint(0, max(1, len(sts) // 3))))
     br = frozenset(rng.sample(pairs, rng.randint(0, max(1, k // 2))))
-    return SemTriple(e, inf, br)
+    return rd.triple(space, e, inf, br)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def suite_galois(seed=20240803):
     bs = it.body_triple(Cmp("!=", Var("y"), Const(0)), Assign("y", ABin("-", Var("y"), Const(1))), loop_space)
     pows = it.powers(bs.e, loop_space, 3)
     props = frozenset((pure_e(pows[0]),))
-    union_first = tf.Post(pure_e(frozenset().union(*pows)), props)
+    union_first = tf.Post(pure_e(reduce(rd.union, pows)), props)
     union_last = frozenset().union(*(tf.Post(pure_e(p), props) for p in pows))
     checks.append(("Post does not preserve joins (loop powers witness)",
                    union_first != union_last, ""))
@@ -640,9 +636,10 @@ def suite_rules(n=120, seed=20240806):
     space = StateSpace.make(("x",), 0, 13)
     prog = parse("while (x > 10) x = x - 1;")
     sts = space.states()
-    pre = frozenset(pure_e(frozenset((a, (nn,)) for a in sts))
+    pre = frozenset(rd.triple(space, e=((a, (nn,)) for a in sts))
                     for nn in (11, 12, 13))
-    gen = pure_e(frozenset((a, b) for a in sts for b in sts if b[0] <= 10))
+    gen = rd.triple(space, e=((a, b) for a in sts for b in sts
+                              if b[0] <= 10))
     rep = hl.check_rule("principal_ideal", space, pre=pre, stmt=prog,
                         generator=gen)
     checks.append(("principal ideal rule holds on the countdown example",
@@ -733,7 +730,7 @@ def suite_commutation(n=200, seed=20240807):
         t = td.trace_sem(s, space, 9)
         if t.truncated:
             continue
-        pairs, div = td.abstract_to_rel(t)
+        pairs, div = td.abstract_to_rel(t, space)
         ref = it.sem(s, space)
         if pairs != ref.e or div != ref.inf:
             bad += 1

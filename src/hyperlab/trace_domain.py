@@ -72,7 +72,8 @@ def traces(space: StateSpace, cap: int) -> Algebra:
                        False)
         if isinstance(s, Break):
             return _TR(empty, singles, False)
-        return _TR(rd.prim(s, space).e, empty, False)
+        return _TR(frozenset(rd.pairs(rd.prim(s, space).e, space)), empty,
+                   False)
 
     def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)
@@ -109,17 +110,18 @@ def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     tr = interpreter.interpret(s, traces(space, max_len))
-    div = interpreter.sem(s, space).inf
+    div = frozenset(rd.members(interpreter.sem(s, space).inf, space))
     return TraceSet(tr.e, div, tr.truncated)
 
 
-def abstract_to_rel(t: TraceSet):
+def abstract_to_rel(t: TraceSet, space: StateSpace):
     """First/last-state abstraction of the finite traces.
 
-    Returns (pairs, div_starts); the divergent starts pass through unchanged.
+    Returns (relation, divergent mask) over `space`; the divergent starts
+    pass through unchanged.
     """
-    pairs = frozenset((p[0], p[-1]) for p in t.finite)
-    return pairs, t.div_starts
+    return (rd.rel(((p[0], p[-1]) for p in t.finite), space),
+            rd.mask(t.div_starts, space))
 
 
 def format_trace(p, space: StateSpace) -> str:

@@ -48,23 +48,17 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     """Largest p with post(s_sem, p) <= q (upper adjoint of post).
 
     post preserves arbitrary unions in p, so membership is pairwise: an
-    e-pair (a, b) enters p exactly when its own post lies below q.  That
-    post is <{(a, c) : (b, c) in s_sem.e}, {a} if b in s_sem.inf,
-    {(a, c) : (b, c) in s_sem.br}>, read off s_sem indexed once by source.
+    e-pair (a, b) enters p exactly when its own post lies below q, that is
+    when b's e and br targets in s_sem are a's in q (the residuals) and a
+    may diverge in q if b diverges in s_sem.
     """
-    succ_e, succ_br = {}, {}
-    for rel, succ in ((s_sem.e, succ_e), (s_sem.br, succ_br)):
-        for a, b in rel:
-            succ.setdefault(a, []).append(b)
-    diverges = s_sem.inf
-
-    def post_below_q(a, b):
-        return ((b not in diverges or a in q.inf)
-                and all((a, c) in q.e for c in succ_e.get(b, ()))
-                and all((a, c) in q.br for c in succ_br.get(b, ())))
-
-    e = frozenset(x for x in product(space.states(), repeat=2)
-                  if post_below_q(*x))
+    sts = space.states()
+    diverges = frozenset(rd.members(s_sem.inf, space))
+    may_diverge = frozenset(rd.members(q.inf, space))
+    calm = rd.rel(((a, b) for a in sts for b in sts
+                   if a in may_diverge or b not in diverges), space)
+    e = rd.intersection(rd.intersection(rd.residual(s_sem.e, q.e),
+                                        rd.residual(s_sem.br, q.br)), calm)
     return SemTriple(e, q.inf, q.br)
 
 
@@ -83,7 +77,7 @@ def Post(s_sem: SemTriple, props: HyperSet) -> HyperSet:
 
 def enumerate_rels(space: StateSpace) -> list:
     pairs = sorted(product(space.states(), space.states()))
-    return [frozenset(c) for r in range(len(pairs) + 1)
+    return [rd.rel(c, space) for r in range(len(pairs) + 1)
             for c in combinations(pairs, r)]
 
 
@@ -93,7 +87,7 @@ def enumerate_triples(space: StateSpace) -> list:
         raise ValueError("triple lattice too large to enumerate")
     rels = enumerate_rels(space)
     sts = sorted(space.states())
-    infs = [frozenset(c) for r in range(len(sts) + 1)
+    infs = [rd.mask(c, space) for r in range(len(sts) + 1)
             for c in combinations(sts, r)]
     return [SemTriple(e, i, b) for e in rels for i in infs for b in rels]
 
@@ -143,7 +137,7 @@ def weak_while_iterates(step, p_e, space: StateSpace) -> Tuple:
     Returns (iterates, stabilization_index): iteration stops at the first
     repeated iterate, by which point every distinct exit image has appeared.
     """
-    iterates = [frozenset(p_e)]
+    iterates = [p_e]
     seen = {iterates[0]}
     cap = 4 * len(space.states()) ** 2 + 16
     while True:
@@ -181,7 +175,7 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     stabilization.
     """
     not_b = prim(BoolTest(neg(b)), space).e
-    step = interpreter.body_triple(b, body, space).e | not_b
+    step = rd.union(interpreter.body_triple(b, body, space).e, not_b)
     family, stab = weak_family(step, (p.e for p in props), space)
     return frozenset(rd.pure_e(rd.compose_rel(x, not_b))
                      for x in family), stab

@@ -306,6 +306,32 @@ def test_check_rejects_states_outside_the_space(workdir, capsys):
         assert code == 2 and out == "" and bad in err
 
 
+def test_check_names_the_first_state_outside_the_space_in_file_order(
+        workdir, capsys):
+    space = {"vars": ["l", "h"], "lo": 0, "hi": 1}
+    for pre, bad in (
+            # two in one triple, the br component written first
+            ([{"br": [[[0, 5], [0, 0]]], "e": [[[0, 0], [0, 7]]]}], "[0, 5]"),
+            # two in one pair
+            ([{"e": [[[0, 0], [0, 0]], [[4, 0], [0, 6]]]}], "[4, 0]"),
+            # two triples
+            ([{"e": [[[0, 0], [0, 0]]], "inf": [[3, 0]]},
+              {"e": [[[0, 4], [0, 0]]]}], "[3, 0]")):
+        req = {"program": "l = h;", "space": space, "post_oracle": "NI",
+               "pre": pre}
+        (workdir / "req.json").write_text(json.dumps(req))
+        assert run_cli(capsys, "check", "--request",
+                       str(workdir / "req.json")) == (
+            2, "", "error: request 'pre': state %s is outside the state "
+            "space\n" % bad)
+    # an ill-typed state anywhere in the array is reported first
+    req["pre"] = [{"e": [[[0, 9], [0, 0]]]}, {"inf": [[True, 0]]}]
+    (workdir / "req.json").write_text(json.dumps(req))
+    assert run_cli(capsys, "check", "--request", str(workdir / "req.json")) == (
+        2, "", "error: request 'pre': a state must be an integer array, "
+        "got [true, 0]\n")
+
+
 def test_check_without_request_names_missing_flags(workdir, capsys):
     code, _, err = run_cli(capsys, "check",
                            "--program", str(workdir / "leak.hl"),

@@ -19,8 +19,9 @@ LH = StateSpace.make(("l", "h"), 0, 1)
 
 def test_upper_holds_on_countdown_oracle():
     s1 = parse(S1_SRC)
-    want = frozenset(((v,), (0,)) for v in range(0, 4))
-    oracle = HyperOracle(lambda t: t.e <= want, "e inside zeroing pairs")
+    want = rd.rel((((v,), (0,)) for v in range(0, 4)), SPACE_Y)
+    oracle = HyperOracle(lambda t: rd.rel_leq(t.e, want),
+                         "e inside zeroing pairs")
     rep = check_upper(Triple(frozenset((prim("init", SPACE_Y),)), s1, oracle),
                       SPACE_Y)
     assert rep.holds()
@@ -160,7 +161,7 @@ def test_rule_reports_are_serializable():
     s1 = parse(S1_SRC)
     rep = check_upper(Triple(frozenset((prim("init", SPACE_Y),)), s1,
                              frozenset()), SPACE_Y)
-    payload = rep.to_json()
+    payload = rep.to_json(SPACE_Y)
     assert payload["verdict"] == "fails" and payload["witnesses"]
 
 
@@ -288,7 +289,7 @@ def test_forall_exists_rejects_supplied_bad_invariant():
     weak, _ = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
     rep = check_rule("forall_exists", SPACE_Y, pre=props, cond=s1.cond,
                      body=s1.body, post_q=weak,
-                     invariant=frozenset((pure_e(frozenset()),)))
+                     invariant=frozenset((pure_e(rd.empty_rel(SPACE_Y)),)))
     assert not rep.holds()
 
 
@@ -358,7 +359,7 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
                        high=space.vars[-1])
         extra = random_triple(rng, space, pure=True)
         not_b = prim(BoolTest(hl.neg(cond)), space).e
-        step = it.body_triple(cond, body, space).e | not_b
+        step = rd.union(it.body_triple(cond, body, space).e, not_b)
         wider, _ = tf.weak_family(step, {p.e for p in pre | {extra}}, space)
         bad = frozenset(p.e for p in pre) | {extra.e}
         for post_q in (ni, explicit):
@@ -386,17 +387,19 @@ def test_principal_ideal_rule_example_and_dual():
     space = StateSpace.make(("x",), 0, 13)
     prog = parse("while (x > 10) x = x - 1;")
     sts = space.states()
-    pre = frozenset(pure_e(frozenset((a, (n,)) for a in sts))
+    pre = frozenset(rd.triple(space, e=((a, (n,)) for a in sts))
                     for n in (11, 12, 13))
-    gen = pure_e(frozenset((a, b) for a in sts for b in sts if b[0] <= 10))
+    gen = rd.triple(space, e=((a, b) for a in sts for b in sts
+                              if b[0] <= 10))
     rep = check_rule("principal_ideal", space, pre=pre, stmt=prog,
                      generator=gen)
     assert rep.holds() and _agreement(rep)["agreement"]
-    low_gen = pure_e(frozenset())
+    low_gen = rd.triple(space)
     rep = check_rule("principal_ideal", space, pre=pre, stmt=prog,
                      generator=low_gen, dual=True)
     assert rep.holds()
-    bad_gen = pure_e(frozenset((a, b) for a in sts for b in sts if b[0] <= 9))
+    bad_gen = rd.triple(space, e=((a, b) for a in sts for b in sts
+                                  if b[0] <= 9))
     rep = check_rule("principal_ideal", space, pre=pre, stmt=prog,
                      generator=bad_gen)
     assert not rep.holds() and _agreement(rep)["agreement"]
@@ -413,7 +416,7 @@ def test_conjunctive_rule_on_enumerable_space():
     box = ideal & filt  # the singleton interval: conjunctively closed
     rep = check_rule("conjunctive", space, pre=pre, stmt=prog, post_q=box)
     assert rep.holds() and _agreement(rep)["agreement"]
-    not_closed = frozenset((q0, rd.BOTTOM))
+    not_closed = frozenset((q0, rd.bottom(space)))
     rep = check_rule("conjunctive", space, pre=pre, stmt=prog,
                      post_q=not_closed)
     assert not rep.holds()
@@ -428,7 +431,7 @@ def _assertional(space, stmt):
     e = it.sem(stmt, space).e
 
     def post_fn(p):
-        return frozenset(b for (a, b) in e if a in p)
+        return frozenset(b for (a, b) in rd.pairs(e, space) if a in p)
 
     return carrier, post_fn
 

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -52,8 +53,8 @@ def divergence_gfp(cond, bs, space):
 
 def backward_entry_fixpoint(bs, space):
     ident = rd.identity_rel(space)
-    return lfp(lambda x: ident | rd.compose_rel(bs.e, x), frozenset(),
-               le=lambda a, b: a <= b).result
+    return lfp(lambda x: rd.union(ident, rd.compose_rel(bs.e, x)),
+               rd.empty_rel(space), le=rd.rel_leq).result
 
 
 def test_never_entered_loop_gives_init():
@@ -78,12 +79,12 @@ def test_entry_fixpoint_matches_reachability_closure():
     changed = True
     while changed:
         changed = False
-        for (a, b) in step:
+        for (a, b) in rd.pairs(step, SPACE_Y):
             for (src, tgt) in list(reach):
                 if tgt == a and (src, b) not in reach:
                     reach.add((src, b))
                     changed = True
-    assert fwd == frozenset(reach)
+    assert fwd == rd.rel(reach, SPACE_Y)
 
 
 def test_forward_equals_backward_on_random_loops():
@@ -126,7 +127,7 @@ def test_entry_fixpoint_is_union_of_guarded_body_powers():
         bs = it.body_triple(cond, body, space)
         bound = len(space.states()) ** 2 + 1
         pows = it.powers(bs.e, space, bound)
-        union = frozenset().union(*pows)
+        union = reduce(rd.union, pows)
         assert entry_fixpoint(bs, space) == union
 
 
@@ -140,10 +141,10 @@ def test_divergence_gfp_is_meet_of_power_domains():
         done += 1
         cond = Cmp(">", Var(space.vars[0]), Const(0))
         bs = it.body_triple(cond, body, space)
-        doms = frozenset(space.states())
+        doms = rd.mask(space.states(), space)
         meet = doms
         for p in it.powers(bs.e, space, len(space.states()) + 2)[1:]:
-            meet &= frozenset(a for a, _ in p)
+            meet &= rd.mask((a for a, _ in rd.pairs(p, space)), space)
         assert divergence_gfp(cond, bs, space) == meet
 
 
@@ -151,7 +152,7 @@ def test_divergence_gfp_on_countdown():
     s1 = parse(S1_SRC)
     bs = it.body_triple(s1.cond, s1.body, SPACE_Y)
     assert divergence_gfp(s1.cond, bs, SPACE_Y) == \
-        frozenset((v,) for v in range(-3, 0))
+        rd.mask(((v,) for v in range(-3, 0)), SPACE_Y)
 
 
 def test_divergence_gfp_matches_oracle_cycles():
@@ -159,7 +160,7 @@ def test_divergence_gfp_matches_oracle_cycles():
     prog = parse("while (x != 0) x = x - 1;")
     bs = it.body_triple(prog.cond, prog.body, space)
     div = divergence_gfp(prog.cond, bs, space)
-    assert div == frozenset((v,) for v in (-2, -1))
+    assert div == rd.mask(((v,) for v in (-2, -1)), space)
     assert oracle_sem(prog, space).inf == div
 
 
@@ -212,15 +213,15 @@ def test_pruned_executions_vanish_entirely():
     prog = parse("x = x + 5;")
     t = sem(prog, space)
     assert t == oracle_sem(prog, space)
-    assert t.e == frozenset() and t.inf == frozenset()
+    assert t.e == rd.empty_rel(space) and t.inf == 0
 
 
 def test_wrap_mode_can_turn_divergence_into_termination():
     sat = StateSpace.make(("x",), 0, 3, "saturate")
     wrap = StateSpace.make(("x",), 0, 3, "wrap")
     prog = parse("while (x != 0) x = x + 1;")
-    assert sem(prog, sat).inf == frozenset((v,) for v in (1, 2, 3))
-    assert sem(prog, wrap).inf == frozenset()
+    assert sem(prog, sat).inf == rd.mask(((v,) for v in (1, 2, 3)), sat)
+    assert sem(prog, wrap).inf == 0
     assert sem(prog, wrap) == oracle_sem(prog, wrap)
 
 
@@ -228,8 +229,8 @@ def test_free_break_terminates_via_br():
     space = StateSpace.make(("x",), 0, 1)
     prog = Seq(Assign("x", Const(1)), rd.lang.Break())
     t = sem(prog, space)
-    assert t.e == frozenset() and t.br == frozenset(
-        (s, (1,)) for s in space.states())
+    assert t.e == rd.empty_rel(space) and t.br == rd.rel(
+        ((s, (1,)) for s in space.states()), space)
     assert oracle_sem(prog, space) == t
 
 
@@ -237,8 +238,9 @@ def test_break_composes_with_closest_loop_only():
     space = StateSpace.make(("x",), 0, 3)
     prog = parse("while (x > 0) { if (x == 2) break; x = x - 1; }")
     t = sem(prog, space)
-    assert t.br == frozenset()  # the while resets the break component
-    assert ((3,), (2,)) in t.e  # 3 -> 2, then break leaves 2
+    # the while resets the break component
+    assert t.br == rd.empty_rel(space)
+    assert ((3,), (2,)) in rd.pairs(t.e, space)  # 3 -> 2, then break leaves 2
     assert t == oracle_sem(prog, space)
 
 
@@ -314,7 +316,7 @@ def test_oracle_self_loop_diverges_everywhere():
     space = StateSpace.make(("x",), 0, 2)
     prog = parse("while (x == x) skip;")
     t = oracle_sem(prog, space)
-    assert t == rd.triple(inf=space.states())
+    assert t == rd.triple(space, inf=space.states())
     assert t == sem(prog, space)
 
 
@@ -325,7 +327,7 @@ def test_oracle_break_exits_only_the_inner_loop():
     t = oracle_sem(prog, space)
     want_e = {(s, s) for s in space.states() if s[0] == 0}
     want_e |= {(s, (0, 1)) for s in space.states() if s[0] > 0}
-    assert t == rd.pure_e(want_e)
+    assert t == rd.triple(space, e=want_e)
     assert t == sem(prog, space)
 
 
@@ -335,11 +337,11 @@ def test_oracle_free_break_under_if_inside_seq():
                Seq(If(Cmp("==", Var("y"), Const(0)), Break(), Skip()),
                    Assign("y", Const(1))))
     t = oracle_sem(prog, space)
-    assert t.br == frozenset((s, (1, 0)) for s in space.states()
-                             if s[1] == 0)
-    assert t.e == frozenset((s, (1, 1)) for s in space.states()
-                            if s[1] == 1)
-    assert t.inf == frozenset()
+    assert t.br == rd.rel(((s, (1, 0)) for s in space.states()
+                           if s[1] == 0), space)
+    assert t.e == rd.rel(((s, (1, 1)) for s in space.states()
+                          if s[1] == 1), space)
+    assert t.inf == 0
     assert t == sem(prog, space)
 
 
@@ -348,7 +350,7 @@ def test_oracle_pruned_assignment_is_a_dead_end():
     space = StateSpace.make(("x",), 0, 3, "prune")
     prog = parse("while (x < 3) x = x + 2;")
     t = oracle_sem(prog, space)
-    assert t == rd.pure_e({((1,), (3,)), ((3,), (3,))})
+    assert t == rd.triple(space, e={((1,), (3,)), ((3,), (3,))})
     assert t == sem(prog, space)
 
 
@@ -356,7 +358,7 @@ def test_oracle_empty_random_range_is_a_dead_end():
     space = StateSpace.make(("x",), 0, 3)
     for src in ("x = [5,9];", "while (x == x) x = [5,9];"):
         t = oracle_sem(parse(src), space)
-        assert t == rd.BOTTOM
+        assert t == rd.bottom(space)
         assert t == sem(parse(src), space)
 
 
@@ -376,6 +378,32 @@ def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
         for name in names:
             monkeypatch.setattr(mod, name, forbidden)
     assert [oracle_sem(s, space) for s, space in cases] == want
+
+
+def test_oracle_compiles_only_the_code_it_reaches(monkeypatch):
+    # no start reaches the then-branch or the loop body on x in [0, 3], so
+    # their kernels are never built: each program costs as many compile_expr
+    # calls as its twin with skip in place of the unreachable code
+    space = StateSpace.make(("x", "y"), 0, 3)
+    calls = count_calls(monkeypatch, rd, ("compile_expr",))
+    for src, twin in (
+            ("if (x > 10) { y = (x * 7) + (y - 1); } else { y = 0; }",
+             "if (x > 10) { skip; } else { y = 0; }"),
+            ("while (x > 10) { y = y + 1; x = x - (y * 2); } y = 1;",
+             "while (x > 10) { skip; } y = 1;")):
+        counts = []
+        for prog in (src, twin):
+            calls["compile_expr"] = 0
+            t = oracle_sem(parse(prog), space)
+            counts.append(calls["compile_expr"])
+            assert t == sem(parse(prog), space)
+        assert counts[0] == counts[1] > 0, src
+    # assignment targets are still resolved when the program is compiled
+    prog = parse("if (x > 10) { zz = 1; } else { skip; }")
+    for run in (sem, oracle_sem):
+        with pytest.raises(rd.UnboundVariableError) as exc:
+            run(prog, space)
+        assert str(exc.value) == "unbound variable 'zz' (space has: x, y)"
 
 
 def test_oracle_closed_forms_on_441_states():

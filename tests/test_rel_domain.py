@@ -7,9 +7,8 @@ from hyperlab.lang import (ABin, Assign, BBin, BoolTest, Break, Cmp, Const,
                            Not, RandAssign, Skip, Var, parse)
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
-from hyperlab.rel_domain import (ARITH_MODES, BOTTOM, SemTriple, StateSpace,
-                                 compose, join, leq, meet, prim, pure_e,
-                                 top_triple)
+from hyperlab.rel_domain import (ARITH_MODES, StateSpace, compose, join, leq,
+                                 meet, prim, top_triple)
 from hyperlab.selftest import (random_aexpr, random_bexpr, random_program,
                                random_triple)
 
@@ -17,36 +16,37 @@ from hyperlab.selftest import (random_aexpr, random_bexpr, random_program,
 def test_prim_skip_is_pointwise_identity():
     space = StateSpace.make(("y",), 0, 1)
     t = prim(Skip(), space)
-    assert t == pure_e({((0,), (0,)), ((1,), (1,))})
+    assert t == rd.triple(space, e={((0,), (0,)), ((1,), (1,))})
 
 
 def test_prim_break_puts_identity_in_br():
     space = StateSpace.make(("y",), 0, 1)
     t = prim(Break(), space)
-    assert t.e == frozenset() and t.inf == frozenset()
+    assert t.e == rd.empty_rel(space) and t.inf == 0
     assert t.br == rd.identity_rel(space)
 
 
 def test_prim_assign_saturates():
     space = StateSpace.make(("y",), -1, 1)
     t = prim(Assign("y", ABin("-", Var("y"), Const(1))), space)
-    assert t.e == frozenset({((-1,), (-1,)), ((0,), (-1,)), ((1,), (0,))})
+    assert t.e == rd.rel({((-1,), (-1,)), ((0,), (-1,)), ((1,), (0,))},
+                         space)
 
 
 def test_prim_assign_wrap_and_prune():
     wrap = StateSpace.make(("y",), 0, 2, "wrap")
     t = prim(Assign("y", ABin("+", Var("y"), Const(1))), wrap)
-    assert ((2,), (0,)) in t.e
+    assert ((2,), (0,)) in rd.pairs(t.e, wrap)
     prune = StateSpace.make(("y",), 0, 2, "prune")
     t = prim(Assign("y", ABin("+", Var("y"), Const(1))), prune)
-    assert all(a[0] != 2 for a, _ in t.e)
+    assert all(a[0] != 2 for a, _ in rd.pairs(t.e, prune))
 
 
 def test_prim_rassign_clips_to_window():
     space = StateSpace.make(("y",), -2, 2)
     t = prim(rd.lang.RandAssign("y", rd.lang.NEG_INF, 0), space)
-    assert t.e == frozenset((s, (v,)) for s in space.states()
-                            for v in (-2, -1, 0))
+    assert t.e == rd.rel(((s, (v,)) for s in space.states()
+                          for v in (-2, -1, 0)), space)
 
 
 def test_prim_unbound_variable():
@@ -125,7 +125,8 @@ def test_kernels_and_prim_match_the_definitional_evaluator():
         rhi = rng.choice((rd.lang.POS_INF, max(bounds)))
         for cmd in (Assign(var, a), RandAssign(var, rlo, rhi), BoolTest(b),
                     RandAssign(var, max(bounds) + 5, rd.lang.POS_INF)):
-            assert prim(cmd, space) == pure_e(_slicing_prim_e(cmd, space))
+            assert prim(cmd, space) == rd.triple(
+                space, e=_slicing_prim_e(cmd, space))
     assert seen == {"Const", "Var", "+", "-", "*", "==", "!=", "<", "<=",
                     ">", ">=", "!", "&&", "||"}
     assert negative
@@ -159,16 +160,17 @@ def test_compose_init_is_two_sided_unit():
 
 def test_compose_divergent_everywhere_absorbs():
     space = StateSpace.make(("y",), 0, 1)
-    div = SemTriple(frozenset(), frozenset(space.states()), frozenset())
+    div = rd.triple(space, inf=space.states())
     rng = random.Random(6)
     for _ in range(20):
         assert compose(div, random_triple(rng, space)) == div
 
 
 def test_compose_two_step_chain():
-    t1 = pure_e({((0,), (1,))})
-    t2 = pure_e({((1,), (0,))})
-    assert compose(t1, t2) == pure_e({((0,), (0,))})
+    space = StateSpace.make(("y",), 0, 1)
+    t1 = rd.triple(space, e={((0,), (1,))})
+    t2 = rd.triple(space, e={((1,), (0,))})
+    assert compose(t1, t2) == rd.triple(space, e={((0,), (0,))})
 
 
 def test_compose_is_associative():
@@ -184,8 +186,8 @@ def test_join_bottom_unit_and_leq_infimum():
     space = StateSpace.make(("y",), 0, 2)
     for _ in range(20):
         t = random_triple(rng, space)
-        assert join(t, BOTTOM) == t
-        assert leq(BOTTOM, t)
+        assert join(t, rd.bottom(space)) == t
+        assert leq(rd.bottom(space), t)
 
 
 def test_branch_join_reproduces_if_semantics():
@@ -206,7 +208,7 @@ def test_branch_join_reproduces_if_semantics():
 
 def _all_rels(space, limit=None):
     pairs = sorted(product(space.states(), space.states()))
-    rels = [frozenset(c) for r in range(len(pairs) + 1)
+    rels = [rd.rel(c, space) for r in range(len(pairs) + 1)
             for c in combinations(pairs, r)]
     return rels if limit is None else random.Random(0).sample(rels, limit)
 
@@ -218,8 +220,8 @@ def test_compose_left_distributes_over_arbitrary_unions():
     for _ in range(150):
         fam = [random_triple(rng, space) for _ in range(rng.randint(0, 3))]
         r = random_triple(rng, space)
-        lhs = compose(rd.join_all(fam), r)
-        rhs = rd.join_all(compose(x, r) for x in fam)
+        lhs = compose(rd.join_all(fam, space), r)
+        rhs = rd.join_all((compose(x, r) for x in fam), space)
         assert lhs == rhs
     assert rels  # exhaustive relation universe was built
 
@@ -230,12 +232,12 @@ def test_compose_right_distributes_over_nonempty_unions_only():
     for _ in range(150):
         fam = [random_triple(rng, space) for _ in range(rng.randint(1, 3))]
         r = random_triple(rng, space)
-        lhs = compose(r, rd.join_all(fam))
-        rhs = rd.join_all(compose(r, x) for x in fam)
+        lhs = compose(r, rd.join_all(fam, space))
+        rhs = rd.join_all((compose(r, x) for x in fam), space)
         assert lhs == rhs
     # the empty union fails when divergence is present: t ; bottom keeps inf
-    t = SemTriple(frozenset(), frozenset(space.states()), frozenset())
-    assert compose(t, BOTTOM) == t != BOTTOM
+    t = rd.triple(space, inf=space.states())
+    assert compose(t, rd.bottom(space)) == t != rd.bottom(space)
 
 
 def test_triple_lattice_laws():
@@ -255,7 +257,7 @@ def test_serialization_round_trip():
     space = StateSpace.make(("x", "y"), -1, 1)
     for _ in range(20):
         t = random_triple(rng, space)
-        assert rd.triple_from_json(rd.triple_to_json(t)) == t
+        assert rd.triple_from_json(rd.triple_to_json(t, space), space) == t
 
 
 def test_space_config_round_trip():
@@ -269,6 +271,107 @@ def test_space_config_round_trip():
 def test_sem_matches_paper_countdown():
     space = StateSpace.make(("y",), -3, 3)
     t = it.sem(parse("while (y != 0) y = y - 1;"), space)
-    assert t.e == frozenset(((v,), (0,)) for v in range(0, 4))
-    assert t.inf == frozenset((v,) for v in range(-3, 0))
-    assert t.br == frozenset()
+    assert t.e == rd.rel((((v,), (0,)) for v in range(0, 4)), space)
+    assert t.inf == rd.mask(((v,) for v in range(-3, 0)), space)
+    assert t.br == rd.empty_rel(space)
+
+
+# ---------------------------------------------------------------------------
+# The dense representation against definitions on sets of state pairs
+
+_SPACES = (StateSpace.make(("y",), -1, 1), StateSpace.make(("x", "y"), 0, 2),
+           StateSpace.make(("x", "y"), (0, -2), (1, 2), "wrap"))
+
+
+def _random_sets(rng, space):
+    """(e, inf, br): random sets of state pairs and of states."""
+    sts = space.states()
+    every = [(a, b) for a in sts for b in sts]
+    return (frozenset(rng.sample(every, rng.randint(0, len(every) // 2))),
+            frozenset(rng.sample(sts, rng.randint(0, len(sts)))),
+            frozenset(rng.sample(every, rng.randint(0, len(every) // 4))))
+
+
+def _compose_pairs(r1, r2):
+    return frozenset((a, c) for a, b in r1 for b2, c in r2 if b == b2)
+
+
+def test_operators_match_their_pairwise_definitions():
+    rng = random.Random(71)
+    for space in _SPACES:
+        for _ in range(60):
+            (e1, i1, b1), (e2, i2, b2) = (_random_sets(rng, space)
+                                          for _ in range(2))
+            t1 = rd.triple(space, e1, i1, b1)
+            t2 = rd.triple(space, e2, i2, b2)
+            assert frozenset(rd.pairs(t1.e, space)) == e1
+            assert frozenset(rd.members(t1.inf, space)) == i1
+            assert rd.compose_rel(t1.e, t2.e) == \
+                rd.rel(_compose_pairs(e1, e2), space)
+            assert rd.rel_into(t1.e, t2.inf) == \
+                rd.mask((a for a, b in e1 if b in i2), space)
+            sts = space.states()
+            assert rd.residual(t1.e, t2.e) == rd.rel(
+                ((a, b) for a in sts for b in sts
+                 if all((a, c) in e2 for b1, c in e1 if b1 == b)), space)
+            assert compose(t1, t2) == rd.triple(
+                space, _compose_pairs(e1, e2),
+                i1 | {a for a, b in e1 if b in i2},
+                b1 | _compose_pairs(e1, b2))
+            assert join(t1, t2) == rd.triple(space, e1 | e2, i1 | i2,
+                                             b1 | b2)
+            assert meet(t1, t2) == rd.triple(space, e1 & e2, i1 & i2,
+                                             b1 & b2)
+            for x, y, xs, ys in ((t1, t2, (e1, i1, b1), (e2, i2, b2)),
+                                 (meet(t1, t2), t1, (e1 & e2, i1 & i2,
+                                                     b1 & b2), (e1, i1, b1))):
+                assert leq(x, y) == all(a <= b for a, b in zip(xs, ys))
+                assert rd.rel_leq(x.e, y.e) == (xs[0] <= ys[0])
+
+
+def test_sort_key_is_the_sorted_state_pair_order():
+    rng = random.Random(72)
+    for space in _SPACES:
+        sets = [_random_sets(rng, space) for _ in range(80)]
+        sets += [(e, i, frozenset()) for e, i, _ in sets[:20]]  # ties on br
+        sets += [(e, frozenset(), b) for e, _, b in sets[:20]]
+
+        def pair_key(s):
+            return tuple(tuple(sorted(c)) for c in s)
+        want = sorted(sets, key=pair_key)
+        got = sorted(sets, key=lambda s: rd.triple(space, *s).sort_key())
+        assert got == want
+
+
+def test_json_round_trip_in_sorted_order():
+    rng = random.Random(73)
+    for space in _SPACES:
+        for _ in range(30):
+            e, inf, br = _random_sets(rng, space)
+            t = rd.triple(space, e, inf, br)
+            d = rd.triple_to_json(t, space)
+            assert d == {"e": [[list(a), list(b)] for a, b in sorted(e)],
+                         "inf": [list(s) for s in sorted(inf)],
+                         "br": [[list(a), list(b)] for a, b in sorted(br)]}
+            assert rd.triple_from_json(d, space) == t
+
+
+_RESET_NEST = ("while (a > 0) {{ while (b > 0) {{ while (c > 0) {{ c = c - 1; }}"
+               " b = b - 1; c = [{0},{1}]; }} a = a - 1; b = [{2},{3}]; }}")
+
+
+def test_random_reset_nests_agree_with_the_oracle_and_the_post_calculus():
+    # |S| = 125, 216 and 343: sem against the small-step oracle, and the
+    # structural post against the composition with sem
+    rng = random.Random(74)
+    from hyperlab import transformers as tf
+    for k in (4, 5, 6):
+        space = StateSpace.make(("a", "b", "c"), 0, k)
+        lo1, lo2 = rng.randint(-1, 2), rng.randint(-1, 2)
+        s = parse(_RESET_NEST.format(lo1, rng.randint(lo1, k + 1),
+                                     lo2, rng.randint(lo2, k + 1)))
+        t = it.sem(s, space)
+        assert t == it.oracle_sem(s, space)
+        for p in [prim("init", space)] + [
+                rd.triple(space, *_random_sets(rng, space)) for _ in range(2)]:
+            assert tf.post_structural(s, p, space) == compose(p, t)

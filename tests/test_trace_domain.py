@@ -74,11 +74,11 @@ def test_concat_associative_with_unit():
 def test_abstract_to_rel_trivial_cases():
     space = StateSpace.make(("x",), 0, 1)
     stutter = td.trace_sem(Skip(), space, 3)
-    pairs, div = td.abstract_to_rel(stutter)
-    assert pairs == frozenset((s, s) for s in space.states())
-    assert div == frozenset()
+    pairs, div = td.abstract_to_rel(stutter, space)
+    assert pairs == rd.rel(((s, s) for s in space.states()), space)
+    assert div == 0
     empty = td.TraceSet(frozenset(), frozenset(), False)
-    assert td.abstract_to_rel(empty) == (frozenset(), frozenset())
+    assert td.abstract_to_rel(empty, space) == (rd.empty_rel(space), 0)
 
 
 def test_abstract_to_rel_on_terminating_countdown():
@@ -86,9 +86,9 @@ def test_abstract_to_rel_on_terminating_countdown():
     prog = parse("while (y != 0) y = y - 1;")
     t = td.trace_sem(prog, space, 8)
     assert not t.truncated
-    pairs, div = td.abstract_to_rel(t)
-    assert pairs == frozenset((s, (0,)) for s in space.states())
-    assert div == frozenset()
+    pairs, div = td.abstract_to_rel(t, space)
+    assert pairs == rd.rel(((s, (0,)) for s in space.states()), space)
+    assert div == 0
 
 
 def test_commutation_on_random_programs():
@@ -105,7 +105,7 @@ def test_commutation_on_random_programs():
         t = td.trace_sem(s, space, 9)
         if t.truncated:
             continue
-        pairs, div = td.abstract_to_rel(t)
+        pairs, div = td.abstract_to_rel(t, space)
         ref = it.sem(s, space)
         assert pairs == ref.e and div == ref.inf
 
@@ -142,8 +142,8 @@ def test_abstraction_commutes_with_each_trace_operation():
 
     def alpha(t):
         assert not t.truncated
-        ends = lambda ts: frozenset((p[0], p[-1]) for p in ts)
-        return rd.SemTriple(ends(t.e), frozenset(), ends(t.br))
+        ends = lambda ts: ((p[0], p[-1]) for p in ts)
+        return rd.triple(space, e=ends(t.e), br=ends(t.br))
 
     def same(t, r):
         a = alpha(t)
