@@ -17,16 +17,36 @@ the way out, or the input set itself when a composed operator leaves it
 unchanged.  `chain_down`/`chain_up` alone test sets, against each family's
 member set computed once, since that beats the round trip.  `unmask` keeps
 the frozensets it builds for masks below 2^10 (at most 1024 sets of up to
-10 elements, under 0.8 MB) and builds the others bit by bit; `down_mask`
-ORs one entry per byte of the mask from tables of at most 256 entries,
-built on first use.  A lattice and its dual share the memo and the tables.
+10 elements, under 0.8 MB) and builds the others bit by bit.
+
+Lattice kernels on byte tables ("four Russians"): a union or an
+intersection of per-element rows over the bits of a mask is one lookup per
+byte of the mask, in a table of at most 256 entries per byte.  A lattice
+holds six such lookups: the unions of the down-sets, of the up-sets, of the
+strict up-sets and of the strict down-sets, and the intersections of the
+up-sets and of the down-sets (the common upper and lower bounds).  With
+full the carrier, up(x) the union of the up-sets of x and above(x) that of
+the strict up-sets, the kernels read
+
+    down_mask(m)            = the union of the down-sets of m
+    min_mask(m)             = m & ~above(m)
+    rho_down_mask(m)        = m & ~up(full & ~m)
+    phi_mask(f, m)          = m & up[f] & ~up(up[f] & ~m)
+    principal_ideal_mask(m) = down[k], up[k] the common upper bounds of m
+
+and `rho_frontier_mask` ORs `phi_mask` over the min frontier.  Each lookup
+builds its tables on first use and keeps them on the lattice.
 
 Order duality: `ToyLattice.dual` is the same carrier with the order
-reversed; it shares the parent's tables with down/up sets, join/meet and
-bottom/top swapped.  By the duality principle each filter-side operator is
-its ideal-side partner computed on the dual: the order and principal
-filters, the max frontier, the frontier order ideal with dual=True and the
-max frontier of a presented subset.  An increasing family is checked as a
+reversed.  It shares the parent's memo, rows and lookups, their tables
+included, with down/up, strictly below/above, lower/upper bounds,
+join/meet and bottom/top swapped.  The parent holds its dual and the dual
+only a weak reference back, so dropping the last reference to a lattice
+frees both at once; a dual whose parent has died builds a new one when
+asked.  By the duality principle each filter-side operator is its
+ideal-side partner computed on the dual: the order and principal filters,
+the max frontier, the frontier order ideal with dual=True and the max
+frontier of a presented subset.  An increasing family is checked as a
 decreasing family of the dual.
 
 Operator census: join/gamma pair, homomorphic image, elimination, principal
@@ -40,8 +60,10 @@ predicates.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable
 
 from . import rel_domain as rd
@@ -57,19 +79,55 @@ class LatticeError(Exception):
 _MEMO_LIMIT = 1 << 10
 
 
-def _byte_tables(rows: list) -> list:
-    """Per byte of a mask, the OR of `rows[i]` over the bits i set in each
-    value of that byte, so a union of rows takes one entry per byte.  Each
-    entry extends the one without its lowest bit."""
+def _byte_tables(rows: list, combine, unit: int) -> list:
+    """Per byte of a mask, `combine` (OR or AND, with `unit` its identity)
+    of `rows[i]` over the bits i set in each value of that byte, so a union
+    or an intersection of rows takes one entry per byte.  Entry b + 2^k, for
+    b < 2^k, is entry b combined with the byte's row k."""
     tabs = []
     for lo in range(0, len(rows), 8):
-        byte_rows = rows[lo:lo + 8]
-        t = [0] * (1 << len(byte_rows))
-        for b in range(1, len(t)):
-            low = b & -b
-            t[b] = t[b ^ low] | byte_rows[low.bit_length() - 1]
+        t = [unit]
+        for row in rows[lo:lo + 8]:
+            t += list(map(combine, t, repeat(row)))
         tabs.append(t)
     return tabs
+
+
+def _read(tabs: list, combine) -> Callable[[int], int]:
+    """m -> `combine` of the entries of `tabs` that the bytes of m select.
+    One table is read by its own `__getitem__` and two by one expression:
+    the loop alone gives the same results, but made the `lattice-laws`
+    benchmark (8 to 10 elements) 6 % slower on a 2-core machine."""
+    if len(tabs) == 1:
+        return tabs[0].__getitem__
+    if len(tabs) == 2:  # carriers of 9 to 16 elements
+        t0, t1 = tabs
+        return lambda m: combine(t0[m & 255], t1[m >> 8])
+    first, rest = tabs[0], tabs[1:]
+
+    def read(m):
+        out = first[m & 255]
+        for t in rest:
+            m >>= 8
+            out = combine(out, t[m & 255])
+        return out
+    return read
+
+
+class _Lookup:
+    """`fn(m)`: `combine` of `rows[i]` over the bits i of m (`unit` for the
+    empty mask), by one table entry per byte of m.  The first call builds
+    the tables and stores their reader as the instance's `fn`, which then
+    shadows this method; no reference cycle is formed.  Read `fn` anew on
+    each call: one taken before the first call rebuilds the tables."""
+
+    def __init__(self, rows: list, combine=operator.or_, unit: int = 0):
+        self.rows, self.combine, self.unit = rows, combine, unit
+
+    def fn(self, m: int) -> int:
+        self.fn = _read(_byte_tables(self.rows, self.combine, self.unit),
+                        self.combine)
+        return self.fn(m)
 
 
 class ToyLattice:
@@ -83,18 +141,16 @@ class ToyLattice:
         self._bit = {e: 1 << i for i, e in enumerate(self.elements)}
         self._sets = {}  # unmask memo, masks below _MEMO_LIMIT only
         n = len(self.elements)
+        self._full = full = (1 << n) - 1
         self._down = [0] * n  # down[i]: mask of elements below element i
         self._up = [0] * n
-        self._down_tabs, self._up_tabs = [], []  # byte tables, on first use
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 if leq(b, a):
                     self._down[i] |= 1 << j
-                if leq(a, b):
-                    self._up[i] |= 1 << j
+                    self._up[j] |= 1 << i
         if validate:
             self._validate()
-        full = (1 << n) - 1
         bots = [i for i in range(n) if self._up[i] == full]
         tops = [i for i in range(n) if self._down[i] == full]
         if len(bots) != 1 or len(tops) != 1:
@@ -106,8 +162,8 @@ class ToyLattice:
         self._meet_tab = {}
         # the lub of i, j is the element whose up-set is exactly their common
         # upper bounds (antisymmetry makes up-sets distinct); dually the glb
-        by_up = {u: k for k, u in enumerate(self._up)}
-        by_down = {d: k for k, d in enumerate(self._down)}
+        self._by_up = by_up = {u: k for k, u in enumerate(self._up)}
+        self._by_down = by_down = {d: k for k, d in enumerate(self._down)}
         for i in range(n):
             for j in range(i, n):
                 jn = by_up.get(self._up[i] & self._up[j])
@@ -118,27 +174,45 @@ class ToyLattice:
                         (self.elements[i], self.elements[j]))
                 self._join_tab[(i, j)] = self._join_tab[(j, i)] = jn
                 self._meet_tab[(i, j)] = self._meet_tab[(j, i)] = mt
-        self._dual = None
+        # byte-table lookups, each built on its first call
+        self._downs = _Lookup(self._down)
+        self._ups = _Lookup(self._up)
+        self._below = _Lookup([d ^ 1 << i for i, d in enumerate(self._down)])
+        self._above = _Lookup([u ^ 1 << i for i, u in enumerate(self._up)])
+        self._lower_bounds = _Lookup(self._down, operator.and_, -1)
+        self._upper_bounds = _Lookup(self._up, operator.and_, -1)
+        self._dual = None  # the dual; on a dual, a weak reference back
 
     @property
     def dual(self) -> "ToyLattice":
-        """The order-dual lattice on the same elements, built once.
+        """The order-dual lattice on the same elements, built once per
+        parent.
 
         Attributes are assigned in `__init__`'s order so that both lattices
         keep the same instance-dict layout.
         """
-        if self._dual is None:
+        d = self._dual
+        if type(d) is ToyLattice:
+            return d
+        if d is not None:  # a dual's weak reference to its parent
+            d = d()
+        if d is None:
             d = ToyLattice.__new__(ToyLattice)
             d.elements = self.elements
             d._idx, d._bit, d._sets = self._idx, self._bit, self._sets
+            d._full = self._full
             d._down, d._up = self._up, self._down
-            d._down_tabs, d._up_tabs = self._up_tabs, self._down_tabs
             d._bot_i, d._top_i = self._top_i, self._bot_i
             d.bot, d.top = self.top, self.bot
             d._join_tab, d._meet_tab = self._meet_tab, self._join_tab
-            d._dual = self
+            d._by_up, d._by_down = self._by_down, self._by_up
+            d._downs, d._ups = self._ups, self._downs
+            d._below, d._above = self._above, self._below
+            d._lower_bounds = self._upper_bounds
+            d._upper_bounds = self._lower_bounds
+            d._dual = weakref.ref(self)
             self._dual = d
-        return self._dual
+        return d
 
     def _validate(self):
         n = len(self.elements)
@@ -165,21 +239,17 @@ class ToyLattice:
         """Order generated by `pairs` (reflexive-transitive closure taken)."""
         elems = tuple(elements)
         idx = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        le = [[False] * n for _ in range(n)]
-        for i in range(n):
-            le[i][i] = True
+        bit = {e: 1 << i for i, e in enumerate(elems)}
+        up = [1 << i for i in range(len(elems))]  # up[i]: i's upper bounds
         for a, b in pairs:
-            le[idx[a]][idx[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if le[i][k]:
-                    row_k = le[k]
-                    row_i = le[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return cls(elems, lambda a, b: le[idx[a]][idx[b]])
+            up[idx[a]] |= bit[b]
+        # Warshall on rows: whatever is below k gains everything above k
+        for k, row in enumerate(up):
+            k_bit = 1 << k
+            for i, r in enumerate(up):
+                if r & k_bit:
+                    up[i] = r | row
+        return cls(elems, lambda a, b: up[idx[a]] & bit[b])
 
     # ---- basics -----------------------------------------------------------
     def index(self, e) -> int:
@@ -225,68 +295,33 @@ class ToyLattice:
             i = self._meet_tab[(i, self._idx[e])]
         return self.elements[i]
 
-    # ---- mask-level operators ---------------------------------------------
+    # ---- mask-level operators (byte-table kernels) -------------------------
     def down_mask(self, m: int) -> int:
-        tabs = self._down_tabs
-        if not tabs:
-            tabs.extend(_byte_tables(self._down))
-        out = 0
-        for t in tabs:
-            out |= t[m & 255]
-            m >>= 8
-        return out
+        return self._downs.fn(m)
 
     def min_mask(self, m: int) -> int:
-        out = 0
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if self._down[i] & m & ~(1 << i) == 0:
-                out |= 1 << i
-        return out
+        return m & ~self._above.fn(m)
 
     def principal_ideal_mask(self, m: int) -> int:
-        i = self._bot_i
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            i = self._join_tab[(i, j)]
-        return self._down[i]
+        return self._down[self._by_up[self._upper_bounds.fn(m) & self._full]]
 
     def rho_down_mask(self, m: int) -> int:
-        out = 0
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if self._down[i] & ~m == 0:
-                out |= 1 << i
-        return out
+        return m & ~self._ups.fn(self._full & ~m)
 
     def phi_mask(self, f, m: int) -> int:
-        fi = self._idx[f]
-        out = 0
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if not self._down[i] & (1 << fi):
-                continue
-            interval = self._down[i] & self._up[fi]
-            if interval & ~m == 0:
-                out |= 1 << i
-        return out
+        uf = self._up[self._idx[f]]
+        return m & uf & ~self._ups.fn(uf & ~m)
 
     def rho_frontier_mask(self, m: int) -> int:
+        """The union of phi_mask(f, m) over the min frontier f of m."""
         out = 0
         front = self.min_mask(m)
         while front:
-            fi = (front & -front).bit_length() - 1
-            front &= front - 1
-            out |= self.phi_mask(self.elements[fi], m)
-        return out
+            low = front & -front
+            front ^= low
+            uf = self._up[low.bit_length() - 1]
+            out |= uf & ~self._ups.fn(uf & ~m)
+        return m & out
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +353,7 @@ class ChainPoset:
         # an "up" family is checked as a "down" family of the dual lattice
         lat = self.lattice
         chains = {"down": [], "up": []}
+        presented = {}
         for f in self.families:
             if f.direction not in _WORDS:
                 raise LatticeError("bad direction %r" % f.direction)
@@ -330,10 +366,14 @@ class ChainPoset:
                 raise LatticeError("limit of %s not %s bound" % (f.name, bound))
             if not f.parametric and oriented.meet(seq) != f.limit:
                 raise LatticeError("limit of %s is not its glb/lub" % f.name)
-            chains[f.direction].append((frozenset(seq), lat.mask(seq),
-                                        f.limit, lat._bit[f.limit]))
+            chain = (frozenset(seq), lat.mask(seq), f.limit, lat._bit[f.limit])
+            chains[f.direction].append(chain)
+            presented.setdefault(f.name, (f.direction, f.parametric, chain))
         # per direction: (member set, member mask, limit, limit bit)
         object.__setattr__(self, "_chains", chains)
+        # per family name, the first family so named: (direction, parametric,
+        # its `_chains` entry)
+        object.__setattr__(self, "_presented", presented)
 
     def chain_mask(self, m: int, direction: str) -> int:
         """m with the limit of each `direction` family wholly inside m."""
@@ -541,14 +581,15 @@ def _frontier_presented(cp: ChainPoset, explicit, included_families,
     m = lat.mask(explicit)
     blocked = 0
     for name in included_families:
-        fam = next((f for f in cp.families if f.name == name), None)
+        fam = cp._presented.get(name)
         if fam is None:
             raise LatticeError("unknown family %r" % (name,))
-        if fam.direction != direction or not fam.parametric:
+        fam_direction, parametric, (_, members, _, limit) = fam
+        if fam_direction != direction or not parametric:
             raise LatticeError("included family %s is not a parametric "
                                "%s-chain" % (name, direction))
-        m |= lat.mask(fam.elements)
-        blocked |= lat.mask(e for e in fam.elements if e != fam.limit)
+        m |= members
+        blocked |= members & ~limit
     return lat.unmask(_oriented(lat, direction).min_mask(m) & ~blocked)
 
 

@@ -321,7 +321,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     if synthesized:
         rep.note("invariant synthesized", True, "%d elements" % len(inv))
 
-    wsem = interpreter.loop_post(cond, bs, space)(prim("init", space))
+    wsem = interpreter.loop_triple(cond, bs, space)
     sound = all(member_rel(rd.compose_rel(p, wsem.e)) for p in pre_rels)
     rep.note("conclusion:direct", sound)
     # the weak conclusion is the exit premise of the family

@@ -7,10 +7,10 @@ guard and guarded body.  The `Algebra` `d` is the relational one here
 (`sem`), the post transformers (`transformers.transformer`) or the bounded
 traces (`trace_domain.traces`).  The relational values are dense: a
 relation is one target bitmask per source state index, a state set one mask
-(`rel_domain`).  The relational loop `loop_post` takes both fixpoints once
+(`rel_domain`).  The relational loop `loop_triple` takes both fixpoints once
 per guarded body, the divergence gfp on masks and the closure lfp on rows,
-and returns the post function, which composes each precondition with the
-loop's triple.  Every carrier is finite, so the fixpoints run to
+and returns the loop's own triple: `sem` uses it as it is, and the post
+transformers compose each precondition with it.  Every carrier is finite, so the fixpoints run to
 stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
@@ -124,19 +124,19 @@ def interpret(s: lang.Stmt, d: Algebra):
 # ---------------------------------------------------------------------------
 # The relational algebra
 
-def loop_post(cond: lang.BExpr, bs: SemTriple,
-              space: StateSpace) -> Callable[[SemTriple], SemTriple]:
-    """post of `while (cond) body` as a function of the precondition p,
-    given bs = sem(B;S).
+def loop_triple(cond: lang.BExpr, bs: SemTriple,
+                space: StateSpace) -> SemTriple:
+    """sem of `while (cond) body`, given bs = sem(B;S).
 
-    Neither fixpoint depends on p.  The greatest fixpoint of
+    The post of the loop on a precondition p composes p with this triple,
+    and neither fixpoint depends on p.  The greatest fixpoint of
     X -> pre[B;S](X), a state mask, holds the starts that iterate forever.
     The least fixpoint of X -> id | X ; bs.e is the closure bs.e*, taken
     semi-naively: each round composes only the pairs the previous round
     added.  The executions at the loop head are p.e ; bs.e*; they leave
     through the negated guard or a break of the body, or diverge in the
-    body.  So post(p) composes p with one loop triple; the loop consumes its
-    own breaks, and p.br passes through unchanged.
+    body.  The loop consumes its own breaks, so composing p with the triple
+    passes p.br through unchanged.
     """
     n = space.size()
     div = gfp(lambda x: rd.rel_into(bs.e, x), (1 << n) - 1,
@@ -152,16 +152,14 @@ def loop_post(cond: lang.BExpr, bs: SemTriple,
     star = lfp(grow, rd.empty_rel(space), le=rd.rel_leq,
                max_iter=n + 2).result
     exits = rd.union(prim(BoolTest(neg(cond)), space).e, bs.br)
-    loop = SemTriple(rd.compose_rel(star, exits),
+    return SemTriple(rd.compose_rel(star, exits),
                      rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
-    return lambda p: compose(p, loop)
 
 
 def relational(space: StateSpace) -> Algebra:
-    """Denotation triples; a loop is `loop_post` on the identity."""
+    """Denotation triples; a loop is `loop_triple`."""
     return Algebra(lambda s: prim(s, space), compose, join,
-                   lambda cond, bs: loop_post(cond, bs, space)(
-                       prim("init", space)))
+                   lambda cond, bs: loop_triple(cond, bs, space))
 
 
 def body_triple(b: lang.BExpr, body: lang.Stmt, space: StateSpace) -> SemTriple:

@@ -103,14 +103,15 @@ def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
 # Structural post calculus
 
 def transformer(space: StateSpace) -> Algebra:
-    """Post functions p -> q; a loop is `loop_post` on its guarded body's
-    function applied to the identity."""
+    """Post functions p -> q; a loop composes p with `loop_triple` of its
+    guarded body's function applied to the identity."""
     def basic(s):
         t = prim(s, space)
         return lambda p: compose(p, t)
 
     def loop(cond, body):
-        return interpreter.loop_post(cond, body(prim("init", space)), space)
+        t = interpreter.loop_triple(cond, body(prim("init", space)), space)
+        return lambda p: compose(p, t)
 
     return Algebra(basic, lambda f, g: lambda p: g(f(p)),
                    lambda f, g: lambda p: join(f(p), g(p)), loop)

@@ -1,4 +1,11 @@
+import gc
 import random
+import sys
+import weakref
+from array import array
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_
 
 import pytest
 
@@ -18,7 +25,7 @@ from hyperlab.abstractions import (ChainPoset, Family, LatticeError,
 from hyperlab.lang import parse
 from hyperlab.rel_domain import SemTriple, StateSpace
 from hyperlab.selftest import (SPACE_Y, S1_SRC, _chain_cex_poset,
-                               _closure_battery)
+                               _closure_battery, _increasing)
 
 
 AB = ToyLattice.powerset("ab")
@@ -52,6 +59,9 @@ def test_malformed_orders_rejected():
              ("a", "d"), ("b", "d"), ("c", "top"), ("d", "top")))
     with pytest.raises(LatticeError):
         ToyLattice(("x", "x"), lambda a, b: True)
+    with pytest.raises(LatticeError) as exc:
+        ToyLattice.from_pairs("xyx", (("x", "y"), ("y", "x")))
+    assert str(exc.value) == "duplicate elements"
 
 
 def test_bad_family_rejected():
@@ -672,3 +682,201 @@ def test_sweeping_subsets_leaves_a_bounded_memo():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000, held
+
+
+def test_dropping_a_lattice_frees_it_and_its_dual_at_once():
+    gc.disable()  # freed by reference counting alone, so by no cycle
+    try:
+        lat = ToyLattice.powerset("abc")
+        dual = lat.dual
+        assert dual.dual is lat
+        frontier_max(lat, lat.elements)  # the dual's tables exist too
+        dead = weakref.ref(lat), weakref.ref(dual)
+        del lat, dual
+        assert [r() for r in dead] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_dual_outliving_its_lattice_rebuilds_it():
+    lat = ToyLattice.powerset("ab")
+    dual = lat.dual
+    order = [[lat.leq(x, y) for y in lat.elements] for x in lat.elements]
+    del lat
+    again = dual.dual
+    assert again.dual is dual and dual.dual is again
+    assert [[again.leq(x, y) for y in again.elements]
+            for x in again.elements] == order
+    assert (again.bot, again.top) == (dual.top, dual.bot)
+
+
+def test_increasing_compares_exactly_the_bit_neighbours():
+    rng = random.Random(12)
+    for width in range(7):
+        n = 1 << width
+        for _ in range(20):
+            # unions of random rows are increasing; then spoil one entry
+            rows = [rng.getrandbits(6) for _ in range(width)]
+            f = [reduce(or_, (r for b, r in enumerate(rows) if m >> b & 1), 0)
+                 for m in range(n)]
+            if rng.random() < 0.7:
+                f[rng.randrange(n)] = rng.getrandbits(6)
+            want = all(f[m] & ~f[m | 1 << b] == 0
+                       for m in range(n) for b in range(width))
+            assert _increasing(f) == want, (width, f)
+
+
+# ---------------------------------------------------------------------------
+# Byte-table kernels against their order-theoretic definitions
+
+class _Slots:
+    """Sets of masks, the masks of `masks` in list order, as one int with a
+    slot of bits per mask, wide enough for a mask of n bits.  `pack` puts
+    table[j] in slot j; `holding[x]` holds 1 in the slot of each mask that
+    contains element x, and `every` 1 in every slot."""
+
+    def __init__(self, masks, n):
+        self.code = next(c for c in "BHIQ" if array(c).itemsize * 8 >= n)
+        self.masks = masks
+        self.every = self.pack([1] * len(masks))
+        self.holding = [self.pack([m >> x & 1 for m in masks])
+                        for x in range(n)]
+
+    def pack(self, table) -> int:
+        return int.from_bytes(array(self.code, table).tobytes(), sys.byteorder)
+
+    def unpack(self, packed: int) -> list:
+        width = array(self.code).itemsize * len(self.masks)
+        return list(array(self.code, packed.to_bytes(width, sys.byteorder)))
+
+
+def _kernel_definitions(lat, slots):
+    """Each kernel by its definition, the order read through lat.leq: per
+    element x, the set of masks whose image holds x, then the table of
+    images packed into slots."""
+    els = lat.elements
+    n = len(els)
+    le = [[lat.leq(a, b) for b in els] for a in els]
+    holding, every = slots.holding, slots.every
+
+    def all_of(xs):  # the masks holding each of xs
+        return reduce(and_, (holding[x] for x in xs), every)
+
+    def any_of(sets):
+        return reduce(or_, sets, 0)
+
+    # no other member below x
+    minimal = [holding[x] & ~any_of(holding[y] for y in range(n)
+                                    if le[y][x] and y != x)
+               for x in range(n)]
+    # every element below x stays inside
+    rho = [all_of(y for y in range(n) if le[y][x]) for x in range(n)]
+    # x above f, and the interval [f, x] stays inside
+    phi = [[all_of(y for y in range(n) if le[f][y] and le[y][x])
+            if le[f][x] else 0 for x in range(n)] for f in range(n)]
+    rho_frontier = [any_of(minimal[f] & phi[f][x] for f in range(n))
+                    for x in range(n)]
+    # x is below the least upper bound iff below every upper bound u, i.e.
+    # no mask inside the down-set of a u not above x
+    inside = [every & ~any_of(holding[y] for y in range(n) if not le[y][u])
+              for u in range(n)]
+    principal = [every & ~any_of(inside[u] for u in range(n) if not le[x][u])
+                 for x in range(n)]
+
+    def table(per_element):
+        return any_of(p << x for x, p in enumerate(per_element))
+    return {"min_mask": table(minimal), "rho_down_mask": table(rho),
+            "rho_frontier_mask": table(rho_frontier),
+            "principal_ideal_mask": table(principal),
+            "phi_mask": [table(p) for p in phi]}
+
+
+def _m3_times_chain4():
+    """M3 times the four-element chain: 20 elements, three bytes."""
+    m3 = (("bot", "a"), ("bot", "b"), ("bot", "c"),
+          ("a", "top"), ("b", "top"), ("c", "top"))
+    els = [(x, k) for k in range(4) for x in ("bot", "a", "b", "c", "top")]
+    pairs = [((x, k), (y, k)) for x, y in m3 for k in range(4)]
+    pairs += [((x, k), (x, k + 1)) for x, k in els if k < 3]
+    return ToyLattice.from_pairs(els, pairs)
+
+
+def _kernel_carriers():
+    rng = random.Random(2024)
+    sample = [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(2000)]
+    return ((ToyLattice.powerset("abcd"), range(1 << 16)),
+            (_m3_times_2()[0].lattice, range(1 << 10)),
+            (_m3_times_chain4(), sample))
+
+
+@pytest.mark.parametrize("lat, masks", _kernel_carriers(),
+                         ids=("powerset abcd, two full bytes",
+                              "M3 x 2, ten elements",
+                              "M3 x chain 4, three bytes, sampled"))
+def test_table_kernels_match_their_definitions(lat, masks):
+    slots = _Slots(masks, len(lat.elements))
+
+    def first_difference(got, want):
+        return next((m, g, w) for m, g, w in zip(
+            masks, slots.unpack(got), slots.unpack(want)) if g != w)
+
+    for side in (lat, lat.dual):
+        want = _kernel_definitions(side, slots)
+        for name in ("min_mask", "rho_down_mask", "rho_frontier_mask",
+                     "principal_ideal_mask"):
+            got = slots.pack(list(map(getattr(side, name), masks)))
+            assert got == want[name], (name, first_difference(got, want[name]))
+        for e, want_f in zip(side.elements, want["phi_mask"]):
+            got = slots.pack(list(map(side.phi_mask, repeat(e), masks)))
+            assert got == want_f, ("phi_mask", e, first_difference(got, want_f))
+
+
+def _closure_by_search(elements, pairs):
+    """a -> the set of elements reachable from a along pairs, a included."""
+    succ = {e: [] for e in elements}
+    for a, b in pairs:
+        succ[a].append(b)
+    reach = {}
+    for e in elements:
+        seen, todo = {e}, [e]
+        while todo:
+            for b in succ[todo.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach[e] = seen
+    return reach
+
+
+def test_from_pairs_closes_the_order_as_the_definition_does():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        els = ["e%d" % i for i in range(rng.randint(1, 9))]
+        # random covers, upward in a random rank order (not the order of
+        # els) but now and then downward (a cycle breaks antisymmetry),
+        # often below one top and above one bottom
+        ranked = rng.sample(els, len(els))
+        pairs = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1:]
+                 if rng.random() < 0.3]
+        pairs += [(b, a) for a, b in pairs if rng.random() < 0.03]
+        if len(els) > 2 and rng.random() < 0.7:
+            pairs += [(ranked[0], e) for e in els]
+            pairs += [(e, ranked[-1]) for e in els]
+        rng.shuffle(pairs)
+        reach = _closure_by_search(els, pairs)
+        try:
+            want = ToyLattice(els, lambda a, b: b in reach[a])
+        except LatticeError as exc:
+            want = str(exc)
+        try:
+            got = ToyLattice.from_pairs(els, pairs)
+        except LatticeError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want, (els, pairs)
+        else:
+            assert [[got.leq(a, b) for b in els] for a in els] == \
+                [[want.leq(a, b) for b in els] for a in els], (els, pairs)
+        outcomes.add(want.split(" ")[0] if isinstance(want, str) else "ok")
+    assert outcomes == {"ok", "order", "missing", "no"}, outcomes

@@ -34,21 +34,18 @@ def test_lfp_detects_non_monotone_step():
     assert err.value.iteration >= 1
 
 
-# The loop's two fixpoints, read through loop_post.  With a guard that is
+# The loop's two fixpoints, read through loop_triple.  With a guard that is
 # never true the loop leaves from every head state, so for a break-free body
-# triple the post's e is the entry lfp itself; from the identity, with a
-# body triple that neither diverges nor breaks, the post's inf is the
-# divergence gfp itself.
+# triple the loop's e is the entry lfp itself; with a body triple that
+# neither diverges nor breaks, the loop's inf is the divergence gfp itself.
 
 def entry_fixpoint(bs, space):
     v = Var(space.vars[0])
-    return it.loop_post(Cmp("!=", v, v), rd.pure_e(bs.e),
-                        space)(rd.prim("init", space)).e
+    return it.loop_triple(Cmp("!=", v, v), rd.pure_e(bs.e), space).e
 
 
 def divergence_gfp(cond, bs, space):
-    return it.loop_post(cond, rd.pure_e(bs.e),
-                        space)(rd.prim("init", space)).inf
+    return it.loop_triple(cond, rd.pure_e(bs.e), space).inf
 
 
 def backward_entry_fixpoint(bs, space):
@@ -372,7 +369,7 @@ def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
         raise AssertionError("oracle_sem must not use the structural route")
 
     for mod, names in ((it, ("sem", "interpret", "lfp", "gfp", "body_triple",
-                             "loop_post", "prim", "compose", "join")),
+                             "loop_triple", "prim", "compose", "join")),
                        (rd, ("prim", "compose", "compose_rel", "rel_into",
                              "join", "identity_rel"))):
         for name in names:
