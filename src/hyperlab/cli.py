@@ -353,6 +353,11 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the semantics recurse over the syntax tree
+        print("error: input nested too deeply for the recursion limit (%d)"
+              % sys.getrecursionlimit(), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from . import interpreter, rel_domain as rd, transformers as tf
 from .abstractions import HyperOracle
 from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
-from .rel_domain import SemTriple, StateSpace, join, leq, prim
+from .rel_domain import SemTriple, StateSpace, join, leq
 from .transformers import HyperSet, Post, membership, post
 
 
@@ -302,9 +302,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     # triple and the weak family come from it whatever the number of
     # antecedents.  The family is the canonical (minimal) invariant:
     # premise 1 forces the antecedents in and premise 2 forces closure.
-    bs = interpreter.body_triple(cond, body, space)
-    not_b = prim(BoolTest(neg(cond)), space).e
-    step = rd.union(bs.e, not_b)
+    bs, not_b, step = tf.weak_step(cond, body, space)
     family, _ = tf.weak_family(step, pre_rels, space)
     synthesized = invariant is None
     inv = family if synthesized else frozenset(_as_rel(i) for i in invariant)

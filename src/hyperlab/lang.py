@@ -8,12 +8,24 @@ Statements: assignment `x = A`, random assignment `x = [a,b]` (bounds may be
 `!`, `&&`, `||`.  There is no division, so expressions are total, and
 expressions have no side effects.
 
+Lexically, a name is a letter or `_` followed by letters, digits and `_`
+(Unicode ones included, so `é` is a name); an integer literal is a run of
+decimal digits of any script (`٣` is 3); other numeric characters such as
+`²` or `Ⅻ` are unexpected characters.  `#` starts a comment that runs to
+the end of the line; spaces, tabs, `\r` and newlines separate tokens.  A
+`ParseError` gives the line and column of the offending token, counting a
+tab as one column.  The parser and the structural walks recurse over the
+syntax, so a program nested deeper than Python's recursion limit (hundreds
+of parentheses, or a thousand statements in one sequence) raises
+`RecursionError`, which `hl` reports as an input error with exit code 2.
+
 `BoolTest` is a guard statement used internally by the semantics and the
 calculi; it is not part of the concrete grammar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -153,42 +165,27 @@ def validate_breaks(s: Stmt):
     return walk(s, False, [])
 
 
+def _expr_vars(e, out: set) -> None:
+    """Add the variables of an arithmetic or boolean expression to `out`."""
+    if isinstance(e, Var):
+        out.add(e.name)
+    elif isinstance(e, Not):
+        _expr_vars(e.arg, out)
+    elif not isinstance(e, Const):  # ABin, Cmp and BBin
+        _expr_vars(e.left, out)
+        _expr_vars(e.right, out)
+
+
 def stmt_vars(s: Stmt) -> frozenset:
     """All variable names occurring in a statement."""
     out: set = set()
-
-    def ae(e):
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, ABin):
-            ae(e.left)
-            ae(e.right)
-
-    def be(b):
-        if isinstance(b, Cmp):
-            ae(b.left)
-            ae(b.right)
-        elif isinstance(b, Not):
-            be(b.arg)
-        else:
-            be(b.left)
-            be(b.right)
-
-    def st(node):
+    for node in subtrees(s):
+        if isinstance(node, (Assign, RandAssign)):
+            out.add(node.var)
         if isinstance(node, Assign):
-            out.add(node.var)
-            ae(node.expr)
-        elif isinstance(node, RandAssign):
-            out.add(node.var)
+            _expr_vars(node.expr, out)
         elif isinstance(node, (If, While, BoolTest)):
-            be(node.cond)
-            for c in children(node):
-                st(c)
-        else:
-            for c in children(node):
-                st(c)
-
-    st(s)
+            _expr_vars(node.cond, out)
     return frozenset(out)
 
 
@@ -265,99 +262,86 @@ class ParseError(Exception):
         self.col = col
 
 
-_SYMBOLS = ("==", "!=", "<=", ">=", "&&", "||",
-            "=", "<", ">", "!", "+", "-", "*",
-            "(", ")", "{", "}", "[", "]", ",", ";")
 _KEYWORDS = {"skip", "break", "if", "else", "while", "oo"}
+_COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
+# whitespace and comments have no group; symbols are listed longest first
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | (?P<comment>\#[^\n]*)
+  | (?P<int>\d+) | (?P<name>[^\W\d]\w*)
+  | (?P<sym>==|!=|<=|>=|&&|\|\||[-=<>!+*(){}\[\],;]) | (?P<bad>.)
+""", re.VERBOSE)
 
 
-def _tokenize(text: str):
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """`message` at the line and column of `offset` (a tab is one column)."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
+
+
+def _tokenize(text: str) -> list:
+    """Tokens (tag, text, offset): the tag of a symbol or keyword is its
+    text, otherwise 'int', 'name' or 'eof'.  End of input after a trailing
+    comment sits at the comment's '#'."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    m = None
+    for m in _TOKEN.finditer(text):
+        tag = m.lastgroup
+        if tag is None or tag == "comment":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "name"
-            toks.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError("unexpected character %r" % c, line, col)
-    toks.append(("eof", "", line, col))
+        word = m.group()
+        if tag == "name" and not (word[0].isalpha() or word[0] == "_"):
+            tag = "bad"  # a numeric character such as '²' or 'Ⅻ'
+        if tag == "bad":
+            raise _error(text, m.start(), "unexpected character %r" % word[0])
+        if tag == "sym" or word in _KEYWORDS:
+            tag = word
+        toks.append((tag, word, m.start()))
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    toks.append(("eof", "", end))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def next(self):
-        t = self.toks[self.pos]
+    def next(self) -> str:
+        """Consume the current token and return its text."""
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1][1]
+
+    def accept(self, tag: str) -> bool:
+        if self.toks[self.pos][0] != tag:
+            return False
+        self.pos += 1
+        return True
 
     def error(self, msg):
-        _, val, line, col = self.peek()
-        shown = val if val else "end of input"
-        raise ParseError("%s (found %r)" % (msg, shown), line, col)
+        _, word, offset = self.toks[self.pos]
+        raise _error(self.text, offset,
+                     "%s (found %r)" % (msg, word or "end of input"))
 
-    def expect(self, kind, value=None):
-        k, v, _, _ = self.peek()
-        if k != kind or (value is not None and v != value):
-            self.error("expected %r" % (value if value is not None else kind))
+    def expect(self, tag: str) -> str:
+        if self.peek() != tag:
+            self.error("expected %r" % tag)
         return self.next()
-
-    def at(self, kind, value=None):
-        k, v, _, _ = self.peek()
-        return k == kind and (value is None or v == value)
 
     # statements -----------------------------------------------------------
     def program(self) -> Stmt:
         s = self.stmt_seq()
-        if not self.at("eof"):
+        if self.peek() != "eof":
             self.error("trailing input")
         return s
 
     def stmt_seq(self) -> Stmt:
         stmts = [self.stmt()]
-        while not (self.at("eof") or self.at("sym", "}") or self.at("kw", "else")):
+        while self.peek() not in ("eof", "}", "else"):
             stmts.append(self.stmt())
         s = stmts[-1]
         for prev in reversed(stmts[:-1]):
@@ -365,90 +349,67 @@ class _Parser:
         return s
 
     def stmt(self) -> Stmt:
-        if self.at("sym", "{"):
-            self.next()
+        tag = self.peek()
+        if tag not in ("{", "skip", "break", "if", "while", "name"):
+            self.error("expected a statement")
+        word = self.next()
+        if tag == "{":
             s = self.stmt_seq()
-            self.expect("sym", "}")
+            self.expect("}")
             return s
-        if self.at("kw", "skip"):
-            self.next()
-            self.expect("sym", ";")
-            return Skip()
-        if self.at("kw", "break"):
-            self.next()
-            self.expect("sym", ";")
-            return Break()
-        if self.at("kw", "if"):
-            self.next()
-            self.expect("sym", "(")
+        if tag in ("skip", "break"):
+            self.expect(";")
+            return Skip() if tag == "skip" else Break()
+        if tag in ("if", "while"):
+            self.expect("(")
             cond = self.bexpr()
-            self.expect("sym", ")")
-            then = self.stmt()
-            orelse: Stmt = Skip()
-            if self.at("kw", "else"):
-                self.next()
-                orelse = self.stmt()
-            return If(cond, then, orelse)
-        if self.at("kw", "while"):
-            self.next()
-            self.expect("sym", "(")
-            cond = self.bexpr()
-            self.expect("sym", ")")
-            return While(cond, self.stmt())
-        if self.at("name"):
-            _, name, _, _ = self.next()
-            self.expect("sym", "=")
-            if self.at("sym", "["):
-                self.next()
-                lo = self.bound()
-                self.expect("sym", ",")
-                hi = self.bound()
-                self.expect("sym", "]")
-                self.expect("sym", ";")
-                return RandAssign(name, lo, hi)
-            e = self.aexpr()
-            self.expect("sym", ";")
-            return Assign(name, e)
-        self.error("expected a statement")
+            self.expect(")")
+            body = self.stmt()
+            if tag == "while":
+                return While(cond, body)
+            orelse = self.stmt() if self.accept("else") else Skip()
+            return If(cond, body, orelse)
+        self.expect("=")
+        if self.accept("["):
+            lo = self.bound()
+            self.expect(",")
+            hi = self.bound()
+            self.expect("]")
+            self.expect(";")
+            return RandAssign(word, lo, hi)
+        e = self.aexpr()
+        self.expect(";")
+        return Assign(word, e)
 
     def bound(self):
-        neg = False
-        if self.at("sym", "-"):
-            self.next()
-            neg = True
-        if self.at("kw", "oo"):
-            self.next()
+        neg = self.accept("-")
+        if self.accept("oo"):
             return NEG_INF if neg else POS_INF
-        tok = self.expect("int")
-        v = int(tok[1])
+        v = int(self.expect("int"))
         return -v if neg else v
 
     # boolean expressions ---------------------------------------------------
     def bexpr(self) -> BExpr:
         b = self.band()
-        while self.at("sym", "||"):
-            self.next()
+        while self.accept("||"):
             b = BBin("||", b, self.band())
         return b
 
     def band(self) -> BExpr:
         b = self.batom()
-        while self.at("sym", "&&"):
-            self.next()
+        while self.accept("&&"):
             b = BBin("&&", b, self.batom())
         return b
 
     def batom(self) -> BExpr:
-        if self.at("sym", "!"):
-            self.next()
+        if self.accept("!"):
             return Not(self.batom())
-        if self.at("sym", "("):
+        save = self.pos
+        if self.accept("("):
             # either a parenthesized bexpr or the left paren of an aexpr
-            save = self.pos
-            self.next()
             try:
                 b = self.bexpr()
-                self.expect("sym", ")")
+                self.expect(")")
                 return b
             except ParseError:
                 self.pos = save
@@ -456,44 +417,40 @@ class _Parser:
 
     def comparison(self) -> Cmp:
         left = self.aexpr()
-        k, v, _, _ = self.peek()
-        if k == "sym" and v in ("==", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return Cmp(v, left, self.aexpr())
-        self.error("expected a comparison operator")
+        if self.peek() not in _COMPARISONS:
+            self.error("expected a comparison operator")
+        op = self.next()
+        return Cmp(op, left, self.aexpr())
 
     # arithmetic expressions -------------------------------------------------
     def aexpr(self) -> AExpr:
         e = self.term()
-        while self.at("sym", "+") or self.at("sym", "-"):
-            op = self.next()[1]
+        while self.peek() in ("+", "-"):
+            op = self.next()
             e = ABin(op, e, self.term())
         return e
 
     def term(self) -> AExpr:
         e = self.factor()
-        while self.at("sym", "*"):
-            self.next()
+        while self.accept("*"):
             e = ABin("*", e, self.factor())
         return e
 
     def factor(self) -> AExpr:
-        if self.at("sym", "("):
-            self.next()
+        tag = self.peek()
+        if tag not in ("(", "-", "int", "name"):
+            self.error("expected an expression")
+        word = self.next()
+        if tag == "(":
             e = self.aexpr()
-            self.expect("sym", ")")
+            self.expect(")")
             return e
-        if self.at("sym", "-"):
-            self.next()
+        if tag == "-":
             f = self.factor()
             if isinstance(f, Const):
                 return Const(-f.value)
             return ABin("-", Const(0), f)
-        if self.at("int"):
-            return Const(int(self.next()[1]))
-        if self.at("name"):
-            return Var(self.next()[1])
-        self.error("expected an expression")
+        return Const(int(word)) if tag == "int" else Var(word)
 
 
 def parse(text: str) -> Stmt:

@@ -20,10 +20,11 @@ loop-exit images of every finite iterate, on the finitary components only
 (its defining setting ignores breaks and nontermination).  On a finite state
 space it contains the exact loop Post of break-free loops, usually strictly.
 `weak_while_iterates` takes the loop's step relation
-[if (b) body else skip]e as an argument, so the body is evaluated once per
-hyper set, not once per antecedent; `weak_family` collects the iterates of
-all antecedents, which `Post_weak_while` maps to their exit images and the
-forall-exists rule takes as its canonical invariant.
+[if (b) body else skip]e, built by `weak_step`, as an argument, so the body
+is evaluated once per hyper set, not once per antecedent; `weak_family`
+collects the iterates of all antecedents, which `Post_weak_while` maps to
+their exit images and the forall-exists rule takes as its canonical
+invariant.
 """
 
 from __future__ import annotations
@@ -168,6 +169,15 @@ def weak_family(step, pre_rels, space: StateSpace) -> Tuple:
     return frozenset(family), stab
 
 
+def weak_step(b, body, space: StateSpace) -> Tuple:
+    """(bs, not_b, step) of `while (b) body`: the guarded body's triple
+    bs = sem(B;S), the exit test [!b]e and the weak step relation
+    [if (b) body else skip]e = bs.e | [!b]e."""
+    bs = interpreter.body_triple(b, body, space)
+    not_b = prim(BoolTest(neg(b)), space).e
+    return bs, not_b, rd.union(bs.e, not_b)
+
+
 def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     """Weak hypercollecting semantics of `while (b) body` on e-components.
 
@@ -175,8 +185,7 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     triples post[!b](X^n(P)) for every P in props and every n up to
     stabilization.
     """
-    not_b = prim(BoolTest(neg(b)), space).e
-    step = rd.union(interpreter.body_triple(b, body, space).e, not_b)
+    _, not_b, step = weak_step(b, body, space)
     family, stab = weak_family(step, (p.e for p in props), space)
     return frozenset(rd.pure_e(rd.compose_rel(x, not_b))
                      for x in family), stab

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,27 @@ def test_check_parse_error_exits_two(workdir, capsys):
                            "--program", str(workdir / "broken.hl"),
                            "--space", str(workdir / "space_y.json"))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    # a right-nested Seq chain (validate_breaks recurses on it) and nested
+    # parentheses (the parser recurses on them)
+    pytest.param("l = 1;\n" * 1200, id="long-sequence"),
+    pytest.param("l = %s1%s;\n" % ("(" * 400, ")" * 400),
+                 id="deep-parentheses"),
+])
+@pytest.mark.parametrize("command", ["sem", "check"])
+def test_too_deep_a_program_exits_two_naming_the_recursion_limit(
+        workdir, capsys, text, command):
+    (workdir / "deep.hl").write_text(text)
+    (workdir / "no_pre.json").write_text("[]")
+    argv = [command, "--program", str(workdir / "deep.hl"),
+            "--space", str(workdir / "space_lh.json")]
+    if command == "check":
+        argv += ["--pre", str(workdir / "no_pre.json"), "--post-oracle", "NI"]
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: input nested too deeply for the recursion limit (%d)\n"
+        % sys.getrecursionlimit())
 
 
 def test_free_break_rejected_by_cli(workdir, capsys):

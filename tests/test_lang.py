@@ -44,6 +44,31 @@ def test_parse_error_reports_position():
     assert err.value.col > 1
 
 
+@pytest.mark.parametrize("text,message,line,col", [
+    ("# note\nx = @;", "unexpected character '@'", 2, 5),
+    ("\tx = $;", "unexpected character '$'", 1, 6),  # a tab is one column
+    ("x = 1;\r\ny = 2\r\n", "expected ';' (found 'end of input')", 3, 1),
+    ("x = 1 # c", "expected ';' (found 'end of input')", 1, 7),  # at the '#'
+    ("# only", "expected a statement (found 'end of input')", 1, 1),
+    ("x = [1,", "expected 'int' (found 'end of input')", 1, 8),
+    ("while (x != ) skip;", "expected an expression (found ')')", 1, 13),
+    ("x = 12ab;", "expected ';' (found 'ab')", 1, 7),
+    # numeric characters that are not decimal digits
+    ("x = Ⅻ;", "unexpected character 'Ⅻ'", 1, 5),
+    ("x = ²;", "unexpected character '²'", 1, 5),
+])
+def test_parse_error_text_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == "%s at line %d, column %d" % (message, line, col)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_unicode_letters_and_decimal_digits_are_accepted():
+    assert parse("é = 1;") == Assign("é", Const(1))
+    assert parse("x = ٣;") == Assign("x", Const(3))  # arabic-indic three
+
+
 def test_parse_error_on_trailing_garbage():
     with pytest.raises(ParseError):
         parse("skip; )")
