@@ -67,11 +67,15 @@ from itertools import combinations, repeat
 from typing import Callable, Iterable
 
 from . import rel_domain as rd
+from .lang import Record
 from .rel_domain import SemTriple
 
 
 class LatticeError(Exception):
     pass
+
+
+_set = object.__setattr__
 
 
 # `unmask` keeps the frozensets of masks below this bound: every subset of a
@@ -335,21 +339,26 @@ def _oriented(lat: ToyLattice, direction: str) -> ToyLattice:
     return lat if direction == "down" else lat.dual
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    elements: tuple
-    limit: object
-    direction: str = "down"        # 'down': decreasing chain with glb limit
-    parametric: bool = True        # listed members stand for an infinite tail
+class Family(Record):
+    __slots__ = ("name", "elements", "limit", "direction", "parametric")
+
+    def __init__(self, name: str, elements: tuple, limit,
+                 direction: str = "down", parametric: bool = True):
+        _set(self, "name", name)
+        _set(self, "elements", elements)
+        _set(self, "limit", limit)
+        # 'down': decreasing chain with glb limit
+        _set(self, "direction", direction)
+        # listed members stand for an infinite tail
+        _set(self, "parametric", parametric)
 
 
-@dataclass(frozen=True)
-class ChainPoset:
-    lattice: ToyLattice
-    families: tuple = ()
+class ChainPoset(Record):
+    __slots__ = ("lattice", "families", "_chains", "_presented")
 
-    def __post_init__(self):
+    def __init__(self, lattice: ToyLattice, families: tuple = ()):
+        _set(self, "lattice", lattice)
+        _set(self, "families", families)
         # an "up" family is checked as a "down" family of the dual lattice
         lat = self.lattice
         chains = {"down": [], "up": []}
@@ -370,10 +379,10 @@ class ChainPoset:
             chains[f.direction].append(chain)
             presented.setdefault(f.name, (f.direction, f.parametric, chain))
         # per direction: (member set, member mask, limit, limit bit)
-        object.__setattr__(self, "_chains", chains)
+        _set(self, "_chains", chains)
         # per family name, the first family so named: (direction, parametric,
         # its `_chains` entry)
-        object.__setattr__(self, "_presented", presented)
+        _set(self, "_presented", presented)
 
     def chain_mask(self, m: int, direction: str) -> int:
         """m with the limit of each `direction` family wholly inside m."""
@@ -614,6 +623,8 @@ def frontier_min_presented(cp: ChainPoset, explicit: Iterable,
 # ---------------------------------------------------------------------------
 # Hyperproperty families
 
+# the one record that stays a dataclass: the benchmark's tracer wraps an
+# oracle's `fn` through `dataclasses.replace`
 @dataclass(frozen=True)
 class HyperOracle:
     """Total, deterministic membership predicate on triples."""
@@ -729,20 +740,28 @@ def _known(items, known, what, *args) -> tuple:
     return tuple(items)
 
 
+_LATTICE_KEYS = frozenset(("elements", "leq", "families"))
+_FAMILY_KEYS = frozenset(("family", "elements", "limit", "direction",
+                          "parametric"))
+
+
 def lattice_from_config(cfg: dict):
     """Build a ToyLattice or ChainPoset from a description dict.
 
     Keys: elements (list of string names), leq (list of [a,b] order pairs,
     reflexive-transitive closure taken), optional families with
     {family, elements, limit, direction, parametric}, each family under a
-    distinct string name.  A malformed description raises LatticeError
-    naming the bad value.
+    distinct string name.  A malformed description, or one with another
+    key, raises LatticeError naming the bad value or key.
     """
     if not isinstance(cfg, dict):
         raise LatticeError("a lattice description is an object, got %r"
                            % (cfg,))
     if "elements" not in cfg:
         raise LatticeError('lattice description has no "elements"')
+    if not cfg.keys() <= _LATTICE_KEYS:
+        raise LatticeError(rd.unknown_key(cfg, _LATTICE_KEYS,
+                                           "lattice description"))
     elements = _listed(cfg["elements"], '"elements"')
     if not set(map(type, elements)) <= {str}:  # one pass, no Python loop
         bad = next(e for e in elements if type(e) is not str)
@@ -763,6 +782,9 @@ def lattice_from_config(cfg: dict):
             raise LatticeError("family name %r is not a string" % (name,))
         if any(g.name == name for g in fams):
             raise LatticeError("two families are named %r" % (name,))
+        if not f.keys() <= _FAMILY_KEYS:
+            raise LatticeError(rd.unknown_key(f, _FAMILY_KEYS,
+                                               "family %r" % (name,)))
         members = _listed(f.get("elements", []), "elements of family %r", name)
         if not members:
             raise LatticeError("family %r has no elements" % (name,))

@@ -15,13 +15,9 @@ import json
 import sys
 from functools import lru_cache
 
-from . import abstractions as ab
-from . import hyperlogic as hl
-from . import interpreter as it
+# each command imports the modules it runs when it runs: `hl sem` loads
+# `lang`, `rel_domain` and `interpreter` only
 from . import rel_domain as rd
-from . import selftest
-from . import trace_domain as td
-from . import transformers as tf
 from .lang import ParseError, parse, validate_breaks
 from .rel_domain import StateSpace
 
@@ -85,6 +81,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def cmd_sem(args) -> int:
+    from . import interpreter as it
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     t = it.sem(stmt, space)
@@ -95,6 +92,7 @@ def cmd_sem(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import trace_domain as td
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     t = td.trace_sem(stmt, space, args.L)
@@ -117,6 +115,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_post(args) -> int:
+    from . import interpreter as it, transformers as tf
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     s_sem = it.sem(stmt, space)
@@ -128,6 +127,7 @@ def cmd_post(args) -> int:
 
 
 def cmd_hyper_post(args) -> int:
+    from . import transformers as tf
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     pres = _load_hyperset(args.pre, space)
@@ -159,6 +159,7 @@ def _flag(key: str) -> str:
 def cmd_check(args) -> int:
     """Check a request read from --request or made of the flags; errors name
     what the user typed: a flag or file path, or a request key."""
+    from . import abstractions as ab, hyperlogic as hl
     by_flag = not args.request
     if by_flag:
         req, name, listed = _flag_request(args), _flag, _flag
@@ -224,7 +225,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    lattice = ab.lattice_from_config(_load_json(args.lattice))
+    from . import abstractions as ab
+    try:  # `main` cannot name LatticeError without importing abstractions
+        lattice = ab.lattice_from_config(_load_json(args.lattice))
+    except ab.LatticeError as exc:
+        raise CliError(exc) from None
     cp = lattice if isinstance(lattice, ab.ChainPoset) else \
         ab.ChainPoset(lattice, ())
     lat = cp.lattice
@@ -256,6 +261,7 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_lattice_lab(args) -> int:
+    from . import abstractions as ab
     try:
         lattice = ab.lattice_from_config(_load_json(args.lattice))
     except ab.LatticeError as exc:
@@ -274,6 +280,7 @@ def cmd_lattice_lab(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
     failures = selftest.run(args.filter)
     return 0 if failures == 0 else 1
 
@@ -349,8 +356,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ParseError, rd.UnboundVariableError, ab.LatticeError,
-            ValueError, OSError) as exc:
+    except (CliError, ParseError, rd.UnboundVariableError, ValueError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

@@ -24,31 +24,44 @@ gives its weak-hypercollecting conclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
 from .abstractions import HyperOracle
-from .lang import (BoolTest, Cmp, Const, If, RandAssign, Seq, Stmt,
+from .lang import (BoolTest, Cmp, Const, If, RandAssign, Record, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq
 from .transformers import HyperSet, Post, membership, post
 
 
-@dataclass(frozen=True)
-class Triple:
-    pre: HyperSet
-    stmt: Stmt
-    post: object  # HyperSet or HyperOracle
+_set = object.__setattr__
 
 
-@dataclass
-class RuleReport:
-    rule: str
-    verdict: str = "holds"
-    witnesses: list = field(default_factory=list)
-    premises: list = field(default_factory=list)
+class Triple(Record):
+    __slots__ = ("pre", "stmt", "post")
+
+    def __init__(self, pre: HyperSet, stmt: Stmt, post):
+        _set(self, "pre", pre)
+        _set(self, "stmt", stmt)
+        _set(self, "post", post)  # HyperSet or HyperOracle
+
+
+class RuleReport(Record):
+    """A rule's verdict, premises and witnesses; filled in as the rule is
+    checked, so mutable and unhashable."""
+
+    __slots__ = ("rule", "verdict", "witnesses", "premises")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, rule: str, verdict: str = "holds",
+                 witnesses: list = None, premises: list = None):
+        self.rule = rule
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.premises = [] if premises is None else premises
 
     def holds(self) -> bool:
         return self.verdict == "holds"

@@ -32,7 +32,6 @@ makes sem == oracle_sem a meaningful check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
@@ -40,6 +39,9 @@ from . import lang, rel_domain as rd
 from .lang import (Assign, BoolTest, Break, If, RandAssign, Seq, Skip, While,
                    neg)
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
+
+
+_set = object.__setattr__
 
 
 class NonMonotoneError(Exception):
@@ -55,10 +57,12 @@ class FixpointDivergenceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FixpointReport:
-    iterations: int
-    result: object
+class FixpointReport(lang.Record):
+    __slots__ = ("iterations", "result")
+
+    def __init__(self, iterations: int, result):
+        _set(self, "iterations", iterations)
+        _set(self, "result", result)
 
 
 def _iterate(f: Callable, x, ordered: Callable, max_iter: int) -> FixpointReport:
@@ -94,14 +98,18 @@ def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> Fixpoint
 # ---------------------------------------------------------------------------
 # The generic structural interpreter
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(lang.Record):
     """Values of a basic command `prim(s)`, a sequence `seq(a, b)`, a choice
     `join(a, b)`, and `loop(cond, body)` given the guarded body's value."""
-    prim: Callable
-    seq: Callable
-    join: Callable
-    loop: Callable
+
+    __slots__ = ("prim", "seq", "join", "loop")
+
+    def __init__(self, prim: Callable, seq: Callable, join: Callable,
+                 loop: Callable):
+        _set(self, "prim", prim)
+        _set(self, "seq", seq)
+        _set(self, "join", join)
+        _set(self, "loop", loop)
 
 
 def guarded(b: lang.BExpr, s: lang.Stmt, d: Algebra):

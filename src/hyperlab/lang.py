@@ -21,12 +21,16 @@ of parentheses, or a thousand statements in one sequence) raises
 
 `BoolTest` is a guard statement used internally by the semantics and the
 calculi; it is not part of the concrete grammar.
+
+AST nodes are `Record`s, the base of the lab's record types: plain
+slotted classes with the equality, hash, `repr` and immutability of frozen
+dataclasses, defined without the code generation of `dataclasses`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 NEG_INF = float("-inf")
@@ -34,45 +38,104 @@ POS_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the lab's record types: slotted classes whose fields are
+    their `__slots__`, in order, except names starting with `_` (state
+    derived from the fields).  As with a frozen dataclass, a record equals
+    only a record of the same class with equal fields, its hash is that of
+    the tuple of its fields, its `repr` is `Name(field=value, ...)`, and
+    assigning or deleting an attribute raises AttributeError, so `__init__`
+    sets the fields with `object.__setattr__`.  The `dataclass` decorator
+    takes about 1 ms per class to generate these methods, which was most of
+    the time `hl` spent importing the lab."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = tuple(n for n in cls.__slots__
+                                    if not n.startswith("_"))
+        # the tuple of the fields, built in C when there are two or more
+        cls._values = staticmethod(
+            operator.attrgetter(*names) if len(names) > 1
+            else lambda self: tuple(getattr(self, n) for n in names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class ABin:
-    op: str  # '+', '-', '*'
-    left: "AExpr"
-    right: "AExpr"
+class ABin(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: AExpr, right: AExpr):
+        _set(self, "op", op)  # '+', '-', '*'
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 AExpr = Union[Const, Var, ABin]
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # '==', '!=', '<', '<=', '>', '>='
-    left: AExpr
-    right: AExpr
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: AExpr, right: AExpr):
+        _set(self, "op", op)  # '==', '!=', '<', '<=', '>', '>='
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "BExpr"
+class Not(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: BExpr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class BBin:
-    op: str  # '&&', '||'
-    left: "BExpr"
-    right: "BExpr"
+class BBin(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: BExpr, right: BExpr):
+        _set(self, "op", op)  # '&&', '||'
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 BExpr = Union[Cmp, Not, BBin]
@@ -81,51 +144,62 @@ BExpr = Union[Cmp, Not, BBin]
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: AExpr
+class Assign(Record):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: AExpr):
+        _set(self, "var", var)
+        _set(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class RandAssign:
-    var: str
-    lo: Union[int, float]  # int or -inf
-    hi: Union[int, float]  # int or +inf
+class RandAssign(Record):
+    __slots__ = ("var", "lo", "hi")
+
+    def __init__(self, var: str, lo: Union[int, float],
+                 hi: Union[int, float]):
+        _set(self, "var", var)
+        _set(self, "lo", lo)  # int or -inf
+        _set(self, "hi", hi)  # int or +inf
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Break:
-    pass
+class Break(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Stmt"
-    second: "Stmt"
+class Seq(Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Stmt, second: Stmt):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: BExpr
-    then: "Stmt"
-    orelse: "Stmt"
+class If(Record):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: BExpr, then: Stmt, orelse: Stmt):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: BExpr
-    body: "Stmt"
+class While(Record):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: BExpr, body: Stmt):
+        _set(self, "cond", cond)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class BoolTest:
-    cond: BExpr
+class BoolTest(Record):
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: BExpr):
+        _set(self, "cond", cond)
 
 
 Stmt = Union[Assign, RandAssign, Skip, Break, Seq, If, While, BoolTest]

@@ -12,7 +12,12 @@ A program denotation is the triple ``SemTriple(e, inf, br)`` of terminating
 pairs, divergent start states, and pairs terminating via break, ordered by
 componentwise inclusion.  This module alone knows the format: other modules
 build values with `triple`/`rel`/`mask` and read them with
-`pairs`/`members`.
+`pairs`/`members`.  `StateSpace` and `SemTriple` are `lang.Record`s;
+`SemTriple` writes out its constructor, equality and hash, since a check
+builds and compares thousands of triples.
+
+The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
+key they do not read, naming it, rather than ignore a misspelt one.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from typing import Callable, Iterable, Tuple
@@ -41,6 +45,8 @@ Rel = tuple       # one target mask per source state index
 StateSet = int    # bit i stands for the state of index i
 
 ARITH_MODES = ("saturate", "wrap", "prune")
+
+_set = object.__setattr__
 
 
 class UnboundVariableError(Exception):
@@ -56,6 +62,16 @@ class OutsideSpaceError(ValueError):
 
 _INT = frozenset((int,))
 
+_SPACE_KEYS = frozenset(("vars", "lo", "hi", "arith"))
+_TRIPLE_KEYS = frozenset(("e", "inf", "br"))
+
+
+def unknown_key(d: dict, known: frozenset, what: str) -> str:
+    """The error for the first key of `d`, in file order, outside `known`."""
+    key = next(k for k in d if k not in known)
+    return "%s has unknown key %r (it reads: %s)" % (
+        what, key, ", ".join(sorted(known)))
+
 
 def _ints(xs) -> bool:
     """Every item is an int and not a bool.  JSON integers are exactly
@@ -64,24 +80,25 @@ def _ints(xs) -> bool:
         isinstance(v, int) and not isinstance(v, bool) for v in xs)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(lang.Record):
     """Finite variable/value universe; bounds are shared or per variable."""
 
-    vars: tuple
-    lo: tuple
-    hi: tuple
-    arith: str = "saturate"
+    __slots__ = ("vars", "lo", "hi", "arith")
 
-    def __post_init__(self):
-        if not self.vars:
+    def __init__(self, vars: tuple, lo: tuple, hi: tuple,
+                 arith: str = "saturate"):
+        if not vars:
             raise ValueError("state space needs at least one variable")
-        if len(self.lo) != len(self.vars) or len(self.hi) != len(self.vars):
+        if len(lo) != len(vars) or len(hi) != len(vars):
             raise ValueError("bounds do not match variables")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
+        if any(l > h for l, h in zip(lo, hi)):
             raise ValueError("lo > hi")
-        if self.arith not in ARITH_MODES:
-            raise ValueError("unknown arithmetic mode %r" % self.arith)
+        if arith not in ARITH_MODES:
+            raise ValueError("unknown arithmetic mode %r" % arith)
+        _set(self, "vars", vars)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "arith", arith)
 
     @staticmethod
     def make(vars, lo, hi, arith="saturate") -> "StateSpace":
@@ -98,6 +115,8 @@ class StateSpace:
         if missing:
             raise ValueError("space config has no %s" %
                              ", ".join(repr(k) for k in missing))
+        if not cfg.keys() <= _SPACE_KEYS:
+            raise ValueError(unknown_key(cfg, _SPACE_KEYS, "space config"))
         vs = cfg["vars"]
         if not (isinstance(vs, list) and all(isinstance(v, str) for v in vs)
                 and len(set(vs)) == len(vs)):
@@ -291,16 +310,27 @@ def rel_leq(r1: Rel, r2: Rel) -> bool:
 # ---------------------------------------------------------------------------
 # The semantics triple
 
-@dataclass(frozen=True)
-class SemTriple:
+class SemTriple(lang.Record):
     """<e: terminating pairs, inf: divergent starts, br: break pairs>.
 
     `e` and `br` are relations (one target mask per source index) and `inf`
     is a state mask, all over one space."""
 
-    e: Rel
-    inf: StateSet
-    br: Rel
+    __slots__ = ("e", "inf", "br")
+
+    def __init__(self, e: Rel, inf: StateSet, br: Rel):
+        _set_e(self, e)
+        _set_inf(self, inf)
+        _set_br(self, br)
+
+    def __eq__(self, other):
+        if other.__class__ is not SemTriple:
+            return NotImplemented
+        # tuples compare shared components by identity first
+        return (self.e, self.inf, self.br) == (other.e, other.inf, other.br)
+
+    def __hash__(self):
+        return hash((self.e, self.inf, self.br))
 
     def sort_key(self):
         """The order of the sorted state pairs and states: index order is
@@ -308,6 +338,11 @@ class SemTriple:
         indexes = range(len(self.e))
         return (tuple(_pairs(self.e, indexes)), tuple(bits(self.inf)),
                 tuple(_pairs(self.br, indexes)))
+
+
+# the slots' own setters: a third faster than `object.__setattr__`
+_set_e, _set_inf, _set_br = (vars(SemTriple)[n].__set__
+                             for n in SemTriple.__slots__)
 
 
 def bottom(space: StateSpace) -> SemTriple:
@@ -481,12 +516,15 @@ def _rel_from_json(ps: list, index: dict, outside: dict, key: str) -> Rel:
 
 def triple_from_json(d: dict, space: StateSpace) -> SemTriple:
     """The triple {"e": pairs, "inf": states, "br": pairs} over `space`; a
-    missing component is empty.  Ill-typed input raises ValueError naming
-    it; when the whole triple is well typed, a state outside the space
-    raises OutsideSpaceError naming the first such state in file order."""
+    missing component is empty.  Ill-typed input or another key raises
+    ValueError naming it; when the whole triple is well typed, a state
+    outside the space raises OutsideSpaceError naming the first such state
+    in file order."""
     if not isinstance(d, dict):
         raise ValueError("a triple must be a JSON object, got %s"
                          % json.dumps(d))
+    if not d.keys() <= _TRIPLE_KEYS:  # one test per triple: this is hot
+        raise ValueError(unknown_key(d, _TRIPLE_KEYS, "a triple"))
     for key in ("e", "inf", "br"):
         if not isinstance(d.get(key, []), list):
             raise ValueError("triple component %r must be an array, got %s"

@@ -17,7 +17,6 @@ commutation checks can skip flagged cases soundly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
@@ -25,19 +24,28 @@ from .lang import BoolTest, Break, neg
 from .rel_domain import StateSpace
 
 
-@dataclass(frozen=True)
-class TraceSet:
-    finite: frozenset          # terminating traces (tuples of states)
-    div_starts: frozenset      # start states of infinite executions
-    truncated: bool            # True if any trace exceeded the length cap
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class _TR:
+class TraceSet(lang.Record):
+    __slots__ = ("finite", "div_starts", "truncated")
+
+    def __init__(self, finite: frozenset, div_starts: frozenset,
+                 truncated: bool):
+        _set(self, "finite", finite)          # terminating traces (tuples)
+        _set(self, "div_starts", div_starts)  # starts of infinite executions
+        _set(self, "truncated", truncated)    # a trace exceeded the cap
+
+
+class _TR(lang.Record):
     """Internal structural value: ending traces, break traces, flag."""
-    e: frozenset
-    br: frozenset
-    truncated: bool
+
+    __slots__ = ("e", "br", "truncated")
+
+    def __init__(self, e: frozenset, br: frozenset, truncated: bool):
+        _set(self, "e", e)
+        _set(self, "br", br)
+        _set(self, "truncated", truncated)
 
 
 def concat(t1, t2, cap: int):

@@ -93,3 +93,25 @@ def test_traced_forall_exists_check_records_the_weak_iterates(tracer_mod, lab,
     calls = {name: c for name, (c, _self_s) in tracer.totals().items()}
     assert calls["transformers.weak_while_iterates"] == len(pre)
     assert calls["rel_domain.prim"] > 0
+
+
+def test_traced_noninterference_check_records_the_family_oracle(tracer_mod,
+                                                                lab, tmp_path):
+    # the tracer wraps the NI oracle's `fn` through `dataclasses.replace`,
+    # which is why `HyperOracle` stays a dataclass
+    pre = [{"e": [[[a, b], [a, b]] for b in (0, 1)]} for a in (0, 1)]
+    files = {"leak.hl": "l = h;\n", "pre.json": json.dumps(pre),
+             "space.json": json.dumps({"vars": ["l", "h"], "lo": 0, "hi": 1})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    tracer = tracer_mod.Tracer()
+    tracer.install(lab)
+    tracer.begin_op()
+    assert lab["cli"].main(["check", "--program", str(tmp_path / "leak.hl"),
+                            "--space", str(tmp_path / "space.json"),
+                            "--pre", str(tmp_path / "pre.json"),
+                            "--post-oracle", "NI", "--json"]) == 1
+    tracer.end_op(1.0)
+    calls = {name: c for name, (c, _self_s) in tracer.totals().items()}
+    assert calls["abstractions.family.NI"] >= 1
+    assert calls["hyperlogic.check_upper"] == 1

@@ -228,6 +228,13 @@ BAD_LATTICES = (
         {"family": "F", "elements": ["top"], "limit": "bot"},
         {"family": "F", "elements": ["top"], "limit": "bot"}]),
                  "two families are named 'F'", id="family-name-twice"),
+    pytest.param(dict(_CHAIN, famlies=[]),
+                 "lattice description has unknown key 'famlies'",
+                 id="unknown-key"),
+    pytest.param(dict(_CHAIN, families=[{"family": "F", "elements": ["top"],
+                                         "limit": "bot", "parametrc": False}]),
+                 "family 'F' has unknown key 'parametrc'",
+                 id="unknown-family-key"),
 )
 
 
@@ -240,6 +247,39 @@ def test_malformed_lattice_description_exits_2_naming_the_value(
     code, _, err = run_cli(capsys, command,
                            "--lattice", str(workdir / "bad.json"), *extra)
     assert code == 2 and named in err
+
+
+def test_unknown_space_and_triple_keys_exit_2_naming_the_key(workdir,
+                                                              capsys):
+    # a misspelt key used to be ignored: "arithmetic" ran with saturate, and
+    # {"ee": ...} was read as the empty triple
+    space = {"vars": ["l", "h"], "lo": 0, "hi": 1, "arithmetic": "wrap"}
+    pre = [{"e": [[[0, 0], [0, 0]]]}, {"ee": [[[0, 0], [0, 0]]]}]
+    (workdir / "space_typo.json").write_text(json.dumps(space))
+    (workdir / "pre_typo.json").write_text(json.dumps(pre))
+    code, out, err = run_cli(capsys, "sem",
+                             "--program", str(workdir / "leak.hl"),
+                             "--space", str(workdir / "space_typo.json"))
+    assert code == 2 and out == ""
+    assert "space config has unknown key 'arithmetic'" in err
+    code, out, err = run_cli(capsys, "check",
+                             "--program", str(workdir / "leak.hl"),
+                             "--space", str(workdir / "space_lh.json"),
+                             "--pre", str(workdir / "pre_typo.json"),
+                             "--post-oracle", "NI")
+    assert code == 2 and out == ""
+    assert "pre_typo.json: a triple has unknown key 'ee'" in err
+    fixed = {"vars": ["l", "h"], "lo": 0, "hi": 1, "arith": "wrap"}
+    for req, named in (
+            ({"space": space, "pre": pre[:1]},
+             "space config has unknown key 'arithmetic'"),
+            ({"space": fixed, "pre": pre},
+             "request 'pre': a triple has unknown key 'ee'")):
+        (workdir / "req.json").write_text(json.dumps(
+            dict(req, program="l = h;", post_oracle="NI")))
+        code, out, err = run_cli(capsys, "check",
+                                 "--request", str(workdir / "req.json"))
+        assert code == 2 and out == "" and named in err
 
 
 def test_selftest_filter_runs_single_suite(capsys):
