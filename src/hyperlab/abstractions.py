@@ -1,7 +1,8 @@
 """Hyperproperty abstraction algebra on finitely presented lattices.
 
 `ToyLattice` is an explicit finite lattice (elements, decidable order); the
-constructor validates the partial-order and lattice axioms eagerly.
+constructor validates the partial-order and lattice axioms eagerly, for
+every lattice, powersets included.
 `ChainPoset` adds declared chain families with limits: the chain-limit
 operators quantify over the declared families only (plus all finite chains,
 whose limits are already members), which under-approximates "all chains" but
@@ -33,9 +34,12 @@ the strict up-sets, the kernels read
     rho_down_mask(m)        = m & ~up(full & ~m)
     phi_mask(f, m)          = m & up[f] & ~up(up[f] & ~m)
     principal_ideal_mask(m) = down[k], up[k] the common upper bounds of m
+    join(xs), meet(xs)      = the k whose up-set (down-set) is the common
+                              upper (lower) bounds of the mask of xs
 
-and `rho_frontier_mask` ORs `phi_mask` over the min frontier.  Each lookup
-builds its tables on first use and keeps them on the lattice.
+and `rho_frontier_mask` ORs `phi_mask` over the min frontier.  The order
+is held once, as these rows and lookups.  Each lookup builds its tables on
+first use and keeps them on the lattice.
 
 Order duality: `ToyLattice.dual` is the same carrier with the order
 reversed.  It shares the parent's memo, rows and lookups, their tables
@@ -71,7 +75,7 @@ from .lang import Record
 from .rel_domain import SemTriple
 
 
-class LatticeError(Exception):
+class LatticeError(ValueError):
     pass
 
 
@@ -137,7 +141,7 @@ class _Lookup:
 class ToyLattice:
     """Finite lattice given by elements and a decidable order."""
 
-    def __init__(self, elements: Iterable, leq: Callable, validate: bool = True):
+    def __init__(self, elements: Iterable, leq: Callable):
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise LatticeError("duplicate elements")
@@ -146,38 +150,32 @@ class ToyLattice:
         self._sets = {}  # unmask memo, masks below _MEMO_LIMIT only
         n = len(self.elements)
         self._full = full = (1 << n) - 1
-        self._down = [0] * n  # down[i]: mask of elements below element i
-        self._up = [0] * n
+        self._down = down = [0] * n  # down[i]: mask of elements below i
+        self._up = up = [0] * n
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 if leq(b, a):
-                    self._down[i] |= 1 << j
-                    self._up[j] |= 1 << i
-        if validate:
-            self._validate()
-        bots = [i for i in range(n) if self._up[i] == full]
-        tops = [i for i in range(n) if self._down[i] == full]
+                    down[i] |= 1 << j
+                    up[j] |= 1 << i
+        self._validate()
+        bots = [i for i in range(n) if up[i] == full]
+        tops = [i for i in range(n) if down[i] == full]
         if len(bots) != 1 or len(tops) != 1:
             raise LatticeError("missing top or bottom")
-        self._bot_i, self._top_i = bots[0], tops[0]
-        self.bot = self.elements[self._bot_i]
-        self.top = self.elements[self._top_i]
-        self._join_tab = {}
-        self._meet_tab = {}
-        # the lub of i, j is the element whose up-set is exactly their common
-        # upper bounds (antisymmetry makes up-sets distinct); dually the glb
-        self._by_up = by_up = {u: k for k, u in enumerate(self._up)}
-        self._by_down = by_down = {d: k for k, d in enumerate(self._down)}
+        self.bot = self.elements[bots[0]]
+        self.top = self.elements[tops[0]]
+        # the lub of a set is the element whose up-set is exactly the set's
+        # common upper bounds (antisymmetry makes up-sets distinct); dually
+        # the glb.  Every pair having both makes every subset have both
+        self._by_up = by_up = {u: k for k, u in enumerate(up)}
+        self._by_down = by_down = {d: k for k, d in enumerate(down)}
         for i in range(n):
             for j in range(i, n):
-                jn = by_up.get(self._up[i] & self._up[j])
-                mt = by_down.get(self._down[i] & self._down[j])
-                if jn is None or mt is None:
+                if (up[i] & up[j] not in by_up
+                        or down[i] & down[j] not in by_down):
                     raise LatticeError(
                         "no unique lub/glb for %r, %r" %
                         (self.elements[i], self.elements[j]))
-                self._join_tab[(i, j)] = self._join_tab[(j, i)] = jn
-                self._meet_tab[(i, j)] = self._meet_tab[(j, i)] = mt
         # byte-table lookups, each built on its first call
         self._downs = _Lookup(self._down)
         self._ups = _Lookup(self._up)
@@ -206,9 +204,7 @@ class ToyLattice:
             d._idx, d._bit, d._sets = self._idx, self._bit, self._sets
             d._full = self._full
             d._down, d._up = self._up, self._down
-            d._bot_i, d._top_i = self._top_i, self._bot_i
             d.bot, d.top = self.top, self.bot
-            d._join_tab, d._meet_tab = self._meet_tab, self._join_tab
             d._by_up, d._by_down = self._by_down, self._by_up
             d._downs, d._ups = self._ups, self._downs
             d._below, d._above = self._above, self._below
@@ -236,7 +232,7 @@ class ToyLattice:
         items = tuple(base)
         elems = [frozenset(c) for r in range(len(items) + 1)
                  for c in combinations(items, r)]
-        return cls(elems, lambda a, b: a <= b, validate=False)
+        return cls(elems, lambda a, b: a <= b)
 
     @classmethod
     def from_pairs(cls, elements: Iterable, pairs: Iterable) -> "ToyLattice":
@@ -288,16 +284,12 @@ class ToyLattice:
         return range(1 << len(self.elements))
 
     def join(self, subset: Iterable):
-        i = self._bot_i
-        for e in subset:
-            i = self._join_tab[(i, self._idx[e])]
-        return self.elements[i]
+        ub = self._upper_bounds.fn(self.mask(subset))
+        return self.elements[self._by_up[ub & self._full]]
 
     def meet(self, subset: Iterable):
-        i = self._top_i
-        for e in subset:
-            i = self._meet_tab[(i, self._idx[e])]
-        return self.elements[i]
+        lb = self._lower_bounds.fn(self.mask(subset))
+        return self.elements[self._by_down[lb & self._full]]
 
     # ---- mask-level operators (byte-table kernels) -------------------------
     def down_mask(self, m: int) -> int:

@@ -57,15 +57,15 @@ def _triples(data, space: StateSpace, where: str):
     # an ill-typed triple anywhere is reported before a state outside the
     # space, and of those the first in the file
     triples, outside = [], None
-    for d in data:
+    for k, d in enumerate(data, 1):
         try:
             triples.append(rd.triple_from_json(d, space))
         except rd.OutsideSpaceError as exc:
-            outside = outside or exc
+            outside = outside or "%s: triple %d: %s" % (where, k, exc)
         except ValueError as exc:
-            raise CliError("%s: %s" % (where, exc)) from None
+            raise CliError("%s: triple %d: %s" % (where, k, exc)) from None
     if outside is not None:
-        raise CliError("%s: %s" % (where, outside))
+        raise CliError(outside)
     return frozenset(triples)
 
 
@@ -93,6 +93,8 @@ def cmd_sem(args) -> int:
 
 def cmd_trace(args) -> int:
     from . import trace_domain as td
+    if args.L < 1:
+        raise CliError("--L must be >= 1, got %d" % args.L)
     stmt = _load_program(args.program)
     space = _load_space(args.space)
     t = td.trace_sem(stmt, space, args.L)
@@ -224,12 +226,17 @@ def cmd_check(args) -> int:
     return 0 if rep.holds() else 1
 
 
+# the operators of `hl abstract`, called as ab.<op>(lattice, subset) or
+# ab.<op>(chain poset, subset)
+_LATTICE_OPS = ("order_ideal", "order_filter", "principal_ideal",
+                "principal_filter", "frontier_min", "frontier_max",
+                "frontier_order_ideal", "rho_subseteq", "rho_frontier")
+_CHAIN_OPS = ("chain_down", "chain_up", "chain_down_star", "chain_up_star")
+
+
 def cmd_abstract(args) -> int:
     from . import abstractions as ab
-    try:  # `main` cannot name LatticeError without importing abstractions
-        lattice = ab.lattice_from_config(_load_json(args.lattice))
-    except ab.LatticeError as exc:
-        raise CliError(exc) from None
+    lattice = ab.lattice_from_config(_load_json(args.lattice))
     cp = lattice if isinstance(lattice, ab.ChainPoset) else \
         ab.ChainPoset(lattice, ())
     lat = cp.lattice
@@ -237,25 +244,13 @@ def cmd_abstract(args) -> int:
     for e in subset:
         if e not in lat._idx:
             raise CliError("unknown element %r" % e)
-    ops = {
-        "order_ideal": lambda: ab.order_ideal(lat, subset),
-        "order_filter": lambda: ab.order_filter(lat, subset),
-        "principal_ideal": lambda: ab.principal_ideal(lat, subset),
-        "principal_filter": lambda: ab.principal_filter(lat, subset),
-        "frontier_min": lambda: ab.frontier_min(lat, subset),
-        "frontier_max": lambda: ab.frontier_max(lat, subset),
-        "frontier_order_ideal": lambda: ab.frontier_order_ideal(lat, subset),
-        "rho_subseteq": lambda: ab.rho_subseteq(lat, subset),
-        "rho_frontier": lambda: ab.rho_frontier(lat, subset),
-        "chain_down": lambda: ab.chain_down(cp, subset),
-        "chain_up": lambda: ab.chain_up(cp, subset),
-        "chain_down_star": lambda: ab.chain_down_star(cp, subset),
-        "chain_up_star": lambda: ab.chain_up_star(cp, subset),
-    }
-    if args.op not in ops:
-        raise CliError("unknown op %r (have: %s)" %
-                       (args.op, ", ".join(sorted(ops))))
-    result = ops[args.op]()
+    if args.op in _LATTICE_OPS:
+        result = getattr(ab, args.op)(lat, subset)
+    elif args.op in _CHAIN_OPS:
+        result = getattr(ab, args.op)(cp, subset)
+    else:
+        raise CliError("unknown op %r (have: %s)" % (
+            args.op, ", ".join(sorted(_LATTICE_OPS + _CHAIN_OPS))))
     _emit({"op": args.op, "result": sorted(str(e) for e in result)}, args.json)
     return 0
 

@@ -53,8 +53,9 @@ class NonMonotoneError(Exception):
         self.iteration = iteration
 
 
-class FixpointDivergenceError(Exception):
-    pass
+class FixpointDivergenceError(ValueError):
+    """A fixpoint or a cycle was not reached within its iteration cap: a
+    resource limit, reported by `hl` as an error (exit 2)."""
 
 
 class FixpointReport(lang.Record):

@@ -52,16 +52,27 @@ def test_malformed_orders_rejected():
         ToyLattice.from_pairs("xy", (("x", "y"), ("y", "x")))
     with pytest.raises(LatticeError):  # no top
         ToyLattice.from_pairs("xyz", (("x", "y"), ("x", "z")))
-    with pytest.raises(LatticeError):  # lub of the two atoms is ambiguous
+    with pytest.raises(LatticeError) as exc:  # lub of the atoms is ambiguous
         ToyLattice.from_pairs(
             "bot a b c d top".split(),
             (("bot", "a"), ("bot", "b"), ("a", "c"), ("b", "c"),
              ("a", "d"), ("b", "d"), ("c", "top"), ("d", "top")))
+    # the first pair in element order; (c, d) has no glb but comes later
+    assert str(exc.value) == "no unique lub/glb for 'a', 'b'"
     with pytest.raises(LatticeError):
         ToyLattice(("x", "x"), lambda a, b: True)
     with pytest.raises(LatticeError) as exc:
         ToyLattice.from_pairs("xyx", (("x", "y"), ("y", "x")))
     assert str(exc.value) == "duplicate elements"
+
+
+def test_powerset_is_validated_as_every_lattice_is(monkeypatch):
+    calls = []
+    validate = ToyLattice._validate
+    monkeypatch.setattr(ToyLattice, "_validate",
+                        lambda self: calls.append(validate(self)))
+    ToyLattice.powerset("abc")
+    assert len(calls) == 1
 
 
 def test_bad_family_rejected():
@@ -624,6 +635,7 @@ def _public_operators(cp):
     for a1, a2 in zip(IDEAL_KIND, FILTER_KIND):
         ops["conjunctive %s/%s" % (a1, a2)] = \
             lambda xs, a1=a1, a2=a2: conjunctive(a1, a2, cp, xs)
+    ops["join"], ops["meet"] = lat.join, lat.meet
     ops["frontier_max_presented"] = lambda xs: ab.frontier_max_presented(
         cp, xs, ("u",))
     ops["frontier_min_presented"] = lambda xs: ab.frontier_min_presented(
@@ -829,6 +841,35 @@ def test_table_kernels_match_their_definitions(lat, masks):
         for e, want_f in zip(side.elements, want["phi_mask"]):
             got = slots.pack(list(map(side.phi_mask, repeat(e), masks)))
             assert got == want_f, ("phi_mask", e, first_difference(got, want_f))
+
+
+@pytest.mark.parametrize("lat", [lat for lat, _ in _kernel_carriers()],
+                         ids=("powerset abcd, sampled", "M3 x 2, every subset",
+                              "M3 x chain 4, sampled"))
+def test_join_and_meet_match_their_definitions(lat):
+    n = len(lat.elements)
+    if n <= 10:
+        masks = range(1 << n)
+    else:
+        rng = random.Random(2025)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4096)]
+    for side in (lat, lat.dual):
+        els = side.elements
+        le = [[side.leq(a, b) for b in els] for a in els]
+        for m in masks:
+            xs = [i for i in range(n) if m >> i & 1]
+            ups = [u for u in range(n) if all(le[x][u] for x in xs)]
+            downs = [d for d in range(n) if all(le[d][x] for x in xs)]
+            # the least upper bound is below every upper bound, dually the glb
+            lub = els[next(u for u in ups if all(le[u][v] for v in ups))]
+            glb = els[next(d for d in downs if all(le[c][d] for c in downs))]
+            members = [els[i] for i in xs]
+            assert side.join(members) == lub, (m, members)
+            assert side.meet(members) == glb, (m, members)
+            # repeats and a generator: the bound of a set, not of a sequence
+            again = members + members[:1]
+            assert side.join(e for e in again) == lub
+            assert side.meet(e for e in again) == glb
 
 
 def _closure_by_search(elements, pairs):

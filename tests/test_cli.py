@@ -60,6 +60,15 @@ def test_trace_text_output(workdir, capsys):
     assert "y:0;y:1" in out.splitlines()
 
 
+@pytest.mark.parametrize("bound", ("0", "-1"))
+def test_trace_rejects_a_bound_below_one_naming_the_flag(workdir, capsys,
+                                                          bound):
+    # checked before any file is read: these files do not exist
+    assert run_cli(capsys, "trace", "--program", str(workdir / "none.hl"),
+                   "--space", str(workdir / "none.json"), "--L", bound) == (
+        2, "", "error: --L must be >= 1, got %s\n" % bound)
+
+
 def test_post_and_hyper_post(workdir, capsys):
     code, out, _ = run_cli(capsys, "post",
                            "--program", str(workdir / "countdown.hl"),
@@ -123,6 +132,28 @@ def test_check_while_rule_rejects_non_loop(workdir, capsys):
                            "--rule", "while_upper",
                            "--post-oracle", str(workdir / "init_y.json"))
     assert code == 2 and "while loop" in err
+
+
+def test_check_past_the_weak_iterate_cap_exits_2_naming_the_cap(workdir,
+                                                                capsys):
+    # the body permutes [0, 40] in cycles of the prime lengths 2 to 13, so
+    # the weak iterates of the identity have period 30030, past the cap
+    # 4|S|^2+16 = 6740: a resource limit, not a failed triple
+    arms = "".join("if (x == %d) x = %d; else " % (hi, lo) for lo, hi in
+                   ((0, 1), (2, 4), (5, 9), (10, 16), (17, 27), (28, 40)))
+    (workdir / "perm.hl").write_text(
+        "while (x >= 0) { %sx = x + 1; }\n" % arms)
+    (workdir / "space_x.json").write_text(json.dumps(
+        {"vars": ["x"], "lo": 0, "hi": 40}))
+    (workdir / "id_x.json").write_text(json.dumps(
+        [{"e": [[[v], [v]] for v in range(41)], "inf": [], "br": []}]))
+    (workdir / "none.json").write_text("[]")
+    assert run_cli(capsys, "check", "--rule", "forall_exists",
+                   "--program", str(workdir / "perm.hl"),
+                   "--space", str(workdir / "space_x.json"),
+                   "--pre", str(workdir / "id_x.json"),
+                   "--post-oracle", str(workdir / "none.json")) == (
+        2, "", "error: weak iterates did not cycle within 6740 steps\n")
 
 
 def test_check_request_object(workdir, capsys):
@@ -189,6 +220,48 @@ def test_abstract_and_lattice_lab(workdir, capsys):
                            "--json")
     assert code == 0
     assert json.loads(out)["bot"] == "bot"
+
+
+# N5 (bot < a < c < top, bot < b < top) with a family in each direction
+N5_FAMILIES = {
+    "elements": ["bot", "a", "b", "c", "top"],
+    "leq": [["bot", "a"], ["a", "c"], ["c", "top"], ["bot", "b"],
+            ["b", "top"]],
+    "families": [{"family": "d", "elements": ["top", "c", "a"],
+                  "limit": "bot"},
+                 {"family": "u", "elements": ["bot", "b"], "limit": "top",
+                  "direction": "up"}]}
+ABSTRACT_OPS = {
+    "lattice": ("order_ideal", "order_filter", "principal_ideal",
+                "principal_filter", "frontier_min", "frontier_max",
+                "frontier_order_ideal", "rho_subseteq", "rho_frontier"),
+    "chain poset": ("chain_down", "chain_up", "chain_down_star",
+                    "chain_up_star")}
+
+
+def test_abstract_applies_each_op_as_the_library_does(workdir, capsys):
+    from hyperlab import abstractions as ab
+    (workdir / "n5.json").write_text(json.dumps(N5_FAMILIES))
+    cp = ab.lattice_from_config(N5_FAMILIES)
+    els = N5_FAMILIES["elements"]
+    for on, ops in ABSTRACT_OPS.items():
+        arg = cp.lattice if on == "lattice" else cp
+        for op in ops:
+            for m in range(1 << len(els)):
+                subset = [e for i, e in enumerate(els) if m >> i & 1]
+                code, out, err = run_cli(
+                    capsys, "abstract", "--lattice", str(workdir / "n5.json"),
+                    "--op", op, "--set", ",".join(subset), "--json")
+                want = sorted(map(str, getattr(ab, op)(arg, frozenset(subset))))
+                assert (code, err) == (0, "")
+                assert json.loads(out) == {"op": op, "result": want}, subset
+    names = sorted(ABSTRACT_OPS["lattice"] + ABSTRACT_OPS["chain poset"])
+    argv = ("abstract", "--lattice", str(workdir / "n5.json"))
+    assert run_cli(capsys, *argv, "--op", "closure", "--set", "a") == (
+        2, "", "error: unknown op 'closure' (have: %s)\n" % ", ".join(names))
+    # an unknown element is reported before an unknown op
+    assert run_cli(capsys, *argv, "--op", "closure", "--set", "a,zz") == (
+        2, "", "error: unknown element 'zz'\n")
 
 
 def test_lattice_lab_reports_construction_error(workdir, capsys):
@@ -268,13 +341,13 @@ def test_unknown_space_and_triple_keys_exit_2_naming_the_key(workdir,
                              "--pre", str(workdir / "pre_typo.json"),
                              "--post-oracle", "NI")
     assert code == 2 and out == ""
-    assert "pre_typo.json: a triple has unknown key 'ee'" in err
+    assert "pre_typo.json: triple 2: a triple has unknown key 'ee'" in err
     fixed = {"vars": ["l", "h"], "lo": 0, "hi": 1, "arith": "wrap"}
     for req, named in (
             ({"space": space, "pre": pre[:1]},
              "space config has unknown key 'arithmetic'"),
             ({"space": fixed, "pre": pre},
-             "request 'pre': a triple has unknown key 'ee'")):
+             "request 'pre': triple 2: a triple has unknown key 'ee'")):
         (workdir / "req.json").write_text(json.dumps(
             dict(req, program="l = h;", post_oracle="NI")))
         code, out, err = run_cli(capsys, "check",
@@ -373,25 +446,30 @@ def test_check_names_the_first_state_outside_the_space_in_file_order(
     space = {"vars": ["l", "h"], "lo": 0, "hi": 1}
     for pre, bad in (
             # two in one triple, the br component written first
-            ([{"br": [[[0, 5], [0, 0]]], "e": [[[0, 0], [0, 7]]]}], "[0, 5]"),
+            ([{"br": [[[0, 5], [0, 0]]], "e": [[[0, 0], [0, 7]]]}],
+             "triple 1: state [0, 5]"),
             # two in one pair
-            ([{"e": [[[0, 0], [0, 0]], [[4, 0], [0, 6]]]}], "[4, 0]"),
+            ([{"e": [[[0, 0], [0, 0]], [[4, 0], [0, 6]]]}],
+             "triple 1: state [4, 0]"),
             # two triples
             ([{"e": [[[0, 0], [0, 0]]], "inf": [[3, 0]]},
-              {"e": [[[0, 4], [0, 0]]]}], "[3, 0]")):
+              {"e": [[[0, 4], [0, 0]]]}], "triple 1: state [3, 0]"),
+            # the first triple is well inside the space
+            ([{"e": [[[0, 0], [0, 0]]]}, {"inf": [[0, 4]]},
+              {"inf": [[5, 0]]}], "triple 2: state [0, 4]")):
         req = {"program": "l = h;", "space": space, "post_oracle": "NI",
                "pre": pre}
         (workdir / "req.json").write_text(json.dumps(req))
         assert run_cli(capsys, "check", "--request",
                        str(workdir / "req.json")) == (
-            2, "", "error: request 'pre': state %s is outside the state "
+            2, "", "error: request 'pre': %s is outside the state "
             "space\n" % bad)
     # an ill-typed state anywhere in the array is reported first
     req["pre"] = [{"e": [[[0, 9], [0, 0]]]}, {"inf": [[True, 0]]}]
     (workdir / "req.json").write_text(json.dumps(req))
     assert run_cli(capsys, "check", "--request", str(workdir / "req.json")) == (
-        2, "", "error: request 'pre': a state must be an integer array, "
-        "got [true, 0]\n")
+        2, "", "error: request 'pre': triple 2: a state must be an integer "
+        "array, got [true, 0]\n")
 
 
 def test_check_without_request_names_missing_flags(workdir, capsys):
@@ -628,6 +706,7 @@ def test_check_flags_report_the_first_of_two_errors(workdir, capsys):
              "space config has no 'hi'"),
             ((*program, *space, *bad_pre,
               "--post-oracle", str(workdir / "bad_post.json")),
-             "%s: state [0, 9] is outside the state space"
+             "%s: triple 1: state [0, 9] is outside the state space"
              % (workdir / "bad_pre.json"))):
         assert run_cli(capsys, "check", *argv) == (2, "", "error: %s\n" % want)
+
