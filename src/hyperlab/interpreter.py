@@ -7,10 +7,12 @@ guard and guarded body.  The `Algebra` `d` is the relational one here
 (`sem`), the post transformers (`transformers.transformer`) or the bounded
 traces (`trace_domain.traces`).  The relational values are dense: a
 relation is one target bitmask per source state index, a state set one mask
-(`rel_domain`).  The relational loop `loop_triple` takes both fixpoints once
-per guarded body, the divergence gfp on masks and the closure lfp on rows,
-and returns the loop's own triple: `sem` uses it as it is, and the post
-transformers compose each precondition with it.  Every carrier is finite, so the fixpoints run to
+(`rel_domain`).  The relational loop `loop_triple` takes its fixpoints once
+per guarded body, the divergence gfp on masks and, without the closure of
+the body, the least solutions for the loop's exits on rows and for the
+starts that reach a body divergence on masks.  It returns the loop's own
+triple: `sem` uses it as it is, and the post transformers compose each
+precondition with it.  Every carrier is finite, so the fixpoints run to
 stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
@@ -138,31 +140,26 @@ def loop_triple(cond: lang.BExpr, bs: SemTriple,
     """sem of `while (cond) body`, given bs = sem(B;S).
 
     The post of the loop on a precondition p composes p with this triple,
-    and neither fixpoint depends on p.  The greatest fixpoint of
+    and no fixpoint depends on p.  The greatest fixpoint of
     X -> pre[B;S](X), a state mask, holds the starts that iterate forever.
-    The least fixpoint of X -> id | X ; bs.e is the closure bs.e*, taken
-    semi-naively: each round composes only the pairs the previous round
-    added.  The executions at the loop head are p.e ; bs.e*; they leave
-    through the negated guard or a break of the body, or diverge in the
-    body.  The loop consumes its own breaks, so composing p with the triple
-    passes p.br through unchanged.
+    The executions at the loop head leave through the negated guard or a
+    break of the body (`exits`), or diverge in the body; the loop's e is
+    the least solution of X = exits | bs.e ; X on rows, and the starts that
+    can reach a divergence of the body are the least solution of
+    X = bs.inf | pre[B;S](X), so the closure bs.e* is never built.  The
+    loop consumes its own breaks, so composing p with the triple passes
+    p.br through unchanged.
     """
     n = space.size()
     div = gfp(lambda x: rd.rel_into(bs.e, x), (1 << n) - 1,
               ge=lambda x, y: x | y == x, max_iter=n + 2).result
-    frontier = rd.identity_rel(space)
-
-    def grow(x):
-        nonlocal frontier
-        x = rd.union(x, frontier)
-        frontier = rd.difference(rd.compose_rel(frontier, bs.e), x)
-        return x
-
-    star = lfp(grow, rd.empty_rel(space), le=rd.rel_leq,
-               max_iter=n + 2).result
     exits = rd.union(prim(BoolTest(neg(cond)), space).e, bs.br)
-    return SemTriple(rd.compose_rel(star, exits),
-                     rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
+    e = lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
+            rd.empty_rel(space), le=rd.rel_leq, max_iter=n + 2).result
+    if bs.inf:
+        div |= lfp(lambda x: bs.inf | rd.rel_into(bs.e, x), 0,
+                   le=lambda x, y: x | y == y, max_iter=n + 2).result
+    return SemTriple(e, div, rd.empty_rel(space))
 
 
 def relational(space: StateSpace) -> Algebra:

@@ -297,11 +297,6 @@ def intersection(r1: Rel, r2: Rel) -> Rel:
     return tuple(map(operator.and_, r1, r2))
 
 
-def difference(r1: Rel, r2: Rel) -> Rel:
-    """The pairs of r1 that are not in r2."""
-    return tuple(map(operator.and_, r1, map(operator.invert, r2)))
-
-
 def rel_leq(r1: Rel, r2: Rel) -> bool:
     """Inclusion of relations."""
     return union(r1, r2) == r2

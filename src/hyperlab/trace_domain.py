@@ -5,18 +5,23 @@ on the trace algebra `traces(space, cap)`.  Skips and assignments
 contribute one step (two states: their relational pairs), tests and breaks
 act as filters (one state, and break traces simply stop at the break point,
 following the relational reading of the break-to constructor).
-Concatenation merges the shared middle state.
+Concatenation merges the shared middle state.  The algebra carries a trace
+as a tuple of state indexes, which hashes cheaply, and a loop extends only
+the traces its previous round added; `trace_sem` maps the result to state
+tuples once.
 
 Infinite traces are never materialized: the divergent component is carried as
 the set of divergent start states, which is the exact relational abstraction
-of the infinite trace set.  Traces longer than the configured cap L are
-dropped and the result is flagged as truncated, never silently cut, so
-commutation checks can skip flagged cases soundly.
+of the infinite trace set.  It is read from `interpreter.oracle_sem`: the
+starts that reach a cycle of configurations.  Traces longer than the
+configured cap L are dropped and the result is flagged as truncated, never
+silently cut, so commutation checks can skip flagged cases soundly.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
@@ -53,14 +58,16 @@ def concat(t1, t2, cap: int):
 
     Returns (traces, truncated_flag).
     """
-    by_first: dict = {}
-    for p in t2:
-        by_first.setdefault(p[0], []).append(p)
+    if not t1 or not t2:
+        return frozenset(), False
+    tails: dict = {}
+    for q in t2:
+        tails.setdefault(q[0], []).append(q[1:])
     out = set()
     cut = False
     for p in t1:
-        for q in by_first.get(p[-1], ()):
-            r = p + q[1:]
+        for q in tails.get(p[-1], ()):
+            r = p + q
             if len(r) > cap:
                 cut = True
             else:
@@ -69,19 +76,22 @@ def concat(t1, t2, cap: int):
 
 
 def traces(space: StateSpace, cap: int) -> Algebra:
-    """Traces of length at most `cap`; a loop is every finite iteration of
-    its guarded body followed by its exits."""
-    singles, empty = frozenset((sig,) for sig in space.states()), frozenset()
+    """Traces of length at most `cap`, as tuples of state indexes; a loop is
+    every finite iteration of its guarded body followed by its exits."""
+    states = space.states()
+    units = tuple((i,) for i in range(len(states)))
+    singles, empty = frozenset(units), frozenset()
 
     def prim(s):
         if isinstance(s, BoolTest):
             test = rd.compile_expr(s.cond, space)
-            return _TR(frozenset(t for t in singles if test(t[0])), empty,
+            return _TR(frozenset(compress(units, map(test, states))), empty,
                        False)
         if isinstance(s, Break):
             return _TR(empty, singles, False)
-        return _TR(frozenset(rd.pairs(rd.prim(s, space).e, space)), empty,
-                   False)
+        rows = rd.prim(s, space).e
+        return _TR(frozenset((i, j) for i, row in enumerate(rows)
+                             for j in rd.bits(row)), empty, False)
 
     def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)
@@ -89,13 +99,18 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         return _TR(e, a.br | br2, a.truncated or b.truncated or c1 or c2)
 
     def loop(cond, body):
-        cut = body.truncated
+        # semi-naive: concat distributes over union in its second argument,
+        # so each round extends only the traces the previous round added,
+        # and every product is formed once
+        cut, new = body.truncated, singles
 
         def step(x):
-            nonlocal cut
-            grown, c = concat(body.e, x, cap)
+            nonlocal cut, new
+            x |= new
+            grown, c = concat(body.e, new, cap)
             cut = cut or c
-            return singles | grown
+            new = grown - x
+            return x
 
         reach = interpreter.lfp(step, frozenset(), le=operator.le,
                                 max_iter=cap + 2).result
@@ -112,14 +127,18 @@ def traces(space: StateSpace, cap: int) -> Algebra:
 def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
     """Finite-trace semantics up to length `max_len`, plus divergent starts.
 
-    The divergent component is taken from the relational semantics (the
-    exact abstraction of the infinite traces).
+    The traces are computed on state indexes and mapped to state tuples once,
+    at the end.  The divergent component is read from `oracle_sem`: the
+    starts that reach a cycle of configurations, which is the exact
+    abstraction of the infinite traces.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     tr = interpreter.interpret(s, traces(space, max_len))
-    div = frozenset(rd.members(interpreter.sem(s, space).inf, space))
-    return TraceSet(tr.e, div, tr.truncated)
+    states = space.states()
+    div = frozenset(rd.members(interpreter.oracle_sem(s, space).inf, space))
+    return TraceSet(frozenset(tuple(map(states.__getitem__, p)) for p in tr.e),
+                    div, tr.truncated)
 
 
 def abstract_to_rel(t: TraceSet, space: StateSpace):

@@ -66,6 +66,28 @@ def test_malformed_orders_rejected():
     assert str(exc.value) == "duplicate elements"
 
 
+@pytest.mark.parametrize("n, below, irreflexive, message", [
+    (2, (), (0,), "order not reflexive"),
+    (2, ((0, 1), (1, 0)), (), "order not antisymmetric"),
+    (3, ((0, 1), (1, 2)), (), "order not transitive"),
+    # two violations in row 0: its first failing pair decides
+    (4, ((1, 0), (0, 1), (2, 0), (3, 2)), (), "order not antisymmetric"),
+    (4, ((1, 0), (3, 1), (2, 0), (0, 2)), (), "order not transitive"),
+    # one pair failing both: antisymmetry is tested first
+    (4, ((1, 0), (0, 1), (3, 1)), (), "order not antisymmetric"),
+    # row 0 fails before the irreflexive row 1
+    (3, ((1, 0), (2, 1)), (1,), "order not transitive"),
+])
+def test_each_order_violation_is_named_by_its_first_failing_pair(
+        n, below, irreflexive, message):
+    # b <= a for the pairs (b, a) of `below` and for b == a outside
+    # `irreflexive`
+    with pytest.raises(LatticeError) as exc:
+        ToyLattice(range(n), lambda b, a: (b, a) in below
+                   or a == b and a not in irreflexive)
+    assert str(exc.value) == message
+
+
 def test_powerset_is_validated_as_every_lattice_is(monkeypatch):
     calls = []
     validate = ToyLattice._validate

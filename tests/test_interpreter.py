@@ -5,16 +5,17 @@ import pytest
 
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
+from hyperlab import trace_domain as td
 from hyperlab import transformers as tf
 from hyperlab.interpreter import (FixpointReport, NonMonotoneError, gfp, lfp,
                                   oracle_sem, sem)
 from hyperlab.hyperlogic import check_rule
 from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq, Skip,
-                           Var, While, parse, subtrees, validate_breaks)
+                           Var, While, neg, parse, subtrees, validate_breaks)
 from hyperlab.rel_domain import StateSpace
 from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
-                               S4_SRC, random_program, random_triple,
-                               s3_expected, s4_expected)
+                               S4_SRC, random_bexpr, random_program,
+                               random_triple, s3_expected, s4_expected)
 
 
 def test_lfp_identity_single_iteration():
@@ -161,6 +162,34 @@ def test_divergence_gfp_matches_oracle_cycles():
     assert oracle_sem(prog, space).inf == div
 
 
+def closure_loop_triple(cond, bs, space):
+    """The loop triple through the closure bs.e*, the union of the powers of
+    bs.e: star ; exits, and rel_into(star, bs.inf) | div, where div, the
+    starts of infinitely many body rounds, is the domain of bs.e^|S|."""
+    n = space.size()
+    pows = it.powers(bs.e, space, n)
+    star = reduce(rd.union, pows)
+    exits = rd.union(rd.prim(BoolTest(neg(cond)), space).e, bs.br)
+    div = sum(1 << i for i, row in enumerate(pows[n]) if row)
+    return rd.SemTriple(rd.compose_rel(star, exits),
+                        rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
+
+
+def test_loop_triple_matches_the_closure_formulation():
+    rng = random.Random(47)
+    breaking = diverging = 0
+    for k in range(200):
+        # breaks anywhere in the body leave the loop; inner loops may diverge
+        body, space = random_program(rng, depth=3, allow_free_break=True)
+        cond = random_bexpr(rng, space.vars, 1)
+        bs = it.body_triple(cond, body, space)
+        breaking += any(bs.br)
+        diverging += bs.inf != 0
+        assert it.loop_triple(cond, bs, space) == \
+            closure_loop_triple(cond, bs, space), (k, body)
+    assert breaking >= 20 and diverging >= 20, (breaking, diverging)
+
+
 def test_sem_skip_is_identity_triple():
     space = StateSpace.make(("x",), 0, 1)
     assert sem(Skip(), space) == rd.pure_e(rd.identity_rel(space))
@@ -181,14 +210,19 @@ def test_oracle_skip():
 
 
 def test_oracle_equals_sem_smoke():
+    # the last 120 programs may break outside any loop, a fragment whose
+    # breaks both carry in br.  hl trace reads its divergent starts from the
+    # oracle, so they are checked against sem's inf on every program too
     rng = random.Random(44)
-    done = 0
-    while done < 120:
-        s, space = random_program(rng)
-        if validate_breaks(s) is not None:
-            continue
-        done += 1
-        assert sem(s, space) == oracle_sem(s, space)
+    diverging = 0
+    for k in range(240):
+        s, space = random_program(rng, allow_free_break=k >= 120)
+        t = sem(s, space)
+        assert t == oracle_sem(s, space), (k, s)
+        assert td.trace_sem(s, space, 2).div_starts == \
+            frozenset(rd.members(t.inf, space)), (k, s)
+        diverging += t.inf != 0
+    assert diverging >= 20, diverging
 
 
 def test_oracle_equals_sem_under_wrap_and_prune():

@@ -130,19 +130,21 @@ def test_dump_format_is_sorted_and_stable():
 def test_abstraction_commutes_with_each_trace_operation():
     # Part II: the first/last-state abstraction is exact, so it maps each
     # operation of the trace algebra to the relational algebra's operation
-    # on the abstracted arguments (e and br; traces carry no divergence)
+    # on the abstracted arguments (e and br; traces carry no divergence).
+    # The algebra's traces are tuples of state indexes
     rng = random.Random(24)
     space = StateSpace.make(("x", "y"), 0, 2)
     sts = space.states()
     tr, rel = td.traces(space, 12), it.relational(space)
 
     def rand_traces(k):
-        return frozenset(tuple(rng.choice(sts) for _ in range(rng.randint(1, 3)))
+        return frozenset(tuple(rng.choice(range(len(sts)))
+                               for _ in range(rng.randint(1, 3)))
                          for _ in range(rng.randint(0, k)))
 
     def alpha(t):
         assert not t.truncated
-        ends = lambda ts: ((p[0], p[-1]) for p in ts)
+        ends = lambda ts: ((sts[p[0]], sts[p[-1]]) for p in ts)
         return rd.triple(space, e=ends(t.e), br=ends(t.br))
 
     def same(t, r):
