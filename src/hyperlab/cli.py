@@ -178,7 +178,7 @@ def cmd_check(args) -> int:
     if rule not in _CHECK_RULES:
         raise CliError("rule %r is not supported by check (have: %s)"
                        % (rule, ", ".join(_CHECK_RULES)))
-    for key in ("program", "post_oracle"):
+    for key in ("program", "post_oracle", "low", "high"):
         if key in req and not isinstance(req[key], str):
             raise CliError("request %r must be a string, got %s"
                            % (key, json.dumps(req[key])))
@@ -276,6 +276,10 @@ def cmd_lattice_lab(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import selftest
+    if not selftest.matching(args.filter):
+        raise CliError("no selftest suite matches filter %r (have: %s)"
+                       % (args.filter,
+                          ", ".join(name for name, _ in selftest.SUITES)))
     failures = selftest.run(args.filter)
     return 0 if failures == 0 else 1
 

@@ -28,7 +28,7 @@ from functools import partial
 from typing import Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
-from .abstractions import HyperOracle
+from .abstractions import HyperOracle, ToyLattice
 from .lang import (BoolTest, Cmp, Const, If, RandAssign, Record, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq
@@ -382,37 +382,26 @@ def _rule_conjunctive(space, pre, stmt, post_q) -> RuleReport:
 
 # -- frontier rho elimination ------------------------------------------------
 
-def _minimal(elems, le) -> list:
-    return [p for p in elems
-            if not any(le(q, p) and q != p for q in elems)]
-
-
-def _phi_interval(f, qset, carrier, le):
-    """phi(F)Q: members of Q whose whole interval [F, .] stays inside Q."""
-    return {p for p in qset
-            if le(f, p) and all(x in qset for x in carrier
-                                if le(f, x) and le(x, p))}
-
-
 def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
                        partition=None) -> RuleReport:
     """Frontier rho-elimination rule over an enumerated carrier.
 
     `post_fn` maps a carrier element to its exact post image; the consequent
-    must be rho-frontier closed.  A missing partition is synthesized.
+    must be rho-frontier closed.  A missing partition is synthesized.  The
+    carrier and `le` must form a lattice (LatticeError otherwise), whose
+    kernels give the min frontier, each phi(F)Q and the closure.
     """
+    lat = ToyLattice(carrier, le)
     rep = RuleReport("frontier_rho")
-    qs = list(post_q)
-    qset = set(qs)
-    frontier = _minimal(qs, le)
-    phis = {f: _phi_interval(f, qset, carrier, le) for f in frontier}
+    q = lat.mask(post_q)
+    frontier = lat.unmask(lat.min_mask(q))
+    phis = {f: lat.phi_mask(f, q) for f in frontier}
     rep.premise("consequent rho-frontier closed",
-                set().union(*phis.values()) == qset)
+                lat.rho_frontier_mask(q) == q)
 
-    posts = {p: post_fn(p) for p in pre}
+    posts = {p: lat.mask((post_fn(p),)) for p in pre}
     if partition is None:
-        partition = {f: frozenset(p for p in pre
-                                  if le(f, posts[p]) and posts[p] in phi)
+        partition = {f: frozenset(p for p in pre if posts[p] & phi)
                      for f, phi in phis.items()}
         rep.note("partition synthesized", True)
     covered = set()
@@ -421,16 +410,15 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     rep.premise("pre covered by the partition", set(pre) <= covered)
     keys_ok = all(f in frontier for f in partition)
     rep.premise("partition indexed by the frontier", keys_ok)
-    cells_ok = True
-    if keys_ok:
-        for f, cell in partition.items():
-            for p in cell:
-                # upper triple into phi(F)Q and lower triple onto F
-                if not (posts[p] in phis[f] and le(f, posts[p])):
-                    cells_ok = False
+    # phi(F)Q lies above F, so landing in it is both the upper triple into
+    # phi(F)Q and the lower triple onto F; vacuous when a key is not on the
+    # frontier, which the premise above reports
+    cells_ok = not keys_ok or all(posts[p] & phis[f]
+                                  for f, cell in partition.items()
+                                  for p in cell)
     rep.premise("per-frontier upper and lower triples", cells_ok)
 
-    direct = all(posts[p] in qset for p in pre)
+    direct = all(posts[p] & q for p in pre)
     rep.note("conclusion:direct", direct)
     return rep
 

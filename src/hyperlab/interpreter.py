@@ -7,13 +7,13 @@ guard and guarded body.  The `Algebra` `d` is the relational one here
 (`sem`), the post transformers (`transformers.transformer`) or the bounded
 traces (`trace_domain.traces`).  The relational values are dense: a
 relation is one target bitmask per source state index, a state set one mask
-(`rel_domain`).  The relational loop `loop_triple` takes its fixpoints once
-per guarded body, the divergence gfp on masks and, without the closure of
-the body, the least solutions for the loop's exits on rows and for the
-starts that reach a body divergence on masks.  It returns the loop's own
-triple: `sem` uses it as it is, and the post transformers compose each
-precondition with it.  Every carrier is finite, so the fixpoints run to
-stabilization without widening.
+(`rel_domain`).  The relational loop `loop_triple` takes two fixpoints
+once per guarded body, as the bi-inductive semantics does: the least one
+for the loop's exits, on rows and without the closure of the body, and
+the greatest one for its divergent starts, on masks.  It returns the
+loop's own triple: `sem` uses it as it is, and the post transformers
+compose each precondition with it.  Every carrier is finite, so the
+fixpoints run to stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
 statement once into a flat instruction list over integer program points,
@@ -140,26 +140,22 @@ def loop_triple(cond: lang.BExpr, bs: SemTriple,
     """sem of `while (cond) body`, given bs = sem(B;S).
 
     The post of the loop on a precondition p composes p with this triple,
-    and no fixpoint depends on p.  The greatest fixpoint of
-    X -> pre[B;S](X), a state mask, holds the starts that iterate forever.
-    The executions at the loop head leave through the negated guard or a
-    break of the body (`exits`), or diverge in the body; the loop's e is
-    the least solution of X = exits | bs.e ; X on rows, and the starts that
-    can reach a divergence of the body are the least solution of
-    X = bs.inf | pre[B;S](X), so the closure bs.e* is never built.  The
-    loop consumes its own breaks, so composing p with the triple passes
-    p.br through unchanged.
+    and no fixpoint depends on p.  The executions at the loop head leave
+    through the negated guard or a break of the body (`exits`); the loop's
+    e is the least solution of X = exits | bs.e ; X on rows, so the closure
+    bs.e* is never built.  Its divergent starts are the greatest solution
+    of X = bs.inf | pre[B;S](X) on masks: a start in it either diverges in
+    the body or takes a body step back into it, so it iterates forever or
+    reaches a divergence of the body.  The loop consumes its own breaks,
+    so composing p with the triple passes p.br through unchanged.
     """
     n = space.size()
-    div = gfp(lambda x: rd.rel_into(bs.e, x), (1 << n) - 1,
-              ge=lambda x, y: x | y == x, max_iter=n + 2).result
     exits = rd.union(prim(BoolTest(neg(cond)), space).e, bs.br)
     e = lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
             rd.empty_rel(space), le=rd.rel_leq, max_iter=n + 2).result
-    if bs.inf:
-        div |= lfp(lambda x: bs.inf | rd.rel_into(bs.e, x), 0,
-                   le=lambda x, y: x | y == y, max_iter=n + 2).result
-    return SemTriple(e, div, rd.empty_rel(space))
+    inf = gfp(lambda x: bs.inf | rd.rel_into(bs.e, x), (1 << n) - 1,
+              ge=lambda x, y: x | y == x, max_iter=n + 2).result
+    return SemTriple(e, inf, rd.empty_rel(space))
 
 
 def relational(space: StateSpace) -> Algebra:

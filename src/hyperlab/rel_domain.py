@@ -12,9 +12,9 @@ A program denotation is the triple ``SemTriple(e, inf, br)`` of terminating
 pairs, divergent start states, and pairs terminating via break, ordered by
 componentwise inclusion.  This module alone knows the format: other modules
 build values with `triple`/`rel`/`mask` and read them with
-`pairs`/`members`.  `StateSpace` and `SemTriple` are `lang.Record`s;
-`SemTriple` writes out its constructor, equality and hash, since a check
-builds and compares thousands of triples.
+`pairs`/`members`, or by index with `labeled_pairs`/`bits`.  `StateSpace`
+and `SemTriple` are `lang.Record`s; `SemTriple` writes out its constructor,
+equality and hash, since a check builds and compares thousands of triples.
 
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
 key they do not read, naming it, rather than ignore a misspelt one.
@@ -238,8 +238,9 @@ def bits(m: int):
         m ^= low
 
 
-def _pairs(rel: Rel, labels) -> list:
-    """(labels[i], labels[j]) for the pairs (i, j) of `rel`, ascending."""
+def labeled_pairs(rel: Rel, labels) -> list:
+    """(labels[i], labels[j]) for the pairs (i, j) of `rel`, ascending;
+    `range(len(rel))` as labels gives the index pairs."""
     out = []
     for i, m in compress(enumerate(rel), rel):  # the rows with a target
         a = labels[i]
@@ -252,7 +253,7 @@ def _pairs(rel: Rel, labels) -> list:
 
 def pairs(rel: Rel, space: StateSpace) -> list:
     """The pairs of `rel` as state tuples, in sorted order."""
-    return _pairs(rel, space.states())
+    return labeled_pairs(rel, space.states())
 
 
 def members(m: StateSet, space: StateSpace):
@@ -331,8 +332,9 @@ class SemTriple(lang.Record):
         """The order of the sorted state pairs and states: index order is
         tuple order, so index pairs give it without the space."""
         indexes = range(len(self.e))
-        return (tuple(_pairs(self.e, indexes)), tuple(bits(self.inf)),
-                tuple(_pairs(self.br, indexes)))
+        return (tuple(labeled_pairs(self.e, indexes)),
+                tuple(bits(self.inf)),
+                tuple(labeled_pairs(self.br, indexes)))
 
 
 # the slots' own setters: a third faster than `object.__setattr__`
@@ -432,6 +434,15 @@ def residual(r1: Rel, r2: Rel) -> Rel:
     return tuple(sum(compress(ids, [not m & ~row for m in r1])) for row in r2)
 
 
+def bottom_residual(m1: StateSet, m2: StateSet, space: StateSpace) -> Rel:
+    """`residual` of m1 x {bot} by m2 x {bot}, the state sets read as
+    relations into the bottom pseudo-state: the pairs (a, b) where b is in
+    m1 only if a is in m2."""
+    n = space.size()
+    full = (1 << n) - 1
+    return tuple(full if m2 >> a & 1 else full & ~m1 for a in range(n))
+
+
 def rel_into(r: Rel, targets: StateSet) -> StateSet:
     """States that can reach `targets` in one r-step: r ; (targets x {bot})."""
     if not targets:
@@ -481,7 +492,7 @@ def triple_to_json(t: SemTriple, space: StateSpace) -> dict:
     states = space.states()
 
     def pair_list(r):
-        return [[list(a), list(b)] for a, b in _pairs(r, states)]
+        return [[list(a), list(b)] for a, b in labeled_pairs(r, states)]
     return {"e": pair_list(t.e), "inf": [list(states[i]) for i in bits(t.inf)],
             "br": pair_list(t.br)}
 

@@ -773,12 +773,16 @@ SUITES = (
 )
 
 
+def matching(filter_name=None):
+    """The suites whose name contains `filter_name` (all without one)."""
+    return [(name, fn) for name, fn in SUITES
+            if not filter_name or filter_name in name]
+
+
 def run(filter_name=None, out=print):
     """Run the suites (optionally name-filtered); returns the failure count."""
     failures = 0
-    for name, fn in SUITES:
-        if filter_name and filter_name not in name:
-            continue
+    for name, fn in matching(filter_name):
         started = time.perf_counter()
         checks = fn()
         elapsed = time.perf_counter() - started

@@ -90,8 +90,8 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         if isinstance(s, Break):
             return _TR(empty, singles, False)
         rows = rd.prim(s, space).e
-        return _TR(frozenset((i, j) for i, row in enumerate(rows)
-                             for j in rd.bits(row)), empty, False)
+        return _TR(frozenset(rd.labeled_pairs(rows, range(len(rows)))),
+                   empty, False)
 
     def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)

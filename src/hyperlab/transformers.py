@@ -49,17 +49,13 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     """Largest p with post(s_sem, p) <= q (upper adjoint of post).
 
     post preserves arbitrary unions in p, so membership is pairwise: an
-    e-pair (a, b) enters p exactly when its own post lies below q, that is
-    when b's e and br targets in s_sem are a's in q (the residuals) and a
-    may diverge in q if b diverges in s_sem.
+    e-pair (a, b) enters p exactly when b's targets in s_sem are a's in q,
+    component by component.  That is one residual per component, the
+    divergent starts read as the relation into the bottom pseudo-state.
     """
-    sts = space.states()
-    diverges = frozenset(rd.members(s_sem.inf, space))
-    may_diverge = frozenset(rd.members(q.inf, space))
-    calm = rd.rel(((a, b) for a in sts for b in sts
-                   if a in may_diverge or b not in diverges), space)
+    inf = rd.bottom_residual(s_sem.inf, q.inf, space)
     e = rd.intersection(rd.intersection(rd.residual(s_sem.e, q.e),
-                                        rd.residual(s_sem.br, q.br)), calm)
+                                        rd.residual(s_sem.br, q.br)), inf)
     return SemTriple(e, q.inf, q.br)
 
 

@@ -361,6 +361,13 @@ def test_selftest_filter_runs_single_suite(capsys):
     assert "relational" in out and "oracle " not in out
 
 
+def test_selftest_filter_matching_no_suite_exits_two(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--filter", "nosuch")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no selftest suite matches filter 'nosuch' "
+                          "(have: relational, trace, oracle, ")
+
+
 def test_sem_space_missing_key_exits_two(workdir, capsys):
     (workdir / "space_nohi.json").write_text(json.dumps(
         {"vars": ["l", "h"], "lo": 0}))
@@ -592,6 +599,10 @@ def test_check_request_rejects_what_no_rule_reads(workdir, capsys):
             ({"program": 5}, "request 'program' must be a string, got 5"),
             ({"post_oracle": ["NI"]},
              "request 'post_oracle' must be a string, got [\"NI\"]"),
+            ({"post_oracle": "NI", "low": 5},
+             "request 'low' must be a string, got 5"),
+            ({"post_oracle": "NI", "high": None},
+             "request 'high' must be a string, got null"),
             ({"consequent": LOOP_POST, "lo": 0},
              "request key 'consequent', 'lo' is not read by rule 'upper' "
              "(it reads: %s)" % reads),

@@ -471,6 +471,20 @@ def test_frontier_rho_rule_detects_violation():
     assert not rep.holds()
     notes = dict((n, ok) for n, ok, _ in rep.premises)
     assert not notes["conclusion:direct"]
+    # a supplied cell fails when its post is above the frontier element but
+    # outside phi(F)Q: [{0}, {0,1,2}] holds {0,2}, which Q lacks, while
+    # [{1}, {0,1,2}] lies in Q
+    space = StateSpace.make(("x",), 0, 2)
+    carrier, post_fn = _assertional(space, parse("x = [0,2];"))
+    a, b, c = ((v,) for v in range(3))
+    qs = frozenset(map(frozenset, ({a}, {b}, {a, b}, {b, c}, {a, b, c})))
+    full = frozenset((a, b, c))
+    for f, cells in ((frozenset((a,)), False), (frozenset((b,)), True)):
+        rep = check_rule("frontier_rho", None, carrier=carrier, le=le,
+                         post_fn=post_fn, pre={full}, post_q=qs,
+                         partition={f: {full}})
+        assert rep.premises[0][1] and rep.premises[-2][1] is cells
+        assert rep.holds() is cells
 
 
 def test_frontier_rho_rejects_unclosed_consequent():
@@ -490,6 +504,11 @@ def test_frontier_rho_rejects_unclosed_consequent():
                      post_fn=post_fn, pre=pre,
                      post_q=one_missing)
     assert not rep.premises[0][1]
+    # the rule reads the lattice kernels: a carrier without a bottom is no
+    # lattice
+    with pytest.raises(ab.LatticeError, match="missing top or bottom"):
+        check_rule("frontier_rho", None, carrier=carrier[1:], le=le,
+                   post_fn=post_fn, pre=pre, post_q=qs)
 
 
 def test_unknown_rule_name():

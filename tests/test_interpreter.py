@@ -162,22 +162,27 @@ def test_divergence_gfp_matches_oracle_cycles():
     assert oracle_sem(prog, space).inf == div
 
 
-def closure_loop_triple(cond, bs, space):
-    """The loop triple through the closure bs.e*, the union of the powers of
-    bs.e: star ; exits, and rel_into(star, bs.inf) | div, where div, the
-    starts of infinitely many body rounds, is the domain of bs.e^|S|."""
+def closure_parts(bs, space):
+    """(star, div): the closure bs.e*, the union of the powers of bs.e, and
+    the starts of infinitely many body rounds, the domain of bs.e^|S|."""
     n = space.size()
     pows = it.powers(bs.e, space, n)
-    star = reduce(rd.union, pows)
+    return (reduce(rd.union, pows),
+            sum(1 << i for i, row in enumerate(pows[n]) if row))
+
+
+def closure_loop_triple(cond, bs, space):
+    """The loop triple through the closure: star ; exits, and
+    rel_into(star, bs.inf) | div."""
+    star, div = closure_parts(bs, space)
     exits = rd.union(rd.prim(BoolTest(neg(cond)), space).e, bs.br)
-    div = sum(1 << i for i, row in enumerate(pows[n]) if row)
     return rd.SemTriple(rd.compose_rel(star, exits),
                         rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
 
 
 def test_loop_triple_matches_the_closure_formulation():
     rng = random.Random(47)
-    breaking = diverging = 0
+    breaking = diverging = reaching = 0
     for k in range(200):
         # breaks anywhere in the body leave the loop; inner loops may diverge
         body, space = random_program(rng, depth=3, allow_free_break=True)
@@ -185,9 +190,14 @@ def test_loop_triple_matches_the_closure_formulation():
         bs = it.body_triple(cond, body, space)
         breaking += any(bs.br)
         diverging += bs.inf != 0
+        # starts that reach a body divergence but cannot iterate forever:
+        # the gfp holds them only through its bs.inf term
+        star, div = closure_parts(bs, space)
+        reaching += rd.rel_into(star, bs.inf) & ~div != 0
         assert it.loop_triple(cond, bs, space) == \
             closure_loop_triple(cond, bs, space), (k, body)
-    assert breaking >= 20 and diverging >= 20, (breaking, diverging)
+    assert breaking >= 20 and diverging >= 20 and reaching >= 20, \
+        (breaking, diverging, reaching)
 
 
 def test_sem_skip_is_identity_triple():
