@@ -653,7 +653,7 @@ def _executions(t, space):
 
 
 def _ni(space, low, high):
-    li = space.index(low)
+    li, _ = space.index(low), space.index(high)  # high unread, yet bound
 
     def member(t):
         # low-equal starts end low-equal: one low end per low start

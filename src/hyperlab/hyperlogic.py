@@ -324,7 +324,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     closed = all(rd.compose_rel(i, step) in inv for i in inv)
     rep.premise("invariant closed under guarded body step", closed)
     def exit_in_consequent(rels):
-        return all(member_rel(rd.compose_rel(i, not_b)) for i in rels)
+        return all(member_rel(rd.compose_rel(i, not_b.e)) for i in rels)
     exits_ok = exit_in_consequent(inv)
     rep.premise("invariant exits in consequent", exits_ok)
     rep.note("consequent chain-limit closed", True,
@@ -332,7 +332,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     if synthesized:
         rep.note("invariant synthesized", True, "%d elements" % len(inv))
 
-    wsem = interpreter.loop_triple(cond, bs, space)
+    wsem = interpreter.loop_triple(bs, not_b, space)
     sound = all(member_rel(rd.compose_rel(p, wsem.e)) for p in pre_rels)
     rep.note("conclusion:direct", sound)
     # the weak conclusion is the exit premise of the family

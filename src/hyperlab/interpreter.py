@@ -1,19 +1,19 @@
 """The generic structural interpreter, its fixpoints, and a small-step oracle.
 
-`interpret(s, d)` is the one routine that decides how a statement
-decomposes: a basic command is `d.prim`, a sequence `d.seq` of its parts, a
+`interpret(s, d)` alone takes a statement apart: a basic command is
+`d.prim`, a sequence `d.seq` of its items folded from the right, a
 conditional `d.join` of its two guarded branches, and a loop `d.loop` of its
-guard and guarded body.  The `Algebra` `d` is the relational one here
-(`sem`), the post transformers (`transformers.transformer`) or the bounded
-traces (`trace_domain.traces`).  The relational values are dense: a
-relation is one target bitmask per source state index, a state set one mask
-(`rel_domain`).  The relational loop `loop_triple` takes two fixpoints
-once per guarded body, as the bi-inductive semantics does: the least one
-for the loop's exits, on rows and without the closure of the body, and
-the greatest one for its divergent starts, on masks.  It returns the
-loop's own triple: `sem` uses it as it is, and the post transformers
-compose each precondition with it.  Every carrier is finite, so the
-fixpoints run to stabilization without widening.
+guarded body and its exit test, so no algebra sees a guard.  The `Algebra`
+`d` is the relational one here (`sem`), the post transformers
+(`transformers.transformer`) or the bounded traces (`trace_domain.traces`).
+The relational values are dense: a relation is one target bitmask per source
+state index, a state set one mask (`rel_domain`).  The relational loop
+`loop_triple` takes two fixpoints once per guarded body, as the bi-inductive
+semantics does: the least one for the loop's exits, on rows and without the
+closure of the body, and the greatest one for its divergent starts, on
+masks.  It returns the loop's own triple: `sem` uses it as it is, and the
+post transformers compose each precondition with it.  Every carrier is
+finite, so the fixpoints run to stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
 statement once into a flat instruction list over integer program points,
@@ -103,7 +103,7 @@ def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> Fixpoint
 
 class Algebra(lang.Record):
     """Values of a basic command `prim(s)`, a sequence `seq(a, b)`, a choice
-    `join(a, b)`, and `loop(cond, body)` given the guarded body's value."""
+    `join(a, b)`, and a loop `loop(body, exit)` of the values of B;S and !B."""
 
     __slots__ = ("prim", "seq", "join", "loop")
 
@@ -122,26 +122,30 @@ def guarded(b: lang.BExpr, s: lang.Stmt, d: Algebra):
 
 def interpret(s: lang.Stmt, d: Algebra):
     """Value of a statement in the algebra `d`, by structural recursion."""
-    if isinstance(s, Seq):
-        return d.seq(interpret(s.first, d), interpret(s.second, d))
+    if isinstance(s, Seq):  # valued left to right, composed from the right
+        *vals, v = [interpret(c, d) for c in s.stmts]
+        for a in reversed(vals):
+            v = d.seq(a, v)
+        return v
     if isinstance(s, If):
         return d.join(guarded(s.cond, s.then, d),
                       guarded(neg(s.cond), s.orelse, d))
     if isinstance(s, While):
-        return d.loop(s.cond, guarded(s.cond, s.body, d))
+        return d.loop(guarded(s.cond, s.body, d),
+                      d.prim(BoolTest(neg(s.cond))))
     return d.prim(s)
 
 
 # ---------------------------------------------------------------------------
 # The relational algebra
 
-def loop_triple(cond: lang.BExpr, bs: SemTriple,
+def loop_triple(bs: SemTriple, exit: SemTriple,
                 space: StateSpace) -> SemTriple:
-    """sem of `while (cond) body`, given bs = sem(B;S).
+    """sem of `while (B) S`, given bs = sem(B;S) and exit = sem(!B).
 
     The post of the loop on a precondition p composes p with this triple,
     and no fixpoint depends on p.  The executions at the loop head leave
-    through the negated guard or a break of the body (`exits`); the loop's
+    through the exit test or a break of the body (`exits`); the loop's
     e is the least solution of X = exits | bs.e ; X on rows, so the closure
     bs.e* is never built.  Its divergent starts are the greatest solution
     of X = bs.inf | pre[B;S](X) on masks: a start in it either diverges in
@@ -150,7 +154,7 @@ def loop_triple(cond: lang.BExpr, bs: SemTriple,
     so composing p with the triple passes p.br through unchanged.
     """
     n = space.size()
-    exits = rd.union(prim(BoolTest(neg(cond)), space).e, bs.br)
+    exits = rd.union(exit.e, bs.br)
     e = lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
             rd.empty_rel(space), le=rd.rel_leq, max_iter=n + 2).result
     inf = gfp(lambda x: bs.inf | rd.rel_into(bs.e, x), (1 << n) - 1,
@@ -161,7 +165,7 @@ def loop_triple(cond: lang.BExpr, bs: SemTriple,
 def relational(space: StateSpace) -> Algebra:
     """Denotation triples; a loop is `loop_triple`."""
     return Algebra(lambda s: prim(s, space), compose, join,
-                   lambda cond, bs: loop_triple(cond, bs, space))
+                   lambda bs, exit: loop_triple(bs, exit, space))
 
 
 def body_triple(b: lang.BExpr, body: lang.Stmt, space: StateSpace) -> SemTriple:
@@ -211,8 +215,10 @@ def _compile(s: lang.Stmt, space: StateSpace):
             return nxt
         if isinstance(s, Break):
             return brk
-        if isinstance(s, Seq):
-            return comp(s.first, comp(s.second, nxt, brk), brk)
+        if isinstance(s, Seq):  # the last item is emitted first
+            for c in reversed(s.stmts):
+                nxt = comp(c, nxt, brk)
+            return nxt
         if isinstance(s, Assign):
             return emit(("assign", s.expr, space.index(s.var), nxt))
         if isinstance(s, RandAssign):

@@ -14,10 +14,10 @@ decimal digits of any script (`٣` is 3); other numeric characters such as
 `²` or `Ⅻ` are unexpected characters.  `#` starts a comment that runs to
 the end of the line; spaces, tabs, `\r` and newlines separate tokens.  A
 `ParseError` gives the line and column of the offending token, counting a
-tab as one column.  The parser and the structural walks recurse over the
-syntax, so a program nested deeper than Python's recursion limit (hundreds
-of parentheses, or a thousand statements in one sequence) raises
-`RecursionError`, which `hl` reports as an input error with exit code 2.
+tab as one column.  A sequence is one `Seq` node of any length (a block in
+it stays its own node); the parser and the structural walks recurse only
+over nesting, so a program nested deeper than Python's recursion limit
+(hundreds of parentheses or blocks) raises `RecursionError` (`hl`: exit 2).
 
 `BoolTest` is a guard statement used internally by the semantics and the
 calculi; it is not part of the concrete grammar.
@@ -171,11 +171,10 @@ class Break(Record):
 
 
 class Seq(Record):
-    __slots__ = ("first", "second")
+    __slots__ = ("stmts",)
 
-    def __init__(self, first: Stmt, second: Stmt):
-        _set(self, "first", first)
-        _set(self, "second", second)
+    def __init__(self, *stmts: Stmt):
+        _set(self, "stmts", stmts)
 
 
 class If(Record):
@@ -211,7 +210,7 @@ Stmt = Union[Assign, RandAssign, Skip, Break, Seq, If, While, BoolTest]
 def children(s: Stmt) -> tuple:
     """Ordered child statements; index positions are used in AST paths."""
     if isinstance(s, Seq):
-        return (s.first, s.second)
+        return s.stmts
     if isinstance(s, If):
         return (s.then, s.orelse)
     if isinstance(s, While):
@@ -307,12 +306,10 @@ def pretty(s: Stmt, indent: int = 0) -> str:
         return pad + "skip;"
     if isinstance(s, Break):
         return pad + "break;"
-    if isinstance(s, Seq):
-        if isinstance(s.first, Seq):  # keep association through reparsing
-            head = "%s{\n%s\n%s}" % (pad, pretty(s.first, indent + 1), pad)
-        else:
-            head = pretty(s.first, indent)
-        return head + "\n" + pretty(s.second, indent)
+    if isinstance(s, Seq):  # a nested sequence is a block
+        return "\n".join(
+            "%s{\n%s\n%s}" % (pad, pretty(c, indent + 1), pad)
+            if isinstance(c, Seq) else pretty(c, indent) for c in s.stmts)
     if isinstance(s, If):
         return "%sif (%s) {\n%s\n%s} else {\n%s\n%s}" % (
             pad, pretty_bexpr(s.cond),
@@ -417,10 +414,7 @@ class _Parser:
         stmts = [self.stmt()]
         while self.peek() not in ("eof", "}", "else"):
             stmts.append(self.stmt())
-        s = stmts[-1]
-        for prev in reversed(stmts[:-1]):
-            s = Seq(prev, s)
-        return s
+        return Seq(*stmts) if len(stmts) > 1 else stmts[0]
 
     def stmt(self) -> Stmt:
         tag = self.peek()

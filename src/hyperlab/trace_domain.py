@@ -25,7 +25,7 @@ from itertools import compress
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
-from .lang import BoolTest, Break, neg
+from .lang import BoolTest, Break
 from .rel_domain import StateSpace
 
 
@@ -77,7 +77,7 @@ def concat(t1, t2, cap: int):
 
 def traces(space: StateSpace, cap: int) -> Algebra:
     """Traces of length at most `cap`, as tuples of state indexes; a loop is
-    every finite iteration of its guarded body followed by its exits."""
+    every finite iteration of its guarded body, then its exit or a break."""
     states = space.states()
     units = tuple((i,) for i in range(len(states)))
     singles, empty = frozenset(units), frozenset()
@@ -98,7 +98,7 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         br2, c2 = concat(a.e, b.br, cap)
         return _TR(e, a.br | br2, a.truncated or b.truncated or c1 or c2)
 
-    def loop(cond, body):
+    def loop(body, exit):
         # semi-naive: concat distributes over union in its second argument,
         # so each round extends only the traces the previous round added,
         # and every product is formed once
@@ -114,9 +114,8 @@ def traces(space: StateSpace, cap: int) -> Algebra:
 
         reach = interpreter.lfp(step, frozenset(), le=operator.le,
                                 max_iter=cap + 2).result
-        exits = prim(BoolTest(neg(cond))).e | body.br
-        e, c = concat(reach, exits, cap)
-        return _TR(e, empty, cut or c)
+        e, c = concat(reach, exit.e | body.br, cap)
+        return _TR(e, empty, cut or exit.truncated or c)
 
     return Algebra(prim, seq,
                    lambda a, b: _TR(a.e | b.e, a.br | b.br,

@@ -101,13 +101,14 @@ def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
 
 def transformer(space: StateSpace) -> Algebra:
     """Post functions p -> q; a loop composes p with `loop_triple` of its
-    guarded body's function applied to the identity."""
+    guarded body's and its exit test's functions applied to the identity."""
     def basic(s):
         t = prim(s, space)
         return lambda p: compose(p, t)
 
-    def loop(cond, body):
-        t = interpreter.loop_triple(cond, body(prim("init", space)), space)
+    def loop(body, exit):
+        init = prim("init", space)
+        t = interpreter.loop_triple(body(init), exit(init), space)
         return lambda p: compose(p, t)
 
     return Algebra(basic, lambda f, g: lambda p: g(f(p)),
@@ -167,11 +168,11 @@ def weak_family(step, pre_rels, space: StateSpace) -> Tuple:
 
 def weak_step(b, body, space: StateSpace) -> Tuple:
     """(bs, not_b, step) of `while (b) body`: the guarded body's triple
-    bs = sem(B;S), the exit test [!b]e and the weak step relation
-    [if (b) body else skip]e = bs.e | [!b]e."""
+    bs = sem(B;S), the exit test's triple not_b = sem(!b) and the weak step
+    relation [if (b) body else skip]e = bs.e | [!b]e."""
     bs = interpreter.body_triple(b, body, space)
-    not_b = prim(BoolTest(neg(b)), space).e
-    return bs, not_b, rd.union(bs.e, not_b)
+    not_b = prim(BoolTest(neg(b)), space)
+    return bs, not_b, rd.union(bs.e, not_b.e)
 
 
 def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
@@ -183,5 +184,5 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     """
     _, not_b, step = weak_step(b, body, space)
     family, stab = weak_family(step, (p.e for p in props), space)
-    return frozenset(rd.pure_e(rd.compose_rel(x, not_b))
+    return frozenset(rd.pure_e(rd.compose_rel(x, not_b.e))
                      for x in family), stab

@@ -181,9 +181,9 @@ def test_check_parse_error_exits_two(workdir, capsys):
 
 
 @pytest.mark.parametrize("text", [
-    # a right-nested Seq chain (validate_breaks recurses on it) and nested
-    # parentheses (the parser recurses on them)
-    pytest.param("l = 1;\n" * 1200, id="long-sequence"),
+    # nested blocks and nested parentheses: the parser and the structural
+    # walks recurse once per level of nesting
+    pytest.param("{" * 1200 + "l = 1;" + "}" * 1200, id="nested-blocks"),
     pytest.param("l = %s1%s;\n" % ("(" * 400, ")" * 400),
                  id="deep-parentheses"),
 ])
@@ -199,6 +199,25 @@ def test_too_deep_a_program_exits_two_naming_the_recursion_limit(
     assert run_cli(capsys, *argv) == (
         2, "", "error: input nested too deeply for the recursion limit (%d)\n"
         % sys.getrecursionlimit())
+
+
+@pytest.mark.parametrize("command", ["sem", "check"])
+def test_a_long_sequence_runs(workdir, capsys, command):
+    # a sequence is one node, so its length does not count toward the
+    # recursion limit
+    (workdir / "long.hl").write_text("l = 1;\n" * 1200)
+    argv = [command, "--program", str(workdir / "long.hl"),
+            "--space", str(workdir / "space_lh.json"), "--json"]
+    if command == "check":
+        (workdir / "init_lh.json").write_text(json.dumps(LOOP_PRE))
+        argv += ["--pre", str(workdir / "init_lh.json"), "--post-oracle", "NI"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if command == "sem":
+        assert payload["oracle_agrees"] is True
+    else:
+        assert payload["verdict"] == "holds"
 
 
 def test_free_break_rejected_by_cli(workdir, capsys):
@@ -670,6 +689,19 @@ def test_unbound_variable_is_named_with_the_space(workdir, capsys):
                    "--space", str(workdir / "space_lh.json"),
                    "--pre", str(workdir / "init_lh.json"),
                    "--post-oracle", "NI", "--low", "zz") == (2, "", want)
+    # NI reads no high variable, yet an unbound one is named as in GNI and GD
+    assert run_cli(capsys, "check", "--program", str(workdir / "leak.hl"),
+                   "--space", str(workdir / "space_lh.json"),
+                   "--pre", str(workdir / "init_lh.json"),
+                   "--post-oracle", "NI", "--high", "zz") == (2, "", want)
+    (workdir / "space_lx.json").write_text(json.dumps(
+        {"vars": ["l", "x"], "lo": 0, "hi": 1}))
+    (workdir / "skip.hl").write_text("skip;\n")
+    assert run_cli(capsys, "check", "--program", str(workdir / "skip.hl"),
+                   "--space", str(workdir / "space_lx.json"),
+                   "--pre", str(workdir / "init_lh.json"),
+                   "--post-oracle", "NI") == (
+        2, "", "error: unbound variable 'h' (space has: l, x)\n")
 
 
 def test_a_lone_triple_object_is_not_a_hyper_set(workdir, capsys):

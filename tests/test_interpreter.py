@@ -11,7 +11,8 @@ from hyperlab.interpreter import (FixpointReport, NonMonotoneError, gfp, lfp,
                                   oracle_sem, sem)
 from hyperlab.hyperlogic import check_rule
 from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq, Skip,
-                           Var, While, neg, parse, subtrees, validate_breaks)
+                           Var, While, neg, parse, pretty, subtrees,
+                           validate_breaks)
 from hyperlab.rel_domain import StateSpace
 from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
                                S4_SRC, random_bexpr, random_program,
@@ -40,13 +41,18 @@ def test_lfp_detects_non_monotone_step():
 # triple the loop's e is the entry lfp itself; with a body triple that
 # neither diverges nor breaks, the loop's inf is the divergence gfp itself.
 
+def exit_test(cond, space):
+    return rd.prim(BoolTest(neg(cond)), space)
+
+
 def entry_fixpoint(bs, space):
     v = Var(space.vars[0])
-    return it.loop_triple(Cmp("!=", v, v), rd.pure_e(bs.e), space).e
+    return it.loop_triple(rd.pure_e(bs.e), exit_test(Cmp("!=", v, v), space),
+                          space).e
 
 
 def divergence_gfp(cond, bs, space):
-    return it.loop_triple(cond, rd.pure_e(bs.e), space).inf
+    return it.loop_triple(rd.pure_e(bs.e), exit_test(cond, space), space).inf
 
 
 def backward_entry_fixpoint(bs, space):
@@ -175,7 +181,7 @@ def closure_loop_triple(cond, bs, space):
     """The loop triple through the closure: star ; exits, and
     rel_into(star, bs.inf) | div."""
     star, div = closure_parts(bs, space)
-    exits = rd.union(rd.prim(BoolTest(neg(cond)), space).e, bs.br)
+    exits = rd.union(exit_test(cond, space).e, bs.br)
     return rd.SemTriple(rd.compose_rel(star, exits),
                         rd.rel_into(star, bs.inf) | div, rd.empty_rel(space))
 
@@ -194,7 +200,7 @@ def test_loop_triple_matches_the_closure_formulation():
         # the gfp holds them only through its bs.inf term
         star, div = closure_parts(bs, space)
         reaching += rd.rel_into(star, bs.inf) & ~div != 0
-        assert it.loop_triple(cond, bs, space) == \
+        assert it.loop_triple(bs, exit_test(cond, space), space) == \
             closure_loop_triple(cond, bs, space), (k, body)
     assert breaking >= 20 and diverging >= 20 and reaching >= 20, \
         (breaking, diverging, reaching)
@@ -246,6 +252,18 @@ def test_oracle_equals_sem_under_wrap_and_prune():
             done += 1
             moded = StateSpace(space.vars, space.lo, space.hi, mode)
             assert sem(s, moded) == oracle_sem(s, moded)
+
+
+def test_a_sequence_of_ten_thousand_statements_is_one_node():
+    # no walk recurses once per item, so the length of a sequence does not
+    # count toward the recursion limit
+    text = ("x = x + y;\ny = [0,1];\n" * 2 + "if (x > y) x = 0;\n") * 2000
+    s = parse(text + "while (x < 1) { x = x + 1; if (y == 1) break; }")
+    assert isinstance(s, Seq) and len(s.stmts) == 10001
+    space = StateSpace.make(("x", "y"), 0, 1)
+    assert sem(s, space) == oracle_sem(s, space)
+    again = parse(pretty(s))
+    assert again == s and hash(again) == hash(s)
 
 
 def test_pruned_executions_vanish_entirely():

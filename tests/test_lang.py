@@ -22,9 +22,9 @@ def test_parse_countdown_loop():
 
 def test_parse_unbounded_choice_then_loop():
     got = parse("x = [-oo,oo]; while (x!=0) { x=x-1; }")
-    assert isinstance(got, Seq)
-    assert got.first == RandAssign("x", NEG_INF, POS_INF)
-    assert isinstance(got.second, While)
+    assert isinstance(got, Seq) and len(got.stmts) == 2
+    assert got.stmts[0] == RandAssign("x", NEG_INF, POS_INF)
+    assert isinstance(got.stmts[1], While)
 
 
 def test_parse_if_without_else_defaults_to_skip():
@@ -86,6 +86,8 @@ def test_validate_breaks_reports_path_after_loop():
     # exhaustive walk: the offending break is the second child of the Seq
     s = Seq(While(Cmp("<", Var("x"), Const(1)), Skip()), Break())
     assert validate_breaks(s) == [1]
+    # a sequence is one node, so the path is the statement's position
+    assert validate_breaks(parse("x = 1; x = 2; break;")) == [2]
 
 
 def test_component_relation_is_well_founded():
@@ -100,6 +102,10 @@ def test_pretty_parse_round_trip_on_random_programs():
         s, _ = random_program(rng, depth=4)
         text = pretty(s)
         assert parse(text) == s, text
+    # a sequence nested in either position keeps its grouping as a block
+    a, b, c = Assign("x", Const(1)), Skip(), Break()
+    for s in (Seq(Seq(a, b), c), Seq(a, Seq(b, c)), Seq(a, b, c)):
+        assert parse(pretty(s)) == s, pretty(s)
 
 
 def test_booltest_has_no_concrete_syntax():

@@ -35,7 +35,7 @@ def _samples():
         (RandAssign("x", float("-inf"), 3),
          {"var": "x", "lo": float("-inf"), "hi": 3}),
         (Skip(), {}), (Break(), {}),
-        (Seq(Skip(), Break()), {"first": Skip(), "second": Break()}),
+        (Seq(Skip(), Break()), {"stmts": (Skip(), Break())}),
         (If(CMP, Skip(), Break()),
          {"cond": CMP, "then": Skip(), "orelse": Break()}),
         (While(CMP, Skip()), {"cond": CMP, "body": Skip()}),
@@ -113,9 +113,9 @@ def test_repr_text():
          "left=Var(name='x'), right=Const(value=2))), body=Assign(var='x', "
          "expr=ABin(op='*', left=Var(name='x'), right=Const(value=2))))"),
         (parse("if (x < 1) skip; break;"),
-         "Seq(first=If(cond=Cmp(op='<', left=Var(name='x'), "
+         "Seq(stmts=(If(cond=Cmp(op='<', left=Var(name='x'), "
          "right=Const(value=1)), then=Skip(), orelse=Skip()), "
-         "second=Break())"),
+         "Break()))"),
         (r, "SemTriple(e=(2, 0), inf=2, br=(0, 0))"),
         (SPACE, "StateSpace(vars=('x',), lo=(0,), hi=(1,), "
                 "arith='saturate')"),

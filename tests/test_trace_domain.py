@@ -5,8 +5,8 @@ import pytest
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import trace_domain as td
-from hyperlab.lang import (Assign, BoolTest, Break, RandAssign, Skip, parse,
-                           validate_breaks)
+from hyperlab.lang import (Assign, BoolTest, Break, RandAssign, Skip, neg,
+                           parse, validate_breaks)
 from hyperlab.rel_domain import StateSpace
 from hyperlab.selftest import (SPACE_TRACE, TRACE_SRC, random_aexpr,
                                random_bexpr, random_program, trace_expected)
@@ -71,6 +71,16 @@ def test_concat_associative_with_unit():
         assert td.concat(unit, t1, cap)[0] == t1
 
 
+def test_a_sequence_is_composed_from_the_right():
+    # the truncation flag depends on the grouping: x = 1; x = 2 alone forms
+    # traces of 3 states, longer than the cap, but composed from the right
+    # x = 2 meets the empty x = [5,6] first and no long trace is formed
+    space = StateSpace.make(("x",), 0, 2)
+    s = parse("x = 1; x = 2; x = [5,6];")
+    t = td.trace_sem(s, space, 2)
+    assert t.finite == frozenset() and not t.truncated
+
+
 def test_abstract_to_rel_trivial_cases():
     space = StateSpace.make(("x",), 0, 1)
     stutter = td.trace_sem(Skip(), space, 3)
@@ -130,7 +140,8 @@ def test_dump_format_is_sorted_and_stable():
 def test_abstraction_commutes_with_each_trace_operation():
     # Part II: the first/last-state abstraction is exact, so it maps each
     # operation of the trace algebra to the relational algebra's operation
-    # on the abstracted arguments (e and br; traces carry no divergence).
+    # on the abstracted arguments (e and br; traces carry no divergence):
+    # alpha(loop(a, x)) = loop#(alpha(a), alpha(x)) with x the exit test.
     # The algebra's traces are tuples of state indexes
     rng = random.Random(24)
     space = StateSpace.make(("x", "y"), 0, 2)
@@ -162,10 +173,10 @@ def test_abstraction_commutes_with_each_trace_operation():
         b = td._TR(rand_traces(5), rand_traces(2), False)
         assert same(tr.seq(a, b), rel.seq(alpha(a), alpha(b)))
         assert same(tr.join(a, b), rel.join(alpha(a), alpha(b)))
-        cond = random_bexpr(rng, space.vars, 1)
-        loop = tr.loop(cond, a)
+        x = tr.prim(BoolTest(neg(random_bexpr(rng, space.vars, 1))))
+        loop = tr.loop(a, x)
         if loop.truncated:
             skipped += 1
             continue
-        assert same(loop, rel.loop(cond, alpha(a)))
+        assert same(loop, rel.loop(alpha(a), alpha(x)))
     assert 0 < skipped < 500
