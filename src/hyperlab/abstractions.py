@@ -13,12 +13,14 @@ limit is the declared one rather than the least listed member.
 Subsets of the carrier are plain frozensets in the public API and bitmasks
 inside.  Each public operator crosses that boundary once each way: `mask`
 on the way in (an element outside the carrier raises KeyError naming it),
-then only ints, composed and starred operators included, then `unmask` on
-the way out, or the input set itself when a composed operator leaves it
-unchanged.  `chain_down`/`chain_up` alone test sets, against each family's
-member set computed once, since that beats the round trip.  `unmask` keeps
-the frozensets it builds for masks below 2^10 (at most 1024 sets of up to
-10 elements, under 0.8 MB) and builds the others bit by bit.
+then only ints, then `unmask` on the way out, or the input set itself when
+a composed operator leaves it unchanged.  A starred closure is one loop,
+`_star`, that adds the limits of the families inside the mask and applies
+the lattice's own down-set (up-set) lookup until nothing changes.
+`chain_down`/`chain_up` alone test sets, against each family's member set
+computed once, since that beats the round trip.  `unmask` keeps the
+frozensets it builds for masks below 2^10 (at most 1024 sets of up to 10
+elements, under 0.8 MB) and builds the others bit by bit.
 
 Lattice kernels on byte tables ("four Russians"): a union or an
 intersection of per-element rows over the bits of a mask is one lookup per
@@ -141,22 +143,25 @@ class _Lookup:
 class ToyLattice:
     """Finite lattice given by elements and a decidable order."""
 
-    def __init__(self, elements: Iterable, leq: Callable):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: Iterable, leq: Callable, *, _down=None):
+        self.elements = elements = tuple(elements)
+        if len(set(elements)) != len(elements):
             raise LatticeError("duplicate elements")
-        self._idx = {e: i for i, e in enumerate(self.elements)}
-        self._bit = {e: 1 << i for i, e in enumerate(self.elements)}
+        self._idx = {e: i for i, e in enumerate(elements)}
+        self._bit = {e: 1 << i for i, e in enumerate(elements)}
         self._sets = {}  # unmask memo, masks below _MEMO_LIMIT only
-        n = len(self.elements)
+        n = len(elements)
         self._full = full = (1 << n) - 1
-        self._down = down = [0] * n  # down[i]: mask of elements below i
-        self._up = up = [0] * n
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if leq(b, a):
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
+        if _down is None:  # else `from_pairs`' rows: down[i], i's lower bounds
+            _down = [sum(1 << j for j, b in enumerate(elements) if leq(b, a))
+                     for a in elements]
+        self._down = down = _down
+        self._up = up = [0] * n  # the transpose, one step per order pair
+        for i, row in enumerate(down):
+            while row:
+                low = row & -row
+                row ^= low
+                up[low.bit_length() - 1] |= 1 << i
         self._validate()
         bots = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
@@ -215,16 +220,21 @@ class ToyLattice:
         return d
 
     def _validate(self):
-        n = len(self.elements)
-        for i in range(n):
-            if not self._down[i] & (1 << i):
+        """Row by row, the first pair (i, j) with j below i, in the order of
+        j, that breaks antisymmetry or, failing that, transitivity."""
+        down, up = self._down, self._up
+        for i, row in enumerate(down):
+            if not row >> i & 1:
                 raise LatticeError("order not reflexive")
-            for j in range(n):
-                below = self._down[i] & (1 << j)
-                if below and self._down[j] & (1 << i) and i != j:
-                    raise LatticeError("order not antisymmetric")
-                if below and (self._down[j] & ~self._down[i]):
+            anti = row & up[i] ^ 1 << i  # j below i and i below j, j != i
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if down[low.bit_length() - 1] & ~row and not anti & 2 * low - 1:
                     raise LatticeError("order not transitive")
+            if anti:
+                raise LatticeError("order not antisymmetric")
 
     # ---- constructors -----------------------------------------------------
     @classmethod
@@ -239,17 +249,15 @@ class ToyLattice:
         """Order generated by `pairs` (reflexive-transitive closure taken)."""
         elems = tuple(elements)
         idx = {e: i for i, e in enumerate(elems)}
-        bit = {e: 1 << i for i, e in enumerate(elems)}
-        up = [1 << i for i in range(len(elems))]  # up[i]: i's upper bounds
+        down = [1 << i for i in range(len(elems))]  # down[i]: i's lower bounds
         for a, b in pairs:
-            up[idx[a]] |= bit[b]
-        # Warshall on rows: whatever is below k gains everything above k
-        for k, row in enumerate(up):
-            k_bit = 1 << k
-            for i, r in enumerate(up):
-                if r & k_bit:
-                    up[i] = r | row
-        return cls(elems, lambda a, b: up[idx[a]] & bit[b])
+            down[idx[b]] |= 1 << idx[a]
+        # Warshall on rows: whatever is above k gains everything below k
+        for k, row in enumerate(down):
+            for i, r in enumerate(down):
+                if r >> k & 1:
+                    down[i] = r | row
+        return cls(elems, None, _down=down)
 
     # ---- basics -----------------------------------------------------------
     def index(self, e) -> int:
@@ -376,14 +384,6 @@ class ChainPoset(Record):
         # its `_chains` entry)
         _set(self, "_presented", presented)
 
-    def chain_mask(self, m: int, direction: str) -> int:
-        """m with the limit of each `direction` family wholly inside m."""
-        out = m
-        for _, members, _, limit in self._chains[direction]:
-            if members & m == members:
-                out |= limit
-        return out
-
 
 def _as_chainposet(cp) -> ChainPoset:
     return cp if isinstance(cp, ChainPoset) else ChainPoset(cp, ())
@@ -475,89 +475,84 @@ def chain_up(cp, props: Iterable) -> frozenset:
     return _chain(cp, props, "up")
 
 
-# mask-level steps of the starred operators and the conjunctive members:
-# (ChainPoset, mask) -> mask
-
-def _chain_down_step(cp: ChainPoset, m: int) -> int:
-    return cp.chain_mask(m, "down")
-
-
-def _chain_up_step(cp: ChainPoset, m: int) -> int:
-    return cp.chain_mask(m, "up")
-
-
-def _ideal_chain_up_step(cp: ChainPoset, m: int) -> int:
-    return cp.lattice.down_mask(cp.chain_mask(m, "up"))
-
-
-def _filter_chain_down_step(cp: ChainPoset, m: int) -> int:
-    return cp.lattice.dual.down_mask(cp.chain_mask(m, "down"))
-
-
-def _star(step, cp: ChainPoset, m: int) -> int:
-    """The least mask above m closed under `step`, by iterating
-    x -> x | step(cp, x)."""
-    for _ in range(len(cp.families) + len(cp.lattice.elements) + 1):
-        y = m | step(cp, m)
-        if y == m:
+def _star(cp: ChainPoset, m: int, direction: str, close=None) -> int:
+    """The least mask above m that holds the limit of each `direction`
+    family wholly inside it and, given `close` (a lattice lookup), is closed
+    under `close.fn`: one loop until the mask stops changing."""
+    chains = cp._chains[direction]
+    while True:
+        out = m
+        for _, members, _, limit in chains:
+            if members & out == members:
+                out |= limit
+        if close is not None:
+            out = close.fn(out)
+        if out == m:
             return m
-        m = y
-    raise LatticeError("starred chain closure did not stabilize")
+        m = out
 
 
-def _on_masks(step, cp, props, star=False) -> frozenset:
-    """`step`, or with star=True its starred closure, applied to the mask of
-    `props`: one crossing each way."""
+def _chain_closed(cp, props, direction: str, close: str = "",
+                  star: bool = True) -> frozenset:
+    """`_star`, or with star=False one `direction` chain step and then the
+    lookup named `close`, on the mask of `props`: one crossing each way, and
+    `props` itself back when it is a frozenset that nothing changed."""
     cp = _as_chainposet(cp)
     lat = cp.lattice
     m = lat.mask(props)
-    out = _star(step, cp, m) if star else step(cp, m)
-    if out == m and type(props) is frozenset:
-        return props
-    return lat.unmask(out)
+    look = getattr(lat, close) if close else None
+    if star:
+        out = _star(cp, m, direction, look)
+    else:
+        out = m
+        for _, members, _, limit in cp._chains[direction]:
+            if members & m == members:
+                out |= limit
+        out = look.fn(out)
+    return props if out == m and type(props) is frozenset else lat.unmask(out)
 
 
 def chain_down_star(cp, props: Iterable) -> frozenset:
-    return _on_masks(_chain_down_step, cp, props, star=True)
+    return _chain_closed(cp, props, "down")
 
 
 def chain_up_star(cp, props: Iterable) -> frozenset:
-    return _on_masks(_chain_up_step, cp, props, star=True)
+    return _chain_closed(cp, props, "up")
 
 
 def order_ideal_chain_up(cp, props: Iterable) -> frozenset:
     """The composed operator alpha-ideal after chain-up (one application)."""
-    return _on_masks(_ideal_chain_up_step, cp, props)
+    return _chain_closed(cp, props, "up", "_downs", star=False)
 
 
 def order_ideal_chain_up_star(cp, props: Iterable) -> frozenset:
-    return _on_masks(_ideal_chain_up_step, cp, props, star=True)
+    return _chain_closed(cp, props, "up", "_downs")
 
 
 def order_filter_chain_down(cp, props: Iterable) -> frozenset:
-    return _on_masks(_filter_chain_down_step, cp, props)
+    return _chain_closed(cp, props, "down", "_ups", star=False)
 
 
 def order_filter_chain_down_star(cp, props: Iterable) -> frozenset:
-    return _on_masks(_filter_chain_down_step, cp, props, star=True)
+    return _chain_closed(cp, props, "down", "_ups")
 
 
 # the members of a conjunction, on masks: (ChainPoset, mask) -> mask
 OPS_IDEAL_KIND = {
-    "order_ideal": lambda cp, m: cp.lattice.down_mask(m),
-    "frontier_order_ideal_dual": lambda cp, m: cp.lattice.down_mask(
-        cp.lattice.dual.min_mask(m)),
-    "order_ideal_chain_up_star": lambda cp, m: _star(_ideal_chain_up_step,
-                                                     cp, m),
+    "order_ideal": lambda cp, m: cp.lattice._downs.fn(m),
+    "frontier_order_ideal_dual": lambda cp, m: cp.lattice._downs.fn(
+        m & ~cp.lattice._below.fn(m)),
+    "order_ideal_chain_up_star": lambda cp, m: _star(cp, m, "up",
+                                                     cp.lattice._downs),
     "principal_ideal": lambda cp, m: cp.lattice.principal_ideal_mask(m),
 }
 
 OPS_FILTER_KIND = {
-    "order_filter": lambda cp, m: cp.lattice.dual.down_mask(m),
-    "frontier_order_ideal": lambda cp, m: cp.lattice.dual.down_mask(
-        cp.lattice.min_mask(m)),
-    "order_filter_chain_down_star": lambda cp, m: _star(
-        _filter_chain_down_step, cp, m),
+    "order_filter": lambda cp, m: cp.lattice._ups.fn(m),
+    "frontier_order_ideal": lambda cp, m: cp.lattice._ups.fn(
+        m & ~cp.lattice._above.fn(m)),
+    "order_filter_chain_down_star": lambda cp, m: _star(cp, m, "down",
+                                                        cp.lattice._ups),
     "principal_filter": lambda cp, m: cp.lattice.dual.principal_ideal_mask(m),
 }
 
@@ -565,12 +560,17 @@ OPS_FILTER_KIND = {
 def conjunctive(alpha1: str, alpha2: str, cp, props: Iterable) -> frozenset:
     """Reduced-product style conjunction of an ideal-kind and a filter-kind
     abstraction."""
-    if alpha1 not in OPS_IDEAL_KIND:
+    ideal = OPS_IDEAL_KIND.get(alpha1)
+    if ideal is None:
         raise ValueError("alpha1 must be ideal-kind, got %r" % alpha1)
-    if alpha2 not in OPS_FILTER_KIND:
+    filt = OPS_FILTER_KIND.get(alpha2)
+    if filt is None:
         raise ValueError("alpha2 must be filter-kind, got %r" % alpha2)
-    ideal, filt = OPS_IDEAL_KIND[alpha1], OPS_FILTER_KIND[alpha2]
-    return _on_masks(lambda c, m: ideal(c, m) & filt(c, m), cp, props)
+    cp = _as_chainposet(cp)
+    lat = cp.lattice
+    m = lat.mask(props)
+    out = ideal(cp, m) & filt(cp, m)
+    return props if out == m and type(props) is frozenset else lat.unmask(out)
 
 
 # ---------------------------------------------------------------------------

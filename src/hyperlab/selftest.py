@@ -425,7 +425,7 @@ def suite_abstraction_laws():
     # the mask-level star that `chain_down_star` wraps
     stars = _closure_battery(
         "chain-limit star", lat,
-        lambda m: ab._star(ab._chain_down_step, cp, m), "upper", checks)
+        lambda m: ab._star(cp, m, "down"), "upper", checks)
 
     # frontier_min is reductive+idempotent but not increasing: printed witness
     cexlat = ab.ToyLattice.from_pairs(

@@ -7,8 +7,9 @@ a denotation or structurally (`post_structural` / `Post_structural`) by
 `interpreter.interpret` on the transformer algebra, whose values are post
 functions p -> q.  Its conditional joins the two branch outcomes of each
 precondition (one result element per precondition, never the cross
-product), and the function is built once per statement, so each loop's
-guarded body and divergence fixpoint are computed once.
+product), a sequence applies its statements' functions in one loop, and the
+function is built once per statement, so each loop's guarded body and
+divergence fixpoint are computed once.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
 and is only offered in toy mode where the triple lattice is enumerable.  A
@@ -99,9 +100,28 @@ def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
 # ---------------------------------------------------------------------------
 # Structural post calculus
 
+class _Then:
+    """The post function p -> g(f(p)).  `interpret` nests a sequence to the
+    right, so the call walks that chain of `_Then`s in one loop rather than
+    one nested call per statement."""
+
+    __slots__ = ("f", "g")
+
+    def __init__(self, f: Callable, g: Callable):
+        self.f, self.g = f, g
+
+    def __call__(self, p: SemTriple) -> SemTriple:
+        t = self
+        while type(t) is _Then:
+            p = t.f(p)
+            t = t.g
+        return t(p)
+
+
 def transformer(space: StateSpace) -> Algebra:
-    """Post functions p -> q; a loop composes p with `loop_triple` of its
-    guarded body's and its exit test's functions applied to the identity."""
+    """Post functions p -> q; a sequence is a `_Then` chain, and a loop
+    composes p with `loop_triple` of its guarded body's and its exit test's
+    functions applied to the identity."""
     def basic(s):
         t = prim(s, space)
         return lambda p: compose(p, t)
@@ -111,8 +131,8 @@ def transformer(space: StateSpace) -> Algebra:
         t = interpreter.loop_triple(body(init), exit(init), space)
         return lambda p: compose(p, t)
 
-    return Algebra(basic, lambda f, g: lambda p: g(f(p)),
-                   lambda f, g: lambda p: join(f(p), g(p)), loop)
+    return Algebra(basic, _Then, lambda f, g: lambda p: join(f(p), g(p)),
+                   loop)
 
 
 def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:

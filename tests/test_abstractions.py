@@ -229,10 +229,12 @@ def test_conjunctive_examples():
         if sub == fixed:
             assert image == sub  # members of the image are fixed
     assert conjunctive("order_ideal", "order_filter", cp, ()) == frozenset()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         conjunctive("order_filter", "order_filter", cp, ())
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "alpha1 must be ideal-kind, got 'order_filter'"
+    with pytest.raises(ValueError) as exc:
         conjunctive("order_ideal", "order_ideal", cp, ())
+    assert str(exc.value) == "alpha2 must be filter-kind, got 'order_ideal'"
 
 
 def test_rho_operators():
@@ -638,6 +640,42 @@ def test_composed_starred_and_conjunctive_operators_match_definitions(make):
                 assert conjunctive(a1, a2, cp, xs) == \
                     members[a1] & members[a2], (a1, a2)
     assert changed == set(composed)  # every composite adds something somewhere
+
+
+def _cascading():
+    """In each direction a later family's limit completes an earlier
+    family's members, so each starred closure takes at least two passes
+    over the families, whatever order it visits them in."""
+    P = frozenset
+    fams = (Family("d1", (P("ab"), P("a")), P(""), "down"),
+            Family("d2", (P("abc"), P("ac")), P("a"), "down"),
+            Family("u1", (P("b"), P("bc")), P("abc"), "up"),
+            Family("u2", (P(""), P("c")), P("bc"), "up"))
+    return ChainPoset(ABC, fams)
+
+
+def test_starred_closures_iterate_past_one_pass_of_cascading_families():
+    cp = _cascading()
+    want = _definitions(cp)
+    # one application of each starred operator's step
+    once = {"chain_down_star": lambda xs: chain_down(cp, xs),
+            "chain_up_star": lambda xs: chain_up(cp, xs),
+            "order_ideal_chain_up_star": want["order_ideal_chain_up"],
+            "order_filter_chain_down_star": want["order_filter_chain_down"]}
+    ideal, filt = "order_ideal_chain_up_star", "order_filter_chain_down_star"
+    deeper = set()
+    for m in ABC.subsets():
+        xs = ABC.unmask(m)
+        for name, step in once.items():
+            got = getattr(ab, name)(cp, xs)
+            assert got == want[name](xs), (name, sorted(map(sorted, xs)))
+            if got != step(xs):
+                deeper.add(name)
+        both = want[ideal](xs) & want[filt](xs)
+        assert conjunctive(ideal, filt, cp, xs) == both
+        if both != once[ideal](xs) & once[filt](xs):
+            deeper.add("conjunctive")
+    assert deeper == set(once) | {"conjunctive"}
 
 
 def _public_operators(cp):

@@ -220,6 +220,39 @@ def test_a_long_sequence_runs(workdir, capsys, command):
         assert payload["verdict"] == "holds"
 
 
+def test_a_long_sequence_has_the_same_structural_and_direct_posts(workdir,
+                                                                  capsys):
+    # the structural post function of a sequence applies its statements in
+    # one loop, so its length does not count toward the recursion limit
+    (workdir / "long.hl").write_text("l = h;\nh = l + 1;\n" * 600)
+    (workdir / "init_lh.json").write_text(json.dumps(LOOP_PRE))
+    argv = ["--program", str(workdir / "long.hl"),
+            "--space", str(workdir / "space_lh.json"),
+            "--pre", str(workdir / "init_lh.json"), "--json"]
+    code, out, err = run_cli(capsys, "post", *argv)
+    assert (code, err) == (0, "")
+    direct = json.loads(out)["post"]
+    code, out, err = run_cli(capsys, "hyper-post", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["Post"] == direct
+
+
+def test_a_loop_with_a_long_body_checks_by_the_while_rule(workdir, capsys):
+    (workdir / "long_body.hl").write_text(
+        "while (l == 0) {\n" + "h = 1 - h;\n" * 1199 + "l = 1;\n}\n")
+    (workdir / "init_lh.json").write_text(json.dumps(LOOP_PRE))
+    (workdir / "post.json").write_text(json.dumps(LOOP_POST))
+    code, out, err = run_cli(capsys, "check",
+                             "--program", str(workdir / "long_body.hl"),
+                             "--space", str(workdir / "space_lh.json"),
+                             "--pre", str(workdir / "init_lh.json"),
+                             "--rule", "while_upper",
+                             "--post-oracle", str(workdir / "post.json"),
+                             "--json")
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["rule"] == "while_upper"
+
+
 def test_free_break_rejected_by_cli(workdir, capsys):
     (workdir / "freebreak.hl").write_text("break;\n")
     code, _, err = run_cli(capsys, "sem",
