@@ -26,14 +26,20 @@ class CliError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """What `open(path, encoding="utf-8").read()` returns, and the same
+    error, read as bytes without the text wrapper."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
 
 
 def _load_program(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _program(fh.read())
+    return _program(_read_text(path))
 
 
 def _program(text: str):
@@ -284,65 +290,113 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# Each command's function, help line and options, the options in the order
+# its help lists them: a flag and the keywords of its `add_argument`.
+# `build_parser` declares the parser from this table and `_direct` reads
+# argv by it, so a flag is declared once.
+_COMMON = (("--program", {"required": True, "help": "program file"}),
+           ("--space", {"required": True, "help": "state space JSON"}),
+           ("--json", {"action": "store_true",
+                       "help": "single-line canonical JSON"}))
+_JSON = ("--json", {"action": "store_true"})
+
+_COMMANDS = {
+    "sem": (cmd_sem, "denotation triple plus oracle agreement", _COMMON),
+    "trace": (cmd_trace, "bounded finite-trace semantics", _COMMON + (
+        ("--L", {"type": int, "default": 10, "help": "max trace length"}),)),
+    "post": (cmd_post, "post image of explicit preconditions", _COMMON + (
+        ("--pre", {"required": True, "help": "precondition triples JSON"}),)),
+    "hyper-post": (cmd_hyper_post, "structural Post of a hyper set",
+                   _COMMON + (("--pre", {"required": True}),)),
+    "check": (cmd_check, "hyper triple / proof rule check", (
+        ("--request", {"help": "JSON request object"}),
+        ("--program", {}),
+        ("--space", {}),
+        ("--pre", {}),
+        ("--rule", {"default": "upper"}),
+        ("--post-oracle", {"help": "NI|GNI|GD or a triples JSON file"}),
+        ("--low", {"help": "low variable of NI|GNI|GD (default l)"}),
+        ("--high", {"help": "high variable of NI|GNI|GD (default h)"}),
+        _JSON)),
+    "abstract": (cmd_abstract, "apply an abstraction operator", (
+        ("--lattice", {"required": True, "help": "lattice description JSON"}),
+        ("--op", {"required": True}),
+        ("--set", {"default": "", "help": "comma-separated element names"}),
+        _JSON)),
+    "lattice-lab": (cmd_lattice_lab, "validate a lattice description", (
+        ("--lattice", {"required": True}),
+        _JSON)),
+    "selftest": (cmd_selftest, "run the worked-example corpus", (
+        ("--filter", {"help": "only suites whose name contains this"}),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--program", required=True, help="program file")
-        p.add_argument("--space", required=True, help="state space JSON")
-        p.add_argument("--json", action="store_true",
-                       help="single-line canonical JSON")
-
-    p = sub.add_parser("sem", help="denotation triple plus oracle agreement")
-    common(p)
-    p.set_defaults(fn=cmd_sem)
-
-    p = sub.add_parser("trace", help="bounded finite-trace semantics")
-    common(p)
-    p.add_argument("--L", type=int, default=10, help="max trace length")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("post", help="post image of explicit preconditions")
-    common(p)
-    p.add_argument("--pre", required=True, help="precondition triples JSON")
-    p.set_defaults(fn=cmd_post)
-
-    p = sub.add_parser("hyper-post", help="structural Post of a hyper set")
-    common(p)
-    p.add_argument("--pre", required=True)
-    p.set_defaults(fn=cmd_hyper_post)
-
-    p = sub.add_parser("check", help="hyper triple / proof rule check")
-    p.add_argument("--request", help="JSON request object")
-    p.add_argument("--program")
-    p.add_argument("--space")
-    p.add_argument("--pre")
-    p.add_argument("--rule", default="upper")
-    p.add_argument("--post-oracle", dest="post_oracle",
-                   help="NI|GNI|GD or a triples JSON file")
-    p.add_argument("--low", help="low variable of NI|GNI|GD (default l)")
-    p.add_argument("--high", help="high variable of NI|GNI|GD (default h)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("abstract", help="apply an abstraction operator")
-    p.add_argument("--lattice", required=True, help="lattice description JSON")
-    p.add_argument("--op", required=True)
-    p.add_argument("--set", default="", help="comma-separated element names")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_abstract)
-
-    p = sub.add_parser("lattice-lab", help="validate a lattice description")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_lattice_lab)
-
-    p = sub.add_parser("selftest", help="run the worked-example corpus")
-    p.add_argument("--filter", help="only suites whose name contains this")
-    p.set_defaults(fn=cmd_selftest)
-
+    for command, (fn, line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=line)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return ap
+
+
+def _shape(fn, options):
+    """A command's flags, each with its dest and its type (None for a flag
+    that takes no value), the defaults of its Namespace, and its required
+    flags, as argparse derives them from `options`."""
+    flags, defaults, required = {}, {"fn": fn}, set()
+    for flag, kw in options:
+        dest = flag[2:].replace("-", "_")
+        switch = kw.get("action") == "store_true"
+        flags[flag] = dest, None if switch else kw.get("type", str)
+        defaults[dest] = kw.get("default", False if switch else None)
+        if kw.get("required"):
+            required.add(flag)
+    return flags, defaults, required
+
+
+_SHAPES = {command: _shape(fn, options)
+           for command, (fn, _line, options) in _COMMANDS.items()}
+
+
+def _direct(argv: list):
+    """The Namespace argparse gives for `argv`, or None when `argv` is not a
+    command followed by its own options alone: each written in full and at
+    most once, every required one present, and each that takes a value
+    followed by one that does not start with "-" and that its type
+    accepts."""
+    shape = _SHAPES.get(argv[0]) if argv else None
+    if shape is None:
+        return None
+    flags, defaults, required = shape
+    got, seen = dict(defaults, command=argv[0]), set()
+    rest = iter(argv[1:])
+    for flag in rest:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, type_ = flags[flag]
+        if type_ is None:
+            got[dest] = True
+            continue
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            got[dest] = type_(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(**got) if required <= seen else None
+
+
+def _parse(argv=None) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, read directly where `_direct` can;
+    help and every error come from argparse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _direct(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.fn(args)
     except (CliError, ParseError, rd.UnboundVariableError, ValueError,

@@ -17,7 +17,8 @@ and `SemTriple` are `lang.Record`s; `SemTriple` writes out its constructor,
 equality and hash, since a check builds and compares thousands of triples.
 
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
-key they do not read, naming it, rather than ignore a misspelt one.
+key they do not read, naming it, rather than ignore a misspelt one, and
+`from_config` rejects a space of more than `MAX_STATES` states.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -35,6 +36,7 @@ import json
 import operator
 from functools import lru_cache
 from itertools import compress, product
+from math import prod
 from typing import Callable, Iterable, Tuple
 
 from . import lang
@@ -45,6 +47,10 @@ Rel = tuple       # one target mask per source state index
 StateSet = int    # bit i stands for the state of index i
 
 ARITH_MODES = ("saturate", "wrap", "prune")
+
+# the most states a space read from JSON may have: a relation holds |S|^2
+# bits, and the benchmark ladder's widest space has 1331 states
+MAX_STATES = 4096
 
 _set = object.__setattr__
 
@@ -128,8 +134,14 @@ class StateSpace(lang.Record):
                 raise ValueError("space config %r must be an integer or an "
                                  "array of integers, got %s"
                                  % (key, json.dumps(b)))
-        return StateSpace.make(vs, cfg["lo"], cfg["hi"],
-                               cfg.get("arith", "saturate"))
+        space = StateSpace.make(vs, cfg["lo"], cfg["hi"],
+                                cfg.get("arith", "saturate"))
+        # checked before `states()` or any |S|-by-|S| structure is built
+        n = prod(h - l + 1 for l, h in zip(space.lo, space.hi))
+        if n > MAX_STATES:
+            raise ValueError("space config has %d states, more than the "
+                             "limit of %d" % (n, MAX_STATES))
+        return space
 
     def to_config(self) -> dict:
         lo = self.lo[0] if len(set(self.lo)) == 1 else list(self.lo)
@@ -547,5 +559,10 @@ def triple_from_json(d: dict, space: StateSpace) -> SemTriple:
     return SemTriple(e, inf, br)
 
 
+# the lab's payloads are trees it builds itself, so no cycle check is needed
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              check_circular=False)
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)

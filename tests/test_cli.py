@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from hyperlab import cli
+from hyperlab import rel_domain as rd
 from hyperlab.cli import main
 
 
@@ -430,6 +431,108 @@ def test_sem_space_missing_key_exits_two(workdir, capsys):
     assert "error" in err and "'hi'" in err
 
 
+@pytest.mark.parametrize("command", ["sem", "check"])
+def test_an_oversized_space_exits_two_naming_its_size(workdir, capsys,
+                                                      monkeypatch, command):
+    # refused before any state tuple or |S|-by-|S| structure is built
+    def unused(*_args):
+        raise AssertionError("states were enumerated")
+
+    monkeypatch.setattr(rd, "_states", unused)
+    space = {"vars": ["x", "y", "z"], "lo": 0, "hi": 1000}
+    if command == "sem":
+        (workdir / "set_x.hl").write_text("x = 1;\n")
+        (workdir / "big.json").write_text(json.dumps(space))
+        argv = ("sem", "--program", str(workdir / "set_x.hl"),
+                "--space", str(workdir / "big.json"))
+    else:
+        (workdir / "req.json").write_text(json.dumps(
+            {"program": "x = 1;", "space": space, "pre": []}))
+        argv = ("check", "--request", str(workdir / "req.json"))
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: space config has 1003003001 states, more than the "
+        "limit of %d\n" % rd.MAX_STATES)
+
+
+def _files(tmp_path, contents):
+    paths = []
+    for k, data in enumerate(contents):
+        path = tmp_path / ("f%d" % k)
+        path.write_bytes(data)
+        paths.append(str(path))
+    return paths
+
+
+def _text_read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_read_text_is_a_text_mode_read(tmp_path):
+    for path in _files(tmp_path, (
+            b"", b"x = 1;\r\ny = 2;\r\n", b"a\rb\r", b"\r\r\n\n\r",
+            b"\xef\xbb\xbf{\"vars\": [\"x\"]}\r\n",
+            "l = h; // \u00e9\u2200\U0001d538\r\n".encode("utf-8"),
+            b"a" * 8191 + b"\r\n" + b"b" * 8192 + b"\r")):
+        assert cli._read_text(path) == _text_read(path)
+
+
+def _error(read, path):
+    with pytest.raises(Exception) as info:
+        read(path)
+    return type(info.value), str(info.value)
+
+
+def test_read_text_raises_what_a_text_mode_read_raises(tmp_path):
+    bad = _files(tmp_path, (b"x = 1;\xff\n", b"\xe2\x88", b"ok\r\n\xc3("))
+    for path in bad + [str(tmp_path / "missing.hl"), str(tmp_path)]:
+        assert _error(cli._read_text, path) == _error(_text_read, path)
+
+
+def test_canonical_json_is_json_dumps_on_every_report(workdir, capsys,
+                                                      monkeypatch):
+    payloads = []
+    encode = rd.dumps_canonical
+
+    def record(obj):
+        payloads.append(obj)
+        return encode(obj)
+
+    monkeypatch.setattr(rd, "dumps_canonical", record)
+    (workdir / "init_lh.json").write_text(json.dumps(LOOP_PRE))
+    (workdir / "lattice_u.json").write_text(json.dumps({
+        "elements": ["\u22a5", "\u00e9", "b", "\u22a4"],
+        "leq": [["\u22a5", "\u00e9"], ["\u22a5", "b"], ["\u00e9", "\u22a4"],
+                ["b", "\u22a4"]]}))
+    y = ("--program", str(workdir / "countdown.hl"),
+         "--space", str(workdir / "space_y.json"))
+    lh = ("--program", str(workdir / "leak.hl"),
+          "--space", str(workdir / "space_lh.json"),
+          "--pre", str(workdir / "init_lh.json"))
+    for argv in (("sem", *y), ("trace", *y, "--L", "3"),
+                 ("post", *y, "--pre", str(workdir / "init_y.json")),
+                 ("hyper-post", *y, "--pre", str(workdir / "init_y.json")),
+                 ("check", *lh, "--post-oracle", "NI"),
+                 ("check", *lh, "--post-oracle", "GD"),
+                 ("check", *lh, "--post-oracle", str(workdir / "init_lh.json"),
+                  "--rule", "lower"),
+                 ("check", *y, "--pre", str(workdir / "init_y.json"),
+                  "--rule", "while_upper",
+                  "--post-oracle", str(workdir / "init_y.json")),
+                 ("abstract", "--lattice", str(workdir / "lattice_u.json"),
+                  "--op", "order_filter", "--set", "\u00e9"),
+                 ("lattice-lab", "--lattice", str(workdir / "lattice_u.json"))):
+        assert run_cli(capsys, *argv, "--json")[0] in (0, 1), argv
+    from hyperlab import hyperlogic as hl
+    rep = hl.RuleReport("upper")
+    rep.note("\u2200 pre: \u00e9", True, "d\u00e9tail \u2200\U0001d538")
+    payloads.append(rep.to_json(rd.StateSpace.make(("x",), 0, 1)))
+    assert len(payloads) == 11
+    for obj in payloads:
+        assert encode(obj) == json.dumps(obj, sort_keys=True,
+                                         separators=(",", ":"))
+
+
 def test_check_space_missing_key_exits_two(workdir, capsys):
     (workdir / "space_nohi.json").write_text(json.dumps(
         {"vars": ["l", "h"], "lo": 0}))
@@ -562,6 +665,8 @@ def test_cached_parser_keeps_no_state_between_calls(workdir, capsys,
         ("post", "--program", str(workdir / "countdown.hl"), *y,
          "--pre", str(workdir / "init_y.json")),
     ]
+    # these argvs are well-formed: send them through argparse all the same
+    monkeypatch.setattr(cli, "_direct", lambda argv: None)
     cached = [run_cli(capsys, *argv) for argv in calls]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     fresh = [run_cli(capsys, *argv) for argv in calls]

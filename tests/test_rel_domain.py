@@ -268,6 +268,16 @@ def test_space_config_round_trip():
     assert StateSpace.from_config(per_var.to_config()) == per_var
 
 
+def test_space_config_state_count_is_capped():
+    # 64 * 64 states is the cap itself; one more value of y is past it
+    assert rd.MAX_STATES == 4096
+    at_cap = {"vars": ["x", "y"], "lo": [0, -32], "hi": [63, 31]}
+    assert StateSpace.from_config(at_cap).size() == rd.MAX_STATES
+    with pytest.raises(ValueError, match="^space config has 4160 states, "
+                       "more than the limit of 4096$"):
+        StateSpace.from_config(dict(at_cap, hi=[63, 32]))
+
+
 def test_sem_matches_paper_countdown():
     space = StateSpace.make(("y",), -3, 3)
     t = it.sem(parse("while (y != 0) y = y - 1;"), space)
