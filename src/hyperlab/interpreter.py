@@ -16,20 +16,27 @@ post transformers compose each precondition with it.  Every carrier is
 finite, so the fixpoints run to stabilization without widening.
 
 `oracle_sem` rebuilds the denotation triple operationally.  It compiles the
-statement once into a flat instruction list over integer program points,
-encodes a configuration as the int pc * |S| + state index, and runs one
-Tarjan pass over the configuration graph, discovered on the fly from every
-start state.  Tarjan closes the strongly connected components in reverse
-topological order, so each closed SCC folds in its successors' results: the
-reachable end and break states (bitmasks over state indexes) and whether it
-can diverge.  On a finite graph an execution diverges exactly when it can
-reach a cycle, i.e. an SCC with an internal edge.  The start states' end
-and break bitmasks are already the rows of the e and br relations.  The
-oracle uses only the AST, `StateSpace`, compiled expression kernels
-(`rel_domain.compile_expr`, built when the pass first reaches an
-instruction) and `SemTriple`, never `interpret`, the fixpoint routines or
-the relational operators; the two routes are independent, which is what
-makes sem == oracle_sem a meaningful check.
+statement once into a flat instruction list over integer program points.
+In a structured program every cycle of the flow graph passes through a loop
+head, so the loop heads are cut points (Bourdoncle's head vertices): the
+oracle runs one Tarjan pass over the configurations of the start, the loop
+heads and the targets of the random assignments only, discovered on the fly
+from every start state.  Discovering one walks its run in place up to the
+next loop head, random assignment, end, break or dead end (one large block,
+as in large-block encoding).  The runs a random assignment fans out merge at
+its targets, each a node walked once, and the runs an assignment merges
+share one walk from there on.  Tarjan closes the strongly connected
+components in reverse topological order, so each closed SCC folds in its
+walks' and its successors' results: the reachable end and break states
+(bitmasks over state indexes) and whether it can diverge.  On a finite graph
+an execution diverges exactly when it can reach a cycle, i.e. an SCC with an
+internal edge.  The start states' end and break bitmasks are already the
+rows of the e and br relations.  The oracle uses only the AST,
+`StateSpace`, compiled expression kernels (`rel_domain.compile_expr`, built
+when a walk first reaches an instruction) and `SemTriple`, never
+`interpret`, the fixpoint routines or the relational operators; the two
+routes are independent, which is what makes sem == oracle_sem a meaningful
+check.
 """
 
 from __future__ import annotations
@@ -196,106 +203,164 @@ def sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
 _END, _BREAK = 0, 1  # terminal program points: normal end, free break
 
 
+def _comp(s: lang.Stmt, nxt: int, brk: int, code: list,
+          space: StateSpace) -> int:
+    """Emit `s` into `code` ahead of the pc `nxt`, with `brk` the exit of
+    its innermost loop; return its entry pc."""
+    if isinstance(s, Skip):
+        return nxt
+    if isinstance(s, Break):
+        return brk
+    if isinstance(s, Seq):  # the last item is emitted first
+        for c in reversed(s.stmts):
+            nxt = _comp(c, nxt, brk, code, space)
+        return nxt
+    if isinstance(s, Assign):
+        op = ("assign", s.expr, space.index(s.var), nxt)
+    elif isinstance(s, RandAssign):
+        i = space.index(s.var)
+        lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
+        vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
+        op = ("rand", vals, i, nxt)
+    elif isinstance(s, BoolTest):
+        op = ("test", s.cond, nxt)
+    elif isinstance(s, If):
+        op = ("if", s.cond, _comp(s.then, nxt, brk, code, space),
+              _comp(s.orelse, nxt, brk, code, space))
+    elif isinstance(s, While):
+        head = len(code)
+        code.append(None)
+        code[head] = ("loop", s.cond, _comp(s.body, head, nxt, code, space),
+                      nxt)
+        return head
+    else:
+        raise TypeError(s)
+    code.append(op)
+    return len(code) - 1
+
+
 def _compile(s: lang.Stmt, space: StateSpace):
     """(entry pc, code): `s` as instructions whose successors are pcs.
 
     `Skip` compiles to its continuation and `Break` to the exit of its
     innermost loop, or to the free-break terminal outside any loop.  An
     instruction's expression stays an AST, in slot 1; assignment targets
-    are resolved here, so an unbound one raises wherever it is.
+    are resolved here, so an unbound one raises wherever it is.  Every
+    successor pc is smaller than its instruction's pc, except a loop head's
+    body entry: items are emitted last first, branches before their `if`,
+    and a head before its body.  So every cycle of the flow graph passes
+    through a loop head.
     """
     code = [("end",), ("break",)]
-
-    def emit(op):
-        code.append(op)
-        return len(code) - 1
-
-    def comp(s, nxt, brk):
-        if isinstance(s, Skip):
-            return nxt
-        if isinstance(s, Break):
-            return brk
-        if isinstance(s, Seq):  # the last item is emitted first
-            for c in reversed(s.stmts):
-                nxt = comp(c, nxt, brk)
-            return nxt
-        if isinstance(s, Assign):
-            return emit(("assign", s.expr, space.index(s.var), nxt))
-        if isinstance(s, RandAssign):
-            i = space.index(s.var)
-            lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
-            vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
-            return emit(("rand", vals, i, nxt))
-        if isinstance(s, BoolTest):
-            return emit(("test", s.cond, nxt))
-        if isinstance(s, If):
-            return emit(("if", s.cond, comp(s.then, nxt, brk),
-                         comp(s.orelse, nxt, brk)))
-        if isinstance(s, While):
-            head = emit(None)
-            code[head] = ("loop", s.cond, comp(s.body, head, nxt), nxt)
-            return head
-        raise TypeError(s)
-
-    return comp(s, _END, _BREAK), code
+    return _comp(s, _END, _BREAK, code, space), code
 
 
 def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
-    """Independent denotation from the reachable configuration graph.
+    """Independent denotation from the graph of cut-point configurations.
 
-    A configuration is the int pc * |S| + state index.  One Tarjan pass from
-    the |S| start configurations discovers the graph and closes its SCCs in
-    reverse topological order; each closed SCC folds in its successors'
-    end-state and break-state bitmasks and "can diverge" flags.  An SCC can
-    diverge when it has an internal edge (it lies on a cycle) or a successor
-    SCC can.  A free break terminates the program via the br component,
-    matching the structural semantics on such fragments.  An instruction's
-    kernel is compiled when the pass first reaches it, so code that no start
-    reaches is never compiled.  The masks of the start configurations are
-    the rows of the e and br relations.
+    A configuration is a pc and a state index.  Every cycle of the flow
+    graph passes through a loop head (`_compile`), so the nodes of the
+    graph need only be the cut points' configurations: node k * |S| + j is
+    cut point k in state j.  The cut points are the entry (k = 0), the loop
+    heads and the targets of the random assignments.
+    Discovering a node walks its run in place, one state at a time, through
+    assignments, tests and `if`s, up to the next loop head, `rand`, `end`,
+    `break` or dead end.  A walk from a head runs the head's own test
+    first, so a body that returns to its head in the same state is a
+    self-edge.  The end or break state a walk meets is the node's own
+    bitmask; the head configuration it reaches, or the configurations a
+    `rand` fans out to, are its successors.  Runs merge where a `rand` fans
+    them out, and where an assignment sends two states to one: a fan-out
+    target is a node, numbered and walked once however many runs reach it,
+    and a walk that reaches a configuration an earlier walk reached by an
+    assignment takes that walk's result, since a walk follows one run.  So
+    the work grows with the configurations reached, not with the paths.
+
+    One Tarjan pass from the |S| start nodes discovers the graph and closes
+    its SCCs in reverse topological order; each closed SCC folds in its own
+    walks' masks and its successors' end-state and break-state bitmasks and
+    "can diverge" flags.  An SCC can diverge when it has an internal edge
+    (it lies on a cycle) or a successor SCC can.  A free break terminates
+    the program via the br component, matching the structural semantics on
+    such fragments.  An instruction's kernel is compiled when a walk first
+    reaches it, so code that no start reaches is never compiled.  The masks
+    of the start nodes are the rows of the e and br relations.
     """
     entry, code = _compile(s, space)
     states = space.states()
     n = len(states)
     stride = space.strides()
+    clip = space.clip
     kernels = [None] * len(code)
+    cut = {entry: 0}  # the pc of each cut point -> its number k
+    for pc, op in enumerate(code):
+        if op[0] == "loop":
+            cut.setdefault(pc, len(cut))
+        elif op[0] == "rand":  # a head there has the smaller pc: it is in
+            cut.setdefault(op[3], len(cut))
+    cuts = list(cut)
+    via = {}  # configuration an assignment reached -> the first walk there
 
-    def succ(cfg):
-        pc, j = divmod(cfg, n)
-        op, sigma = code[pc], states[j]
-        kind = op[0]
-        if kind == "rand":
-            _, vals, i, nxt = op
-            base = nxt * n + j - sigma[i] * stride[i]
-            return tuple(base + v * stride[i] for v in vals)
-        if kind in ("end", "break"):
-            return ()
+    def kernel(pc):
         f = kernels[pc]
         if f is None:
-            f = kernels[pc] = rd.compile_expr(op[1], space)
-        if kind == "assign":
-            _, _, i, nxt = op
-            v = space.clip(i, f(sigma))
-            return () if v is None else (nxt * n + j + (v - sigma[i]) * stride[i],)
-        if kind == "test":
-            return (op[2] * n + j,) if f(sigma) else ()
-        return ((op[2] if f(sigma) else op[3]) * n + j,)
+            f = kernels[pc] = rd.compile_expr(code[pc][1], space)
+        return f
 
-    size = len(code) * n
+    def walk(v):
+        """(end mask, break mask, successor nodes) of node v."""
+        k, j = divmod(v, n)
+        pc = cuts[k]
+        op = code[pc]
+        if op[0] == "loop":  # a head's walk leaves through its own test
+            pc = op[2] if (kernels[pc] or kernel(pc))(states[j]) else op[3]
+        while True:
+            op = code[pc]
+            kind = op[0]
+            if kind == "assign":
+                _, _, i, nxt = op
+                sigma = states[j]
+                x = clip(i, (kernels[pc] or kernel(pc))(sigma))
+                if x is None:
+                    return 0, 0, ()
+                pc, j = nxt, j + (x - sigma[i]) * stride[i]
+                u = via.setdefault(pc * n + j, v)
+                if u != v:  # the rest of this run is the rest of u's
+                    return out[u]
+            elif kind == "loop":
+                return 0, 0, (cut[pc] * n + j,)
+            elif kind == "if":
+                pc = op[2] if (kernels[pc] or kernel(pc))(states[j]) \
+                    else op[3]
+            elif kind == "test":
+                if not (kernels[pc] or kernel(pc))(states[j]):
+                    return 0, 0, ()
+                pc = op[2]
+            elif kind == "rand":  # one target node per value, d apart
+                _, vals, i, nxt = op
+                d = stride[i]
+                lo = cut[nxt] * n + j + (vals.start - states[j][i]) * d
+                return 0, 0, range(lo, lo + len(vals) * d, d)
+            elif kind == "end":
+                return 1 << j, 0, ()
+            else:
+                return 0, 1 << j, ()
+
+    size = len(cuts) * n
     num = [0] * size        # DFS number; 0 = not yet discovered
     low = [0] * size
-    out = [()] * size       # successors, computed once at discovery
+    out = [None] * size     # the walk of a node, taken once at discovery
     res = [None] * size     # (end mask, break mask, can diverge) of a closed SCC
     stack, work = [], []
     counter = count(1)
 
     def discover(w):
         num[w] = low[w] = next(counter)
-        out[w] = succ(w)
+        out[w] = walk(w)
         stack.append(w)
-        work.append((w, iter(out[w])))
+        work.append((w, iter(out[w][2])))
 
-    for root in range(entry * n, entry * n + n):
+    for root in range(n):
         if not num[root]:
             discover(root)
         while work:
@@ -319,10 +384,9 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
                 del stack[k:]
                 end, brk, div = 0, 0, False
                 for m in scc:
-                    pc, j = divmod(m, n)
-                    end |= (pc == _END) << j
-                    brk |= (pc == _BREAK) << j
-                    for w in out[m]:
+                    e, b, succ = out[m]
+                    end, brk = end | e, brk | b
+                    for w in succ:
                         r = res[w]
                         if r is None:  # an edge inside the SCC: a cycle
                             div = True
@@ -332,7 +396,7 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
                 for m in scc:
                     res[m] = r
 
-    starts = res[entry * n:entry * n + n]
+    starts = res[:n]
     return SemTriple(tuple(r[0] for r in starts),
                      sum(1 << j for j, r in enumerate(starts) if r[2]),
                      tuple(r[1] for r in starts))

@@ -218,24 +218,26 @@ def children(s: Stmt) -> tuple:
     return ()
 
 
+def _free_break(node: Stmt, in_loop: bool, path: list):
+    """AST path of the first break under `node` outside any loop, or None."""
+    if isinstance(node, Break) and not in_loop:
+        return path
+    if isinstance(node, While):
+        return _free_break(node.body, True, path + [0])
+    for i, c in enumerate(children(node)):
+        bad = _free_break(c, in_loop, path + [i])
+        if bad is not None:
+            return bad
+    return None
+
+
 def validate_breaks(s: Stmt):
     """Check that every break has an enclosing loop.
 
     Returns None if the program is well formed, otherwise the AST path (list
     of child indices) of the first offending break.
     """
-    def walk(node, in_loop, path):
-        if isinstance(node, Break) and not in_loop:
-            return path
-        if isinstance(node, While):
-            return walk(node.body, True, path + [0])
-        for i, c in enumerate(children(node)):
-            bad = walk(c, in_loop, path + [i])
-            if bad is not None:
-                return bad
-        return None
-
-    return walk(s, False, [])
+    return _free_break(s, False, [])
 
 
 def _expr_vars(e, out: set) -> None:

@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import reduce
 
@@ -419,6 +420,146 @@ def test_oracle_empty_random_range_is_a_dead_end():
         t = oracle_sem(parse(src), space)
         assert t == rd.bottom(space)
         assert t == sem(parse(src), space)
+
+
+# Cut points: the oracle's nodes are the configurations of the start, the
+# loop heads and the random assignments' targets, and each walk between
+# them runs in place
+
+def _agree(src, space):
+    t = sem(parse(src), space)
+    assert oracle_sem(parse(src), space) == t, src
+    return t
+
+
+def test_oracle_body_of_only_break():
+    # the head's body entry is its own exit, so a head walk never returns
+    space = StateSpace.make(("x", "y"), 0, 2)
+    t = _agree("while (x > 0) break;", space)
+    assert t == rd.pure_e(rd.identity_rel(space))
+    t = _agree("while (x < 2) { while (y == y) { break; } x = x + 1; }",
+               space)
+    assert t.inf == 0
+    assert rd.pairs(t.e, space) == [(s, (2, s[1])) for s in space.states()]
+
+
+def test_oracle_inner_loop_on_one_branch_only():
+    # with y != 0 the outer body never reaches the inner head: the outer
+    # cycle runs through the outer head alone and diverges
+    space = StateSpace.make(("x", "y", "z"), 0, 1)
+    t = _agree("while (x > 0) { if (y == 0) { while (z > 0) { z = z - 1; }"
+               " x = x - 1; } else { z = [0,1]; } }", space)
+    assert list(rd.members(t.inf, space)) == [(1, 1, 0), (1, 1, 1)]
+    assert len(rd.pairs(t.e, space)) == 6
+    _agree("while (x > 0) { if (y == 0) { while (z > 0) { z = z - 1; } }"
+           " x = x - 1; y = [0,1]; }", space)
+
+
+def test_oracle_two_branches_reach_the_same_head():
+    space = StateSpace.make(("x", "y"), 0, 2)
+    # at the top level, into a loop that diverges from y = 1
+    _agree("if (x > 0) { y = 1; } else { y = [0,1]; }"
+           " while (y == 1) x = [0,2];", space)
+    # after a fan-out, both branches reach the body's own head in one state
+    t = _agree("while (x > 0) { y = [0,2]; if (y == 0) { y = 1; x = x - 1; }"
+               " else { x = x - 1; y = 1; } }", space)
+    assert t.inf == 0
+
+
+def test_oracle_pruned_assignment_in_mid_walk():
+    space = StateSpace.make(("x", "y"), 0, 3, "prune")
+    # the walk from the head dies at y = y + 2 before it reaches the head
+    t = _agree("while (x < 3) { y = y + 2; x = x + 1; }", space)
+    assert t == rd.triple(space, e={((2, 0), (3, 2)), ((2, 1), (3, 3))} | {
+        ((3, y), (3, y)) for y in range(4)})
+    # and on some branches of a fan-out only
+    t = _agree("while (x < 3) { y = [0,3]; y = y + 2; x = x + 1; }", space)
+    assert t == rd.triple(space, e={
+        ((x, y), (3, z)) for x in range(3) for y in range(4) for z in (2, 3)
+    } | {((3, y), (3, y)) for y in range(4)})
+
+
+def test_oracle_free_break_inside_a_top_level_walk():
+    space = StateSpace.make(("x", "y"), 0, 1)
+    t = _agree("x = [0,1]; if (x == 1) { break; } y = 1;"
+               " while (y > 0) y = y - 1;", space)
+    assert rd.pairs(t.br, space) == [(s, (1, s[1])) for s in space.states()]
+    # met on the way out of a loop, by the walk from its head
+    t = _agree("while (x > 0) x = x - 1; if (y == 0) break; y = 0;", space)
+    assert any(t.br) and any(t.e)
+
+
+def test_oracle_merges_runs_at_fan_outs(monkeypatch):
+    # each `y = [0,1]` doubles the runs and each `y = 0` joins them again:
+    # an oracle that followed every run through the body, without merging
+    # the runs that reach one configuration, would take 2^40 of them.  After
+    # `x = [0,5]; y = [0,5];` every start reaches the same 36 states: an
+    # oracle that merged the runs of each start alone would walk the code
+    # after it 36 times.  Every kernel evaluation is counted, and the
+    # budget is linear in instructions x |S|; after `x = 0; y = 0;`, where
+    # all 36 runs merge into one, it is linear in instructions + |S|
+    evals = [0]
+    compile_expr = rd.compile_expr
+
+    def counted(e, space):
+        f = compile_expr(e, space)
+
+        def kernel(sigma):
+            evals[0] += 1
+            if evals[0] > budget:
+                raise AssertionError("more than %d kernel evaluations"
+                                     % budget)
+            return f(sigma)
+        return kernel
+
+    monkeypatch.setattr(rd, "compile_expr", counted)
+    space = StateSpace.make(("x", "y"), 0, 3)
+    src = "while (x > 0) { x = x - 1; %s}" % ("y = [0,1]; y = 0; " * 40)
+    budget = 2 * len(it._compile(parse(src), space)[1]) * space.size()
+    t = oracle_sem(parse(src), space)
+    assert 0 < evals[0] <= budget
+    assert t == rd.triple(space, e={(s, (0, 0 if s[0] else s[1]))
+                                    for s in space.states()})
+    space = StateSpace.make(("x", "y"), 0, 5)
+    src = ("x = [0,5]; y = [0,5]; " + "x = x + 1; y = y - 1; " * 5
+           + "while (x > 9) skip;")
+    budget = 2 * len(it._compile(parse(src), space)[1]) * space.size()
+    evals[0] = 0
+    t = oracle_sem(parse(src), space)
+    assert 0 < evals[0] <= budget
+    assert t == rd.triple(space, e={
+        (s, (min(x + 5, 5), max(y - 5, 0))) for s in space.states()
+        for x in range(6) for y in range(6)})
+    src = ("x = 0; y = 0; " + "x = x + 1; y = y + 1; " * 10
+           + "while (x > 9) skip;")
+    budget = 2 * (len(it._compile(parse(src), space)[1]) + space.size())
+    evals[0] = 0
+    t = oracle_sem(parse(src), space)
+    assert 0 < evals[0] <= budget
+    assert t == rd.triple(space, e={(s, (5, 5)) for s in space.states()})
+
+
+def test_oracle_and_validate_breaks_leave_no_cyclic_garbage():
+    # nothing they build refers back to itself, so reference counting
+    # frees all of it and the cycle collector finds nothing
+    space = StateSpace.make(("x", "y"), 0, 2)
+    prog = parse("while (x > 0) { y = [0,2]; if (y == 1) break;"
+                 " x = x - 1; }")
+    free = parse("x = 1; if (y == 0) { break; }")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for run in (lambda: it._compile(prog, space),
+                    lambda: oracle_sem(prog, space),
+                    lambda: oracle_sem(free, space),
+                    lambda: validate_breaks(prog),
+                    lambda: validate_breaks(free)):
+            run()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_oracle_uses_no_fixpoint_or_relational_code(monkeypatch):
