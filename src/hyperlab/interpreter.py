@@ -15,28 +15,14 @@ masks.  It returns the loop's own triple: `sem` uses it as it is, and the
 post transformers compose each precondition with it.  Every carrier is
 finite, so the fixpoints run to stabilization without widening.
 
-`oracle_sem` rebuilds the denotation triple operationally.  It compiles the
-statement once into a flat instruction list over integer program points.
-In a structured program every cycle of the flow graph passes through a loop
-head, so the loop heads are cut points (Bourdoncle's head vertices): the
-oracle runs one Tarjan pass over the configurations of the start, the loop
-heads and the targets of the random assignments only, discovered on the fly
-from every start state.  Discovering one walks its run in place up to the
-next loop head, random assignment, end, break or dead end (one large block,
-as in large-block encoding).  The runs a random assignment fans out merge at
-its targets, each a node walked once, and the runs an assignment merges
-share one walk from there on.  Tarjan closes the strongly connected
-components in reverse topological order, so each closed SCC folds in its
-walks' and its successors' results: the reachable end and break states
-(bitmasks over state indexes) and whether it can diverge.  On a finite graph
-an execution diverges exactly when it can reach a cycle, i.e. an SCC with an
-internal edge.  The start states' end and break bitmasks are already the
-rows of the e and br relations.  The oracle uses only the AST,
-`StateSpace`, compiled expression kernels (`rel_domain.compile_expr`, built
-when a walk first reaches an instruction) and `SemTriple`, never
-`interpret`, the fixpoint routines or the relational operators; the two
-routes are independent, which is what makes sem == oracle_sem a meaningful
-check.
+`oracle_sem` rebuilds the denotation triple operationally: one Tarjan pass
+over the configurations of the cut points (the start, the loop heads and
+the targets of the random assignments), each discovered by walking its run
+in place up to the next cut point, end, break or dead end (see its
+docstring).  It uses only the AST, `StateSpace`, compiled expression kernels
+(`rel_domain.compile_expr`) and `SemTriple`, never `interpret`, the fixpoint
+routines or the relational operators; the two routes are independent, which
+is what makes sem == oracle_sem a meaningful check.
 """
 
 from __future__ import annotations
@@ -48,9 +34,6 @@ from . import lang, rel_domain as rd
 from .lang import (Assign, BoolTest, Break, If, RandAssign, Seq, Skip, While,
                    neg)
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
-
-
-_set = object.__setattr__
 
 
 class NonMonotoneError(Exception):
@@ -71,8 +54,11 @@ class FixpointReport(lang.Record):
     __slots__ = ("iterations", "result")
 
     def __init__(self, iterations: int, result):
-        _set(self, "iterations", iterations)
-        _set(self, "result", result)
+        _report_iterations(self, iterations)
+        _report_result(self, result)
+
+
+_report_iterations, _report_result = lang.slot_setters(FixpointReport)
 
 
 def _iterate(f: Callable, x, ordered: Callable, max_iter: int) -> FixpointReport:
@@ -116,10 +102,13 @@ class Algebra(lang.Record):
 
     def __init__(self, prim: Callable, seq: Callable, join: Callable,
                  loop: Callable):
-        _set(self, "prim", prim)
-        _set(self, "seq", seq)
-        _set(self, "join", join)
-        _set(self, "loop", loop)
+        _alg_prim(self, prim)
+        _alg_seq(self, seq)
+        _alg_join(self, join)
+        _alg_loop(self, loop)
+
+
+_alg_prim, _alg_seq, _alg_join, _alg_loop = lang.slot_setters(Algebra)
 
 
 def guarded(b: lang.BExpr, s: lang.Stmt, d: Algebra):
@@ -129,15 +118,16 @@ def guarded(b: lang.BExpr, s: lang.Stmt, d: Algebra):
 
 def interpret(s: lang.Stmt, d: Algebra):
     """Value of a statement in the algebra `d`, by structural recursion."""
-    if isinstance(s, Seq):  # valued left to right, composed from the right
+    cls = s.__class__
+    if cls is Seq:  # valued left to right, composed from the right
         *vals, v = [interpret(c, d) for c in s.stmts]
         for a in reversed(vals):
             v = d.seq(a, v)
         return v
-    if isinstance(s, If):
+    if cls is If:
         return d.join(guarded(s.cond, s.then, d),
                       guarded(neg(s.cond), s.orelse, d))
-    if isinstance(s, While):
+    if cls is While:
         return d.loop(guarded(s.cond, s.body, d),
                       d.prim(BoolTest(neg(s.cond))))
     return d.prim(s)
@@ -207,27 +197,28 @@ def _comp(s: lang.Stmt, nxt: int, brk: int, code: list,
           space: StateSpace) -> int:
     """Emit `s` into `code` ahead of the pc `nxt`, with `brk` the exit of
     its innermost loop; return its entry pc."""
-    if isinstance(s, Skip):
+    cls = s.__class__
+    if cls is Skip:
         return nxt
-    if isinstance(s, Break):
+    if cls is Break:
         return brk
-    if isinstance(s, Seq):  # the last item is emitted first
+    if cls is Seq:  # the last item is emitted first
         for c in reversed(s.stmts):
             nxt = _comp(c, nxt, brk, code, space)
         return nxt
-    if isinstance(s, Assign):
+    if cls is Assign:
         op = ("assign", s.expr, space.index(s.var), nxt)
-    elif isinstance(s, RandAssign):
+    elif cls is RandAssign:
         i = space.index(s.var)
         lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
         vals = range(int(lo), int(hi) + 1) if lo <= hi else range(0)
         op = ("rand", vals, i, nxt)
-    elif isinstance(s, BoolTest):
+    elif cls is BoolTest:
         op = ("test", s.cond, nxt)
-    elif isinstance(s, If):
+    elif cls is If:
         op = ("if", s.cond, _comp(s.then, nxt, brk, code, space),
               _comp(s.orelse, nxt, brk, code, space))
-    elif isinstance(s, While):
+    elif cls is While:
         head = len(code)
         code.append(None)
         code[head] = ("loop", s.cond, _comp(s.body, head, nxt, code, space),

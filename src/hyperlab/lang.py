@@ -12,23 +12,22 @@ Lexically, a name is a letter or `_` followed by letters, digits and `_`
 (Unicode ones included, so `é` is a name); an integer literal is a run of
 decimal digits of any script (`٣` is 3); other numeric characters such as
 `²` or `Ⅻ` are unexpected characters.  `#` starts a comment that runs to
-the end of the line; spaces, tabs, `\r` and newlines separate tokens.  A
-`ParseError` gives the line and column of the offending token, counting a
-tab as one column.  A sequence is one `Seq` node of any length (a block in
-it stays its own node); the parser and the structural walks recurse only
-over nesting, so a program nested deeper than Python's recursion limit
-(hundreds of parentheses or blocks) raises `RecursionError` (`hl`: exit 2).
+the end of the line; spaces, tabs, `\r` and newlines separate tokens.  The
+lexer is one `re.findall` that skips blanks and comments inside its matches
+and keeps no offsets; a `ParseError` scans again for the offending token's
+line and column (a tab is one column).  A sequence is one `Seq`
+node of any length (a block in it stays its own node); the parser and the
+structural walks recurse only over nesting, so a program nested deeper
+than Python's recursion limit (hundreds of parentheses or blocks) raises
+`RecursionError` (`hl`: exit 2).
 
 `BoolTest` is a guard statement used internally by the semantics and the
-calculi; it is not part of the concrete grammar.
-
-AST nodes are `Record`s, the base of the lab's record types: plain
-slotted classes with the equality, hash, `repr` and immutability of frozen
-dataclasses, defined without the code generation of `dataclasses`.
+calculi; it is not part of the concrete grammar.  AST nodes are `Record`s.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from typing import Iterator, Union
@@ -40,9 +39,6 @@ POS_INF = float("inf")
 # ---------------------------------------------------------------------------
 # Records
 
-_set = object.__setattr__
-
-
 class Record:
     """Base of the lab's record types: slotted classes whose fields are
     their `__slots__`, in order, except names starting with `_` (state
@@ -50,9 +46,9 @@ class Record:
     only a record of the same class with equal fields, its hash is that of
     the tuple of its fields, its `repr` is `Name(field=value, ...)`, and
     assigning or deleting an attribute raises AttributeError, so `__init__`
-    sets the fields with `object.__setattr__`.  The `dataclass` decorator
-    takes about 1 ms per class to generate these methods, which was most of
-    the time `hl` spent importing the lab."""
+    sets the fields through the slots' own setters (`slot_setters`), which
+    take half the time of `object.__setattr__` (records built a few times
+    per run use the latter), and no `dataclass` code generation runs."""
 
     __slots__ = ()
 
@@ -84,6 +80,11 @@ class Record:
         raise AttributeError("cannot delete field %r" % name)
 
 
+def slot_setters(cls) -> tuple:
+    """The `__set__` of each of the slots of `cls`, in order."""
+    return tuple(vars(cls)[n].__set__ for n in cls.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -91,23 +92,23 @@ class Const(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        _set(self, "value", value)
+        _const_value(self, value)
 
 
 class Var(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _var_name(self, name)
 
 
 class ABin(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: AExpr, right: AExpr):
-        _set(self, "op", op)  # '+', '-', '*'
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _abin_op(self, op)  # '+', '-', '*'
+        _abin_left(self, left)
+        _abin_right(self, right)
 
 
 AExpr = Union[Const, Var, ABin]
@@ -117,25 +118,25 @@ class Cmp(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: AExpr, right: AExpr):
-        _set(self, "op", op)  # '==', '!=', '<', '<=', '>', '>='
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _cmp_op(self, op)  # '==', '!=', '<', '<=', '>', '>='
+        _cmp_left(self, left)
+        _cmp_right(self, right)
 
 
 class Not(Record):
     __slots__ = ("arg",)
 
     def __init__(self, arg: BExpr):
-        _set(self, "arg", arg)
+        _not_arg(self, arg)
 
 
 class BBin(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: BExpr, right: BExpr):
-        _set(self, "op", op)  # '&&', '||'
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _bbin_op(self, op)  # '&&', '||'
+        _bbin_left(self, left)
+        _bbin_right(self, right)
 
 
 BExpr = Union[Cmp, Not, BBin]
@@ -148,18 +149,17 @@ class Assign(Record):
     __slots__ = ("var", "expr")
 
     def __init__(self, var: str, expr: AExpr):
-        _set(self, "var", var)
-        _set(self, "expr", expr)
+        _assign_var(self, var)
+        _assign_expr(self, expr)
 
 
 class RandAssign(Record):
     __slots__ = ("var", "lo", "hi")
 
-    def __init__(self, var: str, lo: Union[int, float],
-                 hi: Union[int, float]):
-        _set(self, "var", var)
-        _set(self, "lo", lo)  # int or -inf
-        _set(self, "hi", hi)  # int or +inf
+    def __init__(self, var: str, lo: float, hi: float):
+        _rand_var(self, var)
+        _rand_lo(self, lo)  # int or -inf
+        _rand_hi(self, hi)  # int or +inf
 
 
 class Skip(Record):
@@ -174,34 +174,46 @@ class Seq(Record):
     __slots__ = ("stmts",)
 
     def __init__(self, *stmts: Stmt):
-        _set(self, "stmts", stmts)
+        _seq_stmts(self, stmts)
 
 
 class If(Record):
     __slots__ = ("cond", "then", "orelse")
 
     def __init__(self, cond: BExpr, then: Stmt, orelse: Stmt):
-        _set(self, "cond", cond)
-        _set(self, "then", then)
-        _set(self, "orelse", orelse)
+        _if_cond(self, cond)
+        _if_then(self, then)
+        _if_orelse(self, orelse)
 
 
 class While(Record):
     __slots__ = ("cond", "body")
 
     def __init__(self, cond: BExpr, body: Stmt):
-        _set(self, "cond", cond)
-        _set(self, "body", body)
+        _while_cond(self, cond)
+        _while_body(self, body)
 
 
 class BoolTest(Record):
     __slots__ = ("cond",)
 
     def __init__(self, cond: BExpr):
-        _set(self, "cond", cond)
+        _booltest_cond(self, cond)
 
 
 Stmt = Union[Assign, RandAssign, Skip, Break, Seq, If, While, BoolTest]
+
+
+# the slots' own setters, through which each `__init__` writes its fields
+(_const_value,), (_var_name,), (_not_arg,), (_seq_stmts,), (_booltest_cond,) \
+    = map(slot_setters, (Const, Var, Not, Seq, BoolTest))
+_abin_op, _abin_left, _abin_right = slot_setters(ABin)
+_cmp_op, _cmp_left, _cmp_right = slot_setters(Cmp)
+_bbin_op, _bbin_left, _bbin_right = slot_setters(BBin)
+_assign_var, _assign_expr = slot_setters(Assign)
+_rand_var, _rand_lo, _rand_hi = slot_setters(RandAssign)
+_if_cond, _if_then, _if_orelse = slot_setters(If)
+_while_cond, _while_body = slot_setters(While)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +230,23 @@ def children(s: Stmt) -> tuple:
     return ()
 
 
-def _free_break(node: Stmt, in_loop: bool, path: list):
+def _free_break(node: Stmt, path: list):
     """AST path of the first break under `node` outside any loop, or None."""
-    if isinstance(node, Break) and not in_loop:
+    if isinstance(node, Break):
         return path
-    if isinstance(node, While):
-        return _free_break(node.body, True, path + [0])
+    if isinstance(node, While):  # its body's breaks leave it
+        return None
     for i, c in enumerate(children(node)):
-        bad = _free_break(c, in_loop, path + [i])
+        bad = _free_break(c, path + [i])
         if bad is not None:
             return bad
     return None
 
 
 def validate_breaks(s: Stmt):
-    """Check that every break has an enclosing loop.
-
-    Returns None if the program is well formed, otherwise the AST path (list
-    of child indices) of the first offending break.
-    """
-    return _free_break(s, False, [])
+    """None if every break has an enclosing loop, else the AST path (list
+    of child indices) of the first offending break."""
+    return _free_break(s, [])
 
 
 def _expr_vars(e, out: set) -> None:
@@ -335,197 +344,188 @@ class ParseError(Exception):
         self.col = col
 
 
-_KEYWORDS = {"skip", "break", "if", "else", "while", "oo"}
-_COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
-# whitespace and comments have no group; symbols are listed longest first
-_TOKEN = re.compile(r"""
-    [ \t\r\n]+ | (?P<comment>\#[^\n]*)
-  | (?P<int>\d+) | (?P<name>[^\W\d]\w*)
-  | (?P<sym>==|!=|<=|>=|&&|\|\||[-=<>!+*(){}\[\],;]) | (?P<bad>.)
-""", re.VERBOSE)
+# a match is the blanks and comments before a token, then the token as the
+# only group (symbols longest first); the end of input is the empty token
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(==|!=|<=|>=|&&|\|\||"
+                    r"[-=<>!+*(){}\[\],;]|\d+|[^\W\d]\w*|.|\Z)")
+_TAGS = {w: w or "eof" for w in ("", "skip", "break", "if", "else", "while",
+                                  "oo", "==", "!=", "<=", ">=", "&&", "||",
+                                  *"-=<>!+*(){}[],;")}
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """`message` at the line and column of `offset` (a tab is one column)."""
-    line_start = text.rfind("\n", 0, offset) + 1
-    return ParseError(message, text.count("\n", 0, offset) + 1,
-                      offset - line_start + 1)
+# the tag of a token that is no symbol or keyword, by its first character
+class _Kinds(dict):
+    def __missing__(self, c):
+        return "int" if c.isdecimal() else \
+            "name" if c.isalpha() or c == "_" else "bad"
 
 
-def _tokenize(text: str) -> list:
-    """Tokens (tag, text, offset): the tag of a symbol or keyword is its
-    text, otherwise 'int', 'name' or 'eof'.  End of input after a trailing
-    comment sits at the comment's '#'."""
-    toks = []
-    m = None
-    for m in _TOKEN.finditer(text):
-        tag = m.lastgroup
-        if tag is None or tag == "comment":
-            continue
-        word = m.group()
-        if tag == "name" and not (word[0].isalpha() or word[0] == "_"):
-            tag = "bad"  # a numeric character such as '²' or 'Ⅻ'
-        if tag == "bad":
-            raise _error(text, m.start(), "unexpected character %r" % word[0])
-        if tag == "sym" or word in _KEYWORDS:
-            tag = word
-        toks.append((tag, word, m.start()))
-    end = m.start() if m and m.lastgroup == "comment" else len(text)
-    toks.append(("eof", "", end))
-    return toks
+_KINDS = _Kinds((c, _Kinds.__missing__(None, c)) for c in map(chr, range(128)))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+class _Fail(Exception):
+    """Syntax error (token number, message); `parse` locates it."""
 
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
 
-    def next(self) -> str:
-        """Consume the current token and return its text."""
-        self.pos += 1
-        return self.toks[self.pos - 1][1]
-
-    def accept(self, tag: str) -> bool:
-        if self.toks[self.pos][0] != tag:
-            return False
-        self.pos += 1
-        return True
-
-    def error(self, msg):
-        _, word, offset = self.toks[self.pos]
-        raise _error(self.text, offset,
-                     "%s (found %r)" % (msg, word or "end of input"))
-
-    def expect(self, tag: str) -> str:
-        if self.peek() != tag:
-            self.error("expected %r" % tag)
-        return self.next()
-
-    # statements -----------------------------------------------------------
-    def program(self) -> Stmt:
-        s = self.stmt_seq()
-        if self.peek() != "eof":
-            self.error("trailing input")
-        return s
-
-    def stmt_seq(self) -> Stmt:
-        stmts = [self.stmt()]
-        while self.peek() not in ("eof", "}", "else"):
-            stmts.append(self.stmt())
-        return Seq(*stmts) if len(stmts) > 1 else stmts[0]
-
-    def stmt(self) -> Stmt:
-        tag = self.peek()
-        if tag not in ("{", "skip", "break", "if", "while", "name"):
-            self.error("expected a statement")
-        word = self.next()
-        if tag == "{":
-            s = self.stmt_seq()
-            self.expect("}")
-            return s
-        if tag in ("skip", "break"):
-            self.expect(";")
-            return Skip() if tag == "skip" else Break()
-        if tag in ("if", "while"):
-            self.expect("(")
-            cond = self.bexpr()
-            self.expect(")")
-            body = self.stmt()
-            if tag == "while":
-                return While(cond, body)
-            orelse = self.stmt() if self.accept("else") else Skip()
-            return If(cond, body, orelse)
-        self.expect("=")
-        if self.accept("["):
-            lo = self.bound()
-            self.expect(",")
-            hi = self.bound()
-            self.expect("]")
-            self.expect(";")
-            return RandAssign(word, lo, hi)
-        e = self.aexpr()
-        self.expect(";")
-        return Assign(word, e)
-
-    def bound(self):
-        neg = self.accept("-")
-        if self.accept("oo"):
-            return NEG_INF if neg else POS_INF
-        v = int(self.expect("int"))
-        return -v if neg else v
-
-    # boolean expressions ---------------------------------------------------
-    def bexpr(self) -> BExpr:
-        b = self.band()
-        while self.accept("||"):
-            b = BBin("||", b, self.band())
-        return b
-
-    def band(self) -> BExpr:
-        b = self.batom()
-        while self.accept("&&"):
-            b = BBin("&&", b, self.batom())
-        return b
-
-    def batom(self) -> BExpr:
-        if self.accept("!"):
-            return Not(self.batom())
-        save = self.pos
-        if self.accept("("):
-            # either a parenthesized bexpr or the left paren of an aexpr
-            try:
-                b = self.bexpr()
-                self.expect(")")
-                return b
-            except ParseError:
-                self.pos = save
-        return self.comparison()
-
-    def comparison(self) -> Cmp:
-        left = self.aexpr()
-        if self.peek() not in _COMPARISONS:
-            self.error("expected a comparison operator")
-        op = self.next()
-        return Cmp(op, left, self.aexpr())
-
-    # arithmetic expressions -------------------------------------------------
-    def aexpr(self) -> AExpr:
-        e = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            e = ABin(op, e, self.term())
-        return e
-
-    def term(self) -> AExpr:
-        e = self.factor()
-        while self.accept("*"):
-            e = ABin("*", e, self.factor())
-        return e
-
-    def factor(self) -> AExpr:
-        tag = self.peek()
-        if tag not in ("(", "-", "int", "name"):
-            self.error("expected an expression")
-        word = self.next()
-        if tag == "(":
-            e = self.aexpr()
-            self.expect(")")
-            return e
-        if tag == "-":
-            f = self.factor()
-            if isinstance(f, Const):
-                return Const(-f.value)
-            return ABin("-", Const(0), f)
-        return Const(int(word)) if tag == "int" else Var(word)
+def _error(text: str, k: int, message: str) -> ParseError:
+    """`message` at the line and column of token k (a tab is one column), by
+    a new scan; the end of input after a trailing comment is at its '#'."""
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None))
+    at = m.start(1) if m.group(1) else text.find("#", text.rfind("\n") + 1)
+    at = len(text) if at < 0 else at
+    return ParseError(message, text.count("\n", 0, at) + 1,
+                      at - text.rfind("\n", 0, at))
 
 
 def parse(text: str) -> Stmt:
     """Parse program text into an AST; raises ParseError with line/column."""
-    return _Parser(text).program()
+    words = _TOKEN.findall(text)
+    tags = [_TAGS.get(w) or _KINDS[w[0]] for w in words]
+    if "bad" in tags:
+        k = tags.index("bad")
+        raise _error(text, k, "unexpected character %r" % words[k][0])
+    pos = 0
+
+    def need(tag):  # consume the punctuation `tag`
+        nonlocal pos
+        if tags[pos] != tag:
+            raise _Fail(pos, "expected %r" % tag)
+        pos += 1
+
+    def stmt_seq():
+        stmts = [stmt()]
+        while tags[pos] not in ("eof", "}", "else"):
+            stmts.append(stmt())
+        return Seq(*stmts) if len(stmts) > 1 else stmts[0]
+
+    def stmt():
+        nonlocal pos
+        tag = tags[pos]
+        pos += 1
+        if tag == "name":
+            var = words[pos - 1]
+            need("=")
+            if tags[pos] == "[":
+                pos += 1
+                lo = bound()
+                need(",")
+                s = RandAssign(var, lo, bound())
+                need("]")
+            else:
+                s = Assign(var, aexpr())
+        elif tag == "{":
+            s = stmt_seq()
+            need("}")
+            return s
+        elif tag == "if" or tag == "while":
+            need("(")
+            cond = bexpr()
+            need(")")
+            body = stmt()
+            if tag == "while":
+                return While(cond, body)
+            pos += tags[pos] == "else"  # a body never ends in 'else'
+            return If(cond, body,
+                      stmt() if tags[pos - 1] == "else" else Skip())
+        elif tag == "skip" or tag == "break":
+            s = Skip() if tag == "skip" else Break()
+        else:
+            raise _Fail(pos - 1, "expected a statement")
+        need(";")
+        return s
+
+    def bound():
+        nonlocal pos
+        sign = -1 if tags[pos] == "-" else 1
+        pos += 2 if sign < 0 else 1
+        if tags[pos - 1] == "oo":
+            return sign * POS_INF
+        if tags[pos - 1] != "int":
+            raise _Fail(pos - 1, "expected 'int'")
+        return sign * int(words[pos - 1])
+
+    def bexpr():
+        nonlocal pos
+        b = band()
+        while tags[pos] == "||":
+            pos += 1
+            b = BBin("||", b, band())
+        return b
+
+    def band():
+        nonlocal pos
+        b = batom()
+        while tags[pos] == "&&":
+            pos += 1
+            b = BBin("&&", b, batom())
+        return b
+
+    def batom():
+        nonlocal pos
+        if tags[pos] == "!":
+            pos += 1
+            return Not(batom())
+        if tags[pos] == "(":  # a parenthesized bexpr, else an aexpr's '('
+            save = pos
+            pos += 1
+            try:
+                b = bexpr()
+                need(")")
+                return b
+            except _Fail:
+                pos = save
+        left = aexpr()
+        op = tags[pos]
+        if op not in {"==", "!=", "<", "<=", ">", ">="}:
+            raise _Fail(pos, "expected a comparison operator")
+        pos += 1
+        return Cmp(op, left, aexpr())
+
+    def aexpr():
+        nonlocal pos
+        e = term()
+        while tags[pos] == "+" or tags[pos] == "-":
+            pos += 1
+            e = ABin(tags[pos - 1], e, term())
+        return e
+
+    def term():
+        nonlocal pos
+        e = factor()
+        while tags[pos] == "*":
+            pos += 1
+            e = ABin("*", e, factor())
+        return e
+
+    def factor():
+        nonlocal pos
+        tag = tags[pos]
+        pos += 1
+        if tag == "name":
+            return Var(words[pos - 1])
+        if tag == "int":
+            return Const(int(words[pos - 1]))
+        if tag == "(":
+            e = aexpr()
+            need(")")
+            return e
+        if tag != "-":
+            raise _Fail(pos - 1, "expected an expression")
+        f = factor()
+        return Const(-f.value) if isinstance(f, Const) else \
+            ABin("-", Const(0), f)
+
+    try:
+        s = stmt_seq()
+        if tags[pos] != "eof":
+            raise _Fail(pos, "trailing input")
+        return s
+    except _Fail as exc:
+        k, message = exc.args
+        raise _error(text, k, "%s (found %r)" % (
+            message, words[k] or "end of input")) from None
+    finally:  # the rules call one another: unbind them to leave no cycle
+        del stmt_seq, stmt, bexpr, band, batom, aexpr, term, factor
 
 
 def neg(b: BExpr) -> BExpr:

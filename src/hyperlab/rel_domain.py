@@ -215,27 +215,32 @@ def compile_expr(e, space: StateSpace) -> Callable[[State], object]:
     UnboundVariableError when it is evaluated, so an operand that `&&`/`||`
     never evaluates need not be bound.
     """
-    if isinstance(e, Const):
+    cls = e.__class__
+    if cls is Const:
         value = e.value
         return lambda s: value
-    if isinstance(e, Var):
+    if cls is Var:
         if e.name in space.vars:
             return operator.itemgetter(space.index(e.name))
         return lambda s: s[space.index(e.name)]  # raises UnboundVariableError
-    if isinstance(e, Not):
+    if cls is Not:
         arg = compile_expr(e.arg, space)
         return lambda s: not arg(s)
+    if cls is not BBin and e.right.__class__ is Const:
+        # x - 1, x != 0: no call for the constant, none for a bound x
+        op, value, x = _OPS[e.op], e.right.value, e.left
+        if x.__class__ is Var and x.name in space.vars:
+            i = space.index(x.name)
+            return lambda s: op(s[i], value)
+        left = compile_expr(x, space)
+        return lambda s: op(left(s), value)
     left = compile_expr(e.left, space)
-    if isinstance(e, BBin):
-        right = compile_expr(e.right, space)
+    right = compile_expr(e.right, space)
+    if cls is BBin:
         if e.op == "&&":
             return lambda s: left(s) and right(s)
         return lambda s: left(s) or right(s)
     op = _OPS[e.op]
-    if isinstance(e.right, Const):  # x - 1, x != 0: no call for the constant
-        value = e.right.value
-        return lambda s: op(left(s), value)
-    right = compile_expr(e.right, space)
     return lambda s: op(left(s), right(s))
 
 
@@ -349,9 +354,7 @@ class SemTriple(lang.Record):
                 tuple(labeled_pairs(self.br, indexes)))
 
 
-# the slots' own setters: a third faster than `object.__setattr__`
-_set_e, _set_inf, _set_br = (vars(SemTriple)[n].__set__
-                             for n in SemTriple.__slots__)
+_set_e, _set_inf, _set_br = lang.slot_setters(SemTriple)
 
 
 def bottom(space: StateSpace) -> SemTriple:
@@ -385,24 +388,25 @@ def prim(kind, space: StateSpace) -> SemTriple:
     their relation in e; break puts the identity in br; everything basic has
     an empty divergence component.
     """
-    if kind == "init" or isinstance(kind, lang.Skip):
-        return pure_e(identity_rel(space))
-    if isinstance(kind, lang.Break):
-        return SemTriple(empty_rel(space), 0, identity_rel(space))
-    states = space.states()
-    if isinstance(kind, BoolTest):
+    cls = kind.__class__
+    if cls is BoolTest:
         test = compile_expr(kind.cond, space)  # a bool per state
         return pure_e(tuple(map(operator.mul, identity_rel(space),
-                                map(test, states))))
-    if not isinstance(kind, (lang.Assign, lang.RandAssign)):
+                                map(test, space.states()))))
+    if cls is not lang.Assign and cls is not lang.RandAssign:
+        if cls is lang.Skip or kind == "init":
+            return pure_e(identity_rel(space))
+        if cls is lang.Break:
+            return SemTriple(empty_rel(space), 0, identity_rel(space))
         raise TypeError("not a basic command: %r" % (kind,))
     # setting position i of states[j] from s[i] to v gives the state of
     # index j + (v - s[i]) * stride
+    states = space.states()
     i = space.index(kind.var)
     stride = space.strides()[i]
-    if isinstance(kind, lang.RandAssign):
-        lo = max(space.lo[i], kind.lo)
-        hi = min(space.hi[i], kind.hi)
+    lo, hi = space.lo[i], space.hi[i]
+    if cls is lang.RandAssign:
+        lo, hi = max(lo, kind.lo), min(hi, kind.hi)
         if lo > hi:
             return pure_e(empty_rel(space))
         lo, hi = int(lo), int(hi)
@@ -413,7 +417,9 @@ def prim(kind, space: StateSpace) -> SemTriple:
     f = compile_expr(kind.expr, space)
     rows = []
     for j, s in enumerate(states):
-        v = space.clip(i, f(s))
+        v = f(s)
+        if not lo <= v <= hi:  # an in-range value is its own clip
+            v = space.clip(i, v)
         rows.append(0 if v is None else 1 << j + (v - s[i]) * stride)
     return pure_e(tuple(rows))
 

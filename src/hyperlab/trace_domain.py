@@ -15,7 +15,8 @@ the set of divergent start states, which is the exact relational abstraction
 of the infinite trace set.  It is read from `interpreter.oracle_sem`: the
 starts that reach a cycle of configurations.  Traces longer than the
 configured cap L are dropped and the result is flagged as truncated, never
-silently cut, so commutation checks can skip flagged cases soundly.
+silently cut, so commutation checks can skip flagged cases soundly.  A set
+past `MAX_TRACES` traces raises `TraceLimitError` (`hl`: exit 2) mid-build.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ from .interpreter import Algebra
 from .lang import BoolTest, Break
 from .rel_domain import StateSpace
 
+MAX_TRACES = 200_000  # the most traces of one set: this bounds the memory
 
-_set = object.__setattr__
+
+class TraceLimitError(ValueError):
+    def __init__(self, size: int):
+        super().__init__("a trace set reached %d traces, more than the limit "
+                         "of %d" % (size, MAX_TRACES))
 
 
 class TraceSet(lang.Record):
@@ -37,9 +43,9 @@ class TraceSet(lang.Record):
 
     def __init__(self, finite: frozenset, div_starts: frozenset,
                  truncated: bool):
-        _set(self, "finite", finite)          # terminating traces (tuples)
-        _set(self, "div_starts", div_starts)  # starts of infinite executions
-        _set(self, "truncated", truncated)    # a trace exceeded the cap
+        _set_finite(self, finite)          # terminating traces (tuples)
+        _set_div_starts(self, div_starts)  # starts of infinite executions
+        _set_truncated(self, truncated)    # a trace exceeded the cap
 
 
 class _TR(lang.Record):
@@ -48,9 +54,13 @@ class _TR(lang.Record):
     __slots__ = ("e", "br", "truncated")
 
     def __init__(self, e: frozenset, br: frozenset, truncated: bool):
-        _set(self, "e", e)
-        _set(self, "br", br)
-        _set(self, "truncated", truncated)
+        _tr_e(self, e)
+        _tr_br(self, br)
+        _tr_truncated(self, truncated)
+
+
+_set_finite, _set_div_starts, _set_truncated = lang.slot_setters(TraceSet)
+_tr_e, _tr_br, _tr_truncated = lang.slot_setters(_TR)
 
 
 def concat(t1, t2, cap: int):
@@ -72,6 +82,8 @@ def concat(t1, t2, cap: int):
                 cut = True
             else:
                 out.add(r)
+        if len(out) > MAX_TRACES:
+            raise TraceLimitError(len(out))
     return frozenset(out), cut
 
 
@@ -79,19 +91,26 @@ def traces(space: StateSpace, cap: int) -> Algebra:
     """Traces of length at most `cap`, as tuples of state indexes; a loop is
     every finite iteration of its guarded body, then its exit or a break."""
     states = space.states()
-    units = tuple((i,) for i in range(len(states)))
+    indexes = range(len(states))
+    units = tuple((i,) for i in indexes)
     singles, empty = frozenset(units), frozenset()
 
     def prim(s):
-        if isinstance(s, BoolTest):
+        if s.__class__ is BoolTest:
             test = rd.compile_expr(s.cond, space)
             return _TR(frozenset(compress(units, map(test, states))), empty,
                        False)
-        if isinstance(s, Break):
+        if s.__class__ is Break:
             return _TR(empty, singles, False)
         rows = rd.prim(s, space).e
-        return _TR(frozenset(rd.labeled_pairs(rows, range(len(rows)))),
-                   empty, False)
+        if max(map(int.bit_count, rows)) <= 1:  # a row's target: bit_length-1
+            return _TR(frozenset(zip(compress(indexes, rows), map(
+                (-1).__add__, map(int.bit_length, filter(None, rows))))),
+                empty, False)
+        n = sum(map(int.bit_count, rows))
+        if n > MAX_TRACES:
+            raise TraceLimitError(n)
+        return _TR(frozenset(rd.labeled_pairs(rows, indexes)), empty, False)
 
     def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)
@@ -107,6 +126,8 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         def step(x):
             nonlocal cut, new
             x |= new
+            if len(x) > MAX_TRACES:
+                raise TraceLimitError(len(x))
             grown, c = concat(body.e, new, cap)
             cut = cut or c
             new = grown - x
@@ -124,13 +145,8 @@ def traces(space: StateSpace, cap: int) -> Algebra:
 
 
 def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
-    """Finite-trace semantics up to length `max_len`, plus divergent starts.
-
-    The traces are computed on state indexes and mapped to state tuples once,
-    at the end.  The divergent component is read from `oracle_sem`: the
-    starts that reach a cycle of configurations, which is the exact
-    abstraction of the infinite traces.
-    """
+    """Finite-trace semantics up to length `max_len`, plus divergent starts
+    (from `oracle_sem`)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     tr = interpreter.interpret(s, traces(space, max_len))

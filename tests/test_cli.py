@@ -70,6 +70,25 @@ def test_trace_rejects_a_bound_below_one_naming_the_flag(workdir, capsys,
         2, "", "error: --L must be >= 1, got %s\n" % bound)
 
 
+def test_trace_past_the_trace_cap_exits_two_naming_both_numbers(workdir,
+                                                                 capsys):
+    # each round multiplies the traces by four, to about 1.4 million at
+    # L = 64: the cap refuses the set long before memory runs out
+    (workdir / "fan.hl").write_text(
+        "while (i < 9) { i = i + 1; c = [0,3]; }\n")
+    (workdir / "space_ic.json").write_text(
+        '{"vars": ["i", "c"], "lo": 0, "hi": [9, 3]}')
+    code, out, err = run_cli(capsys, "trace",
+                             "--program", str(workdir / "fan.hl"),
+                             "--space", str(workdir / "space_ic.json"),
+                             "--L", "64", "--json")
+    size = int(err.split()[5])
+    assert (code, out, err) == (
+        2, "", "error: a trace set reached %d traces, more than the limit "
+        "of 200000\n" % size)
+    assert 200000 < size < 2 * 200000
+
+
 def test_post_and_hyper_post(workdir, capsys):
     code, out, _ = run_cli(capsys, "post",
                            "--program", str(workdir / "countdown.hl"),

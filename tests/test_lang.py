@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -64,6 +65,27 @@ def test_parse_error_text_and_position(text, message, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+def test_parse_leaves_no_cyclic_garbage():
+    # the grammar rules are closures that call one another; parse unbinds
+    # them, so reference counting frees a parse and the collector finds
+    # nothing, on success and on a syntax error after backtracking
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        parse("while ((x + 1) > 0) { y = [0,2]; if (!(y == 1)) break; }")
+        assert gc.collect() == 0
+        try:  # not pytest.raises, which keeps the error and its traceback
+            parse("if ((x + 1) > ) skip;")
+            raised = False
+        except ParseError:
+            raised = True
+        assert raised and gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_unicode_letters_and_decimal_digits_are_accepted():
     assert parse("é = 1;") == Assign("é", Const(1))
     assert parse("x = ٣;") == Assign("x", Const(3))  # arabic-indic three
@@ -88,6 +110,31 @@ def test_validate_breaks_reports_path_after_loop():
     assert validate_breaks(s) == [1]
     # a sequence is one node, so the path is the statement's position
     assert validate_breaks(parse("x = 1; x = 2; break;")) == [2]
+
+
+def _walked_free_break(node, in_loop=False, path=()):
+    """The first free break's path by a walk of every node, loop bodies
+    included."""
+    if isinstance(node, Break) and not in_loop:
+        return list(path)
+    kids = {Seq: lambda: node.stmts, If: lambda: (node.then, node.orelse),
+            While: lambda: (node.body,)}.get(type(node), tuple)()
+    for i, c in enumerate(kids):
+        bad = _walked_free_break(c, in_loop or isinstance(node, While),
+                                 path + (i,))
+        if bad is not None:
+            return bad
+    return None
+
+
+def test_validate_breaks_skips_loop_bodies_and_agrees_with_a_full_walk():
+    rng = random.Random(31)
+    free = 0
+    for _ in range(600):
+        s, _ = random_program(rng, depth=4, allow_free_break=True)
+        assert validate_breaks(s) == _walked_free_break(s)
+        free += validate_breaks(s) is not None
+    assert 100 < free < 500
 
 
 def test_component_relation_is_well_founded():

@@ -132,6 +132,45 @@ def test_kernels_and_prim_match_the_definitional_evaluator():
     assert negative
 
 
+def test_prim_at_the_bounds_of_every_mode_matches_the_definition():
+    # results at lo and hi, one past each and far past each, on the first
+    # and the last variable (strides 4 and 1): prim applies the mode only
+    # outside the range, the definition clips every result
+    seen = {}
+    for arith in ARITH_MODES:
+        space = StateSpace.make(("x", "y"), (-2, 0), (2, 3), arith)
+        for var, lo, hi, other in (("x", -2, 2, "y"), ("y", 0, 3, "x")):
+            sources = ["%s = %d;" % (var, v)
+                       for v in (lo - 1, lo, hi, hi + 1, lo - 9, hi + 9)]
+            sources += [e.replace("v", var).replace("o", other) for e in (
+                "v = v + 1;", "v = v - 1;", "v = v * 3 - o;", "v = o;",
+                "v = v + %d;" % (hi - lo + 1))]
+            for src in sources:
+                cmd = parse(src)
+                assert prim(cmd, space) == rd.triple(
+                    space, e=_slicing_prim_e(cmd, space)), (arith, src)
+
+        # the targets of x = x + 1 from x = 2 and of x = x - 1 from x = -2
+        def targets(src, state):
+            return [b for a, b in rd.pairs(prim(parse(src), space).e, space)
+                    if a == state]
+        seen[arith] = (targets("x = x + 1;", (2, 1)),
+                       targets("x = x - 1;", (-2, 1)))
+    assert seen == {"saturate": ([(2, 1)], [(-2, 1)]),
+                    "wrap": ([(-2, 1)], [(2, 1)]),
+                    "prune": ([], [])}
+
+
+def test_prim_dispatches_on_the_class_of_the_node():
+    space = StateSpace.make(("x",), 0, 2)
+    assert prim("init", space) == prim(Skip(), space) == rd.pure_e(
+        rd.identity_rel(space))
+    for kind in ("skip", parse("while (x < 1) x = 1;"), parse("skip; skip;"),
+                 Var("x"), None):
+        with pytest.raises(TypeError, match="not a basic command"):
+            prim(kind, space)
+
+
 def test_kernels_evaluate_unbound_variables_lazily():
     space = StateSpace.make(("x",), 0, 3)
     assert rd.compile_expr(Var("zz"), space) is not None  # nothing raised

@@ -180,3 +180,48 @@ def test_abstraction_commutes_with_each_trace_operation():
             continue
         assert same(loop, rel.loop(alpha(a), alpha(x)))
     assert 0 < skipped < 500
+
+
+def test_trace_prim_is_the_pairs_of_the_relational_rows():
+    # rows with at most one target are read as (j, bit_length - 1) pairs,
+    # fan-out rows through labeled_pairs; both must give every index pair
+    # of rd.prim's rows, and nothing for a pruned (empty) row
+    for arith in rd.ARITH_MODES:
+        space = StateSpace.make(("x", "y"), (-1, 0), (2, 1), arith)
+        indexes = range(space.size())
+        tr = td.traces(space, 4)
+        cmds = [parse(src) for src in (
+            "x = x + 1;", "x = x - 1;", "x = 2 * x;", "y = x;", "x = 3;",
+            "x = [0,1];", "x = [1,5];", "x = [-oo,0];", "y = [-3,oo];",
+            "x = [3,4];", "x = [-oo,oo];")]
+        for cmd in cmds:
+            rows = rd.prim(cmd, space).e
+            t = tr.prim(cmd)
+            assert t.e == frozenset(rd.labeled_pairs(rows, indexes)), cmd
+            assert t.br == frozenset() and not t.truncated
+        if arith == "prune":  # x = x + 1 prunes the rows of x = 2
+            rows = rd.prim(cmds[0], space).e
+            assert rows.count(0) == 2
+            assert {j for j, _ in tr.prim(cmds[0]).e} == {
+                j for j in indexes if rows[j]}
+
+
+def test_trace_sets_past_the_cap_raise_naming_both_sizes(monkeypatch):
+    space = StateSpace.make(("x",), 0, 9)
+    monkeypatch.setattr(td, "MAX_TRACES", 50)
+    # a random assignment's fan-out is refused before it is listed
+    with pytest.raises(td.TraceLimitError) as exc:
+        td.trace_sem(parse("x = [0,9];"), space, 4)
+    assert str(exc.value) == ("a trace set reached 100 traces, more than "
+                              "the limit of 50")
+    # a concatenation
+    with pytest.raises(td.TraceLimitError, match="reached 5[1-9] traces"):
+        td.concat(frozenset((i,) for i in range(60)),
+                  frozenset((i, j) for i in range(60) for j in (0, 1)), 4)
+    # a loop whose union of rounds outgrows the cap while every round and
+    # every concatenation stays under it: 10, 19, then 27 traces
+    monkeypatch.setattr(td, "MAX_TRACES", 20)
+    with pytest.raises(td.TraceLimitError, match="reached 27 traces"):
+        td.trace_sem(parse("while (x < 9) x = x + 1;"), space, 20)
+    # a TraceLimitError is a ValueError, which `hl` reports with exit 2
+    assert issubclass(td.TraceLimitError, ValueError)
