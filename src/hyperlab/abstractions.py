@@ -60,8 +60,7 @@ ideal and filter, order ideal and filter, min/max frontiers, frontier order
 ideals, chain-limit and starred chain-limit closures, the conjunctive
 combination of one ideal-kind and one filter-kind operator, the lower
 closures rho/phi, the frontier rho-elimination, and the hyperproperty
-families AEH, AAH, EAH, NI, GNI, GD with their `HyperOracle` membership
-predicates.
+families AEH, AAH, EAH, NI, GNI, GD as `HyperOracle`s.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from typing import Callable, Iterable
 
 from . import rel_domain as rd
 from .lang import Record
-from .rel_domain import SemTriple
 
 
 class LatticeError(ValueError):
@@ -619,12 +617,17 @@ def frontier_min_presented(cp: ChainPoset, explicit: Iterable,
 # oracle's `fn` through `dataclasses.replace`
 @dataclass(frozen=True)
 class HyperOracle:
-    """Total, deterministic membership predicate on triples."""
+    """A hyperproperty given by a predicate rather than by its members.
+
+    A hyperproperty is whatever `in` tests.  The finite kind is a frozenset
+    of SemTriples; a `HyperOracle` is the one non-finite kind, and `t in
+    oracle` calls its total, deterministic `fn(t)` on every test.
+    """
 
     fn: Callable
     name: str = "<oracle>"
 
-    def contains(self, t) -> bool:
+    def __contains__(self, t) -> bool:
         return bool(self.fn(t))
 
 
@@ -646,12 +649,6 @@ def _eah(a):
     return member
 
 
-def _executions(t, space):
-    # finite executions of a denotation triple or a relation, as
-    # (first, last) state pairs
-    return rd.pairs(t.e if isinstance(t, SemTriple) else t, space)
-
-
 def _ni(space, low, high):
     li, _ = space.index(low), space.index(high)  # high unread, yet bound
 
@@ -659,7 +656,7 @@ def _ni(space, low, high):
         # low-equal starts end low-equal: one low end per low start
         end = {}
         return all(end.setdefault(s[li], e[li]) == e[li]
-                   for s, e in _executions(t, space))
+                   for s, e in rd.pairs(t.e, space))
     return member
 
 
@@ -670,7 +667,7 @@ def _gni(space, low, high):
 
     def member(t):
         by_low, by_start = {}, {}
-        for (s, e) in _executions(t, space):
+        for (s, e) in rd.pairs(t.e, space):
             by_low.setdefault(s[li], set()).add(e[li])
             by_start.setdefault((s[li], s[hi]), set()).add(e[li])
         return all(by_low[lo] <= outs for (lo, _), outs in by_start.items())
@@ -686,7 +683,7 @@ def _gd(space, low, high):
 
 def family(name: str, *, A=None, space=None,
            low="l", high="h") -> HyperOracle:
-    """Membership oracle for a hyperproperty family member.
+    """The `HyperOracle` of a hyperproperty family member.
 
     AEH/AAH/EAH take an explicit relation A over the finite carrier and apply
     to subsets of it; NI/GNI/GD take low/high variable names and apply to

@@ -1,9 +1,11 @@
 """Upper/lower hyper-triples and proof-rule checkers.
 
-A hyper-triple has a finite explicit antecedent; the consequent may be an
-explicit set or a membership oracle.  The upper triple holds when every
-antecedent's exact post lands in the consequent; the lower triple (explicit
-consequents only) when every consequent is the exact post of some antecedent.
+A hyper-triple has a finite explicit antecedent and a consequent
+hyperproperty, which is whatever `in` tests: a frozenset of SemTriples or a
+`HyperOracle`, the one kind that is not finite.  The upper triple holds when
+every antecedent's exact post lands in the consequent; the lower triple
+(frozenset consequents only) when every consequent is the exact post of some
+antecedent.
 
 Both polarities read one post function: `_violations` yields the
 antecedents whose image the consequent rejects (upper), `_unmatched` the
@@ -32,7 +34,7 @@ from .abstractions import HyperOracle, ToyLattice
 from .lang import (BoolTest, Cmp, Const, If, RandAssign, Record, Seq, Stmt,
                    Var, While, neg, stmt_vars, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, join, leq
-from .transformers import HyperSet, Post, membership, post
+from .transformers import HyperSet, Post, post
 
 
 _set = object.__setattr__
@@ -94,19 +96,20 @@ def _require_valid(stmt):
         raise ValueError("break without enclosing loop at path %s" % bad)
 
 
-def _explicit(post_q) -> frozenset:
-    if hasattr(post_q, "contains"):
-        raise ValueError("lower triples need an explicit consequent")
-    return frozenset(post_q)
+def _explicit(q, message) -> frozenset:
+    """`q` as a frozenset; an oracle lists no members, so `message` is
+    raised for it."""
+    if isinstance(q, HyperOracle):
+        raise ValueError(message)
+    return frozenset(q)
 
 
 def _violations(post_fn, pre, post_q):
     """Lazily, (p, post_fn(p)) for each antecedent p in sort order whose
     image the consequent rejects."""
-    member = membership(post_q)
     for p in sorted(pre, key=SemTriple.sort_key):
         q = post_fn(p)
-        if not member(q):
+        if q not in post_q:
             yield p, q
 
 
@@ -149,7 +152,7 @@ def check_upper(t: Triple, space: StateSpace) -> RuleReport:
 def check_lower(t: Triple, space: StateSpace) -> RuleReport:
     """Lower triple: every consequent is the exact post of some antecedent."""
     _require_valid(t.stmt)
-    qs = _explicit(t.post)
+    qs = _explicit(t.post, "lower triples need an explicit consequent")
     post_fn = partial(post, interpreter.sem(t.stmt, space))
     return _report("lower", "forall consequent: exists matching pre",
                    _unmatched(post_fn, t.pre, qs), "%d unmatched")
@@ -171,9 +174,7 @@ def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
 # Rule checkers
 
 def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
-    if hasattr(mid, "contains"):
-        raise ValueError("intermediate hyper property must be explicit")
-    mid_set = frozenset(mid)
+    mid_set = _explicit(mid, "intermediate hyper property must be explicit")
     rep = RuleReport("seq")
     r1 = check_upper(Triple(pre, s1, mid_set), space)
     rep.premise("pre s1 mid", r1.holds())
@@ -200,7 +201,7 @@ def _structural_upper(name, stmt, premise, space, pre, post_q) -> RuleReport:
 def _structural_lower(name, stmt, premise, space, pre, post_q) -> RuleReport:
     """Lower rule: every consequent element is the structural image of some
     antecedent."""
-    qs = _explicit(post_q)
+    qs = _explicit(post_q, "lower triples need an explicit consequent")
     post_fn = interpreter.interpret(stmt, tf.transformer(space))
     rep = _report(name, premise, _unmatched(post_fn, pre, qs))
     direct = check_lower(Triple(pre, stmt, post_q), space)
@@ -239,8 +240,7 @@ def _rule_consequence(space, pre, stmt, post_q, wider_pre, narrower_post) -> Rul
     inner = check_upper(Triple(frozenset(wider_pre), stmt, narrower_post),
                         space)
     rep.premise("wider triple holds", inner.holds())
-    member = membership(post_q)
-    sub = all(member(q) for q in narrower_post)
+    sub = all(q in post_q for q in narrower_post)
     rep.premise("narrower post included in post", sub)
     rep.witnesses.extend(inner.witnesses)
     return rep
@@ -294,22 +294,16 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 # -- forall-exists ----------------------------------------------------------
 
-def _as_rel(p) -> tuple:
-    return p.e if isinstance(p, SemTriple) else tuple(p)
-
-
 def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
     rep = RuleReport("forall_exists")
     if validate_breaks(body) is not None:
         rep.premise("body break-free", False,
                     "the weak hypercollecting setting has no breaks")
         return rep
-    pre_rels = frozenset(_as_rel(p) for p in pre)
-    if hasattr(post_q, "contains"):
-        member_rel = lambda r: post_q.contains(rd.pure_e(r))
-    else:
-        qs = frozenset(_as_rel(q) for q in post_q)
-        member_rel = lambda r: r in qs
+    pre_rels = frozenset(p.e for p in pre)
+    if not isinstance(post_q, HyperOracle):
+        # only e-components are compared
+        post_q = frozenset(rd.pure_e(q.e) for q in post_q)
 
     # the guarded body is built once; the step, the exit test, the loop's
     # triple and the weak family come from it whatever the number of
@@ -318,13 +312,14 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     bs, not_b, step = tf.weak_step(cond, body, space)
     family, _ = tf.weak_family(step, pre_rels, space)
     synthesized = invariant is None
-    inv = family if synthesized else frozenset(_as_rel(i) for i in invariant)
+    inv = family if synthesized else frozenset(i.e for i in invariant)
 
     rep.premise("pre included in invariant", pre_rels <= inv)
     closed = all(rd.compose_rel(i, step) in inv for i in inv)
     rep.premise("invariant closed under guarded body step", closed)
     def exit_in_consequent(rels):
-        return all(member_rel(rd.compose_rel(i, not_b.e)) for i in rels)
+        return all(rd.pure_e(rd.compose_rel(i, not_b.e)) in post_q
+                   for i in rels)
     exits_ok = exit_in_consequent(inv)
     rep.premise("invariant exits in consequent", exits_ok)
     rep.note("consequent chain-limit closed", True,
@@ -333,7 +328,8 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
         rep.note("invariant synthesized", True, "%d elements" % len(inv))
 
     wsem = interpreter.loop_triple(bs, not_b, space)
-    sound = all(member_rel(rd.compose_rel(p, wsem.e)) for p in pre_rels)
+    sound = all(rd.pure_e(rd.compose_rel(p, wsem.e)) in post_q
+                for p in pre_rels)
     rep.note("conclusion:direct", sound)
     # the weak conclusion is the exit premise of the family
     rep.note("conclusion:weak-hypercollecting",

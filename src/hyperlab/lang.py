@@ -8,18 +8,18 @@ Statements: assignment `x = A`, random assignment `x = [a,b]` (bounds may be
 `!`, `&&`, `||`.  There is no division, so expressions are total, and
 expressions have no side effects.
 
-Lexically, a name is a letter or `_` followed by letters, digits and `_`
-(Unicode ones included, so `é` is a name); an integer literal is a run of
-decimal digits of any script (`٣` is 3); other numeric characters such as
-`²` or `Ⅻ` are unexpected characters.  `#` starts a comment that runs to
-the end of the line; spaces, tabs, `\r` and newlines separate tokens.  The
-lexer is one `re.findall` that skips blanks and comments inside its matches
-and keeps no offsets; a `ParseError` scans again for the offending token's
-line and column (a tab is one column).  A sequence is one `Seq`
-node of any length (a block in it stays its own node); the parser and the
-structural walks recurse only over nesting, so a program nested deeper
-than Python's recursion limit (hundreds of parentheses or blocks) raises
-`RecursionError` (`hl`: exit 2).
+Lexically, a name starts with a letter or `_` and continues with any `\\w`
+character (Unicode ones included, so `é` is a name and `x² = 1;` assigns
+`x²`); an integer literal is a run of decimal digits of any script (`٣` is
+3); other numeric characters such as `²` or `Ⅻ` cannot start a token.  `#`
+starts a comment that runs to the end of the line; spaces, tabs, `\r` and
+newlines separate tokens.  The lexer is one `re.findall` that skips blanks
+and comments inside its matches and keeps no offsets; a `ParseError` scans
+again for the offending token's line and column (a tab is one column).  A
+sequence is one `Seq` node of any length (a block in it stays its own node);
+the parser and the structural walks recurse only over nesting, so a program
+nested deeper than Python's recursion limit (hundreds of parentheses or
+blocks) raises `RecursionError` (`hl`: exit 2).
 
 `BoolTest` is a guard statement used internally by the semantics and the
 calculi; it is not part of the concrete grammar.  AST nodes are `Record`s.

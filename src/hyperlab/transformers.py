@@ -12,9 +12,8 @@ function is built once per statement, so each loop's guarded body and
 divergence fixpoint are computed once.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
-and is only offered in toy mode where the triple lattice is enumerable.  A
-hyper property is an explicit finite set or an oracle; `membership` gives
-its test either way.
+and is only offered in toy mode where the triple lattice is enumerable; its
+hyper property is tested with `in`, whether a frozenset or an oracle.
 
 `Post_weak_while` is the weak hypercollecting loop semantics: the set of
 loop-exit images of every finite iterate, on the finitary components only
@@ -49,7 +48,7 @@ def post(s_sem: SemTriple, p: SemTriple) -> SemTriple:
 def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     """Largest p with post(s_sem, p) <= q (upper adjoint of post).
 
-    post preserves arbitrary unions in p, so membership is pairwise: an
+    post preserves arbitrary unions in p, so p is found pair by pair: an
     e-pair (a, b) enters p exactly when b's targets in s_sem are a's in q,
     component by component.  That is one residual per component, the
     divergent starts read as the relation into the bottom pseudo-state.
@@ -58,15 +57,6 @@ def pre_tilde(s_sem: SemTriple, q: SemTriple, space: StateSpace) -> SemTriple:
     e = rd.intersection(rd.intersection(rd.residual(s_sem.e, q.e),
                                         rd.residual(s_sem.br, q.br)), inf)
     return SemTriple(e, q.inf, q.br)
-
-
-def membership(q) -> Callable:
-    """Membership test of a hyper property: an oracle's predicate, or
-    inclusion in an explicit finite set."""
-    if hasattr(q, "contains"):
-        return q.contains
-    qs = frozenset(q)
-    return lambda t: t in qs
 
 
 def Post(s_sem: SemTriple, props: HyperSet) -> HyperSet:
@@ -92,9 +82,8 @@ def enumerate_triples(space: StateSpace) -> list:
 
 def Pre(s_sem: SemTriple, props, space: StateSpace) -> HyperSet:
     """Weakest hyper precondition {P | post(S)P in Q}; toy mode only."""
-    member = membership(props)
     return frozenset(p for p in enumerate_triples(space)
-                     if member(post(s_sem, p)))
+                     if post(s_sem, p) in props)
 
 
 # ---------------------------------------------------------------------------

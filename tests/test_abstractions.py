@@ -283,19 +283,19 @@ def test_family_aeh_identity_is_trivial():
     base = ("p", "q")
     ident = family("AEH", A=[(x, x) for x in base])
     lat = ToyLattice.powerset(base)
-    assert all(ident.contains(p) for p in lat.elements)
+    assert all(p in ident for p in lat.elements)
 
 
 def test_family_aah_requires_total_agreement():
     aah = family("AAH", A=[(0, 0), (1, 1)])
-    assert aah.contains(frozenset((0,)))
-    assert not aah.contains(frozenset((0, 1)))
+    assert frozenset((0,)) in aah
+    assert frozenset((0, 1)) not in aah
 
 
 def test_family_eah_needs_one_dominator():
     eah = family("EAH", A=[(0, 0), (0, 1)])
-    assert eah.contains(frozenset((0, 1)))
-    assert not eah.contains(frozenset((1,)))
+    assert frozenset((0, 1)) in eah
+    assert frozenset((1,)) not in eah
 
 
 def test_family_ni_gni_gd_on_programs():
@@ -306,19 +306,19 @@ def test_family_ni_gni_gd_on_programs():
     leak = it.sem(parse("l = h;"), space)
     const = it.sem(parse("l = 0;"), space)
     scramble = it.sem(parse("l = [0,1];"), space)
-    assert not ni.contains(leak)
-    assert ni.contains(const)
-    assert gni.contains(const)
-    assert gni.contains(scramble)  # noise hides the high input
-    assert not gni.contains(leak)
-    assert gd.contains(leak)       # the leak is a genuine dependency
-    assert not gd.contains(scramble)
+    assert leak not in ni
+    assert const in ni
+    assert const in gni
+    assert scramble in gni  # noise hides the high input
+    assert leak not in gni
+    assert leak in gd  # the leak is a genuine dependency
+    assert scramble not in gd
     # GD is the exact negation of GNI
     rng = random.Random(66)
     from hyperlab.selftest import random_triple
     for _ in range(40):
         t = random_triple(rng, space)
-        assert gd.contains(t) == (not gni.contains(t))
+        assert (t in gd) == (t not in gni)
 
 
 def test_family_requires_arguments():
@@ -546,8 +546,8 @@ def test_gni_matches_its_definition_and_gd_is_its_negation():
                          for _ in range(rng.randint(0, 14)))
         t = rd.triple(space, e=runs)
         want = gni_by_definition(runs)
-        assert gni.contains(t.e) == gni.contains(t) == want
-        assert gd.contains(t) == (not want)
+        assert (t in gni) == want
+        assert (t in gd) == (not want)
         seen.add(want)
     assert seen == {True, False}
 

@@ -119,7 +119,7 @@ def test_triples_equal_their_pointwise_singleton_forms():
 
 def test_negate_upper_minimal_witness_and_trivial_cases():
     ni = ab.family("NI", space=LH, low="l", high="h")
-    oracle = HyperOracle(ni.contains, ni.name)
+    oracle = HyperOracle(ni.fn, ni.name)
     pre = frozenset((prim("init", LH),))
     failed, witness = hl.negate_upper(pre, parse("l = h;"), oracle, LH)
     assert failed and witness == pre  # singleton antecedent is its own witness
@@ -244,6 +244,45 @@ def test_consequence_rule_preserves_holding():
     assert rep.holds()
 
 
+def test_consequence_rule_accepts_an_oracle_consequent():
+    space = StateSpace.make(("x",), 0, 2)
+    prog = parse("x = 1;")
+    p = prim("init", space)
+    narrower = frozenset((tf.post(it.sem(prog, space), p),))
+    ends_at_one = HyperOracle(
+        lambda t: all(b == (1,) for _, b in rd.pairs(t.e, space)), "x is 1")
+    rep = check_rule("consequence", space, pre=frozenset((p,)), stmt=prog,
+                     post_q=ends_at_one, wider_pre=frozenset((p,)),
+                     narrower_post=narrower)
+    assert rep.holds()
+    rep = check_rule("consequence", space, pre=frozenset((p,)), stmt=prog,
+                     post_q=HyperOracle(lambda t: False, "nothing"),
+                     wider_pre=frozenset((p,)), narrower_post=narrower)
+    assert not _agreement(rep)["narrower post included in post"]
+    assert not rep.holds()
+
+
+def test_rules_that_list_their_consequent_refuse_an_oracle():
+    space = StateSpace.make(("x",), 0, 1)
+    pre = frozenset((prim("init", space),))
+    anything = HyperOracle(lambda t: True, "anything")
+    s = parse("x = 0;")
+    with pytest.raises(ValueError) as err:
+        check_rule("seq", space, pre=pre, s1=s, s2=s, mid=anything,
+                   post_q=anything)
+    assert str(err.value) == "intermediate hyper property must be explicit"
+    loop = parse("while (x > 0) x = x - 1;")
+    for run in (
+            lambda: check_lower(Triple(pre, s, anything), space),
+            lambda: check_rule("while_lower", space, pre=pre, cond=loop.cond,
+                               body=loop.body, post_q=anything),
+            lambda: check_rule("if_lower", space, pre=pre, cond=loop.cond,
+                               s1=s, s2=Skip(), post_q=anything)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == "lower triples need an explicit consequent"
+
+
 def test_choice_rule_agrees_with_desugaring():
     rng = random.Random(55)
     done = 0
@@ -361,10 +400,10 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
         not_b = prim(BoolTest(hl.neg(cond)), space).e
         step = rd.union(it.body_triple(cond, body, space).e, not_b)
         wider, _ = tf.weak_family(step, {p.e for p in pre | {extra}}, space)
-        bad = frozenset(p.e for p in pre) | {extra.e}
+        wider = frozenset(map(pure_e, wider))
+        bad = pre | {extra}
         for post_q in (ni, explicit):
-            member = tf.membership(post_q)
-            want = all(member(q) for q in weak)
+            want = all(q in post_q for q in weak)
             for invariant in (None, wider, bad):
                 rep = check_rule("forall_exists", space, pre=pre, cond=cond,
                                  body=body, post_q=post_q, invariant=invariant)
@@ -381,6 +420,37 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
     # fails the rule while the weak semantics still lands in the consequent
     assert {o[1] for o in outcomes if not o[0]} == {True, False}
     assert (False, True, False) in outcomes
+
+
+def test_forall_exists_reads_only_the_e_component_of_a_listed_consequent():
+    # a listed consequent is compared on e-components: giving its triples a
+    # full inf and br changes no verdict and no premise
+    rng = random.Random(59)
+    done = 0
+    verdicts = set()
+    while done < 15:
+        body, space = random_program(rng, depth=2)
+        if validate_breaks(body) is not None:
+            continue
+        done += 1
+        cond = Cmp(">", Var(space.vars[0]), Const(0))
+        pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
+        weak, _ = tf.Post_weak_while(cond, body, pre, space)
+        top = rd.top_triple(space)
+        assert top.inf and any(top.br)
+        for pure in (weak, frozenset(sorted(weak, key=rd.SemTriple.sort_key)
+                                     [1:])):
+            dressed = frozenset(rd.SemTriple(q.e, top.inf, top.br)
+                                for q in pure)
+            for invariant in (None, pre):
+                got = [check_rule("forall_exists", space, pre=pre, cond=cond,
+                                  body=body, post_q=post_q,
+                                  invariant=invariant)
+                       for post_q in (pure, dressed)]
+                assert got[0].verdict == got[1].verdict
+                assert got[0].premises == got[1].premises
+                verdicts.add(got[0].verdict)
+    assert verdicts == {"holds", "fails"}
 
 
 def test_principal_ideal_rule_example_and_dual():

@@ -89,6 +89,7 @@ def test_parse_leaves_no_cyclic_garbage():
 def test_unicode_letters_and_decimal_digits_are_accepted():
     assert parse("é = 1;") == Assign("é", Const(1))
     assert parse("x = ٣;") == Assign("x", Const(3))  # arabic-indic three
+    assert parse("x² = 1;") == Assign("x²", Const(1))  # \w continues a name
 
 
 def test_parse_error_on_trailing_garbage():

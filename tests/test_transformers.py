@@ -5,6 +5,7 @@ import pytest
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
+from hyperlab.abstractions import HyperOracle
 from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Skip, Var, While,
                            parse, validate_breaks)
 from hyperlab.rel_domain import SemTriple, StateSpace, leq, prim, pure_e
@@ -159,6 +160,18 @@ def test_Pre_requires_toy_space():
     space = StateSpace.make(("y",), 0, 2)
     with pytest.raises(ValueError):
         tf.Pre(rd.bottom(space), frozenset(), space)
+
+
+def test_Pre_accepts_an_oracle_consequent():
+    space = StateSpace.make(("y",), 0, 1)
+    s_sem = it.sem(parse("skip;"), space)
+    ends_at_one = HyperOracle(
+        lambda t: all(b == (1,) for _, b in rd.pairs(t.e, space)), "y is 1")
+    listed = frozenset(t for t in tf.enumerate_triples(space)
+                       if ends_at_one.fn(t))
+    pre = tf.Pre(s_sem, ends_at_one, space)
+    assert pre == tf.Pre(s_sem, listed, space) == listed
+    assert 0 < len(pre) < len(tf.enumerate_triples(space))
 
 
 def test_structural_post_equals_direct_on_random_programs():
