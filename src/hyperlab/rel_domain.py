@@ -17,8 +17,10 @@ and `SemTriple` are `lang.Record`s; `SemTriple` writes out its constructor,
 equality and hash, since a check builds and compares thousands of triples.
 
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
-key they do not read, naming it, rather than ignore a misspelt one, and
-`from_config` rejects a space of more than `MAX_STATES` states.
+key they do not read, naming it, rather than ignore a misspelt one.  The
+`StateSpace` constructor rejects a space of more than `MAX_STATES` states,
+however it is built (from a JSON config, by `make`, or as the choice rule's
+extension by one bit), and only then lists its states, once.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -48,8 +50,9 @@ StateSet = int    # bit i stands for the state of index i
 
 ARITH_MODES = ("saturate", "wrap", "prune")
 
-# the most states a space read from JSON may have: a relation holds |S|^2
-# bits, and the benchmark ladder's widest space has 1331 states
+# the most states any space may have, whether read from JSON, built by
+# `make` or extended by the choice rule: a relation holds |S|^2 bits, and
+# the benchmark ladder's widest space has 1331 states
 MAX_STATES = 4096
 
 _set = object.__setattr__
@@ -89,7 +92,8 @@ def _ints(xs) -> bool:
 class StateSpace(lang.Record):
     """Finite variable/value universe; bounds are shared or per variable."""
 
-    __slots__ = ("vars", "lo", "hi", "arith")
+    __slots__ = ("vars", "lo", "hi", "arith", "_states", "_positions",
+                 "_strides")
 
     def __init__(self, vars: tuple, lo: tuple, hi: tuple,
                  arith: str = "saturate"):
@@ -101,10 +105,21 @@ class StateSpace(lang.Record):
             raise ValueError("lo > hi")
         if arith not in ARITH_MODES:
             raise ValueError("unknown arithmetic mode %r" % arith)
+        widths = [h - l + 1 for l, h in zip(lo, hi)]
+        n = prod(widths)
+        # checked before any state tuple or |S|-by-|S| structure is built
+        if n > MAX_STATES:
+            raise ValueError("space config has %d states, more than the "
+                             "limit of %d" % (n, MAX_STATES))
         _set(self, "vars", vars)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "arith", arith)
+        states = tuple(product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
+        _set(self, "_states", states)
+        _set(self, "_positions", {s: i for i, s in enumerate(states)})
+        _set(self, "_strides",
+             tuple(prod(widths[i + 1:]) for i in range(len(widths))))
 
     @staticmethod
     def make(vars, lo, hi, arith="saturate") -> "StateSpace":
@@ -134,14 +149,8 @@ class StateSpace(lang.Record):
                 raise ValueError("space config %r must be an integer or an "
                                  "array of integers, got %s"
                                  % (key, json.dumps(b)))
-        space = StateSpace.make(vs, cfg["lo"], cfg["hi"],
-                                cfg.get("arith", "saturate"))
-        # checked before `states()` or any |S|-by-|S| structure is built
-        n = prod(h - l + 1 for l, h in zip(space.lo, space.hi))
-        if n > MAX_STATES:
-            raise ValueError("space config has %d states, more than the "
-                             "limit of %d" % (n, MAX_STATES))
-        return space
+        return StateSpace.make(vs, cfg["lo"], cfg["hi"],
+                               cfg.get("arith", "saturate"))
 
     def to_config(self) -> dict:
         lo = self.lo[0] if len(set(self.lo)) == 1 else list(self.lo)
@@ -156,18 +165,18 @@ class StateSpace(lang.Record):
                                        % (name, ", ".join(self.vars))) from None
 
     def states(self) -> tuple:
-        return _states(self.vars, self.lo, self.hi)
+        return self._states
 
     def positions(self) -> dict:
         """State tuple -> its index in `states()`."""
-        return _positions(self.vars, self.lo, self.hi)
+        return self._positions
 
     def strides(self) -> tuple:
         """Mixed-radix place value of each variable in `states()` order."""
-        return _strides(self.lo, self.hi)
+        return self._strides
 
     def size(self) -> int:
-        return len(self.states())
+        return len(self._states)
 
     def clip(self, i: int, v: int):
         """Apply the arithmetic mode to an assignment result; None = pruned."""
@@ -180,23 +189,6 @@ class StateSpace(lang.Record):
             return lo + (v - lo) % (hi - lo + 1)
         return None
 
-
-@lru_cache(maxsize=None)
-def _states(vars, lo, hi):
-    return tuple(product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
-
-
-@lru_cache(maxsize=None)
-def _positions(vars, lo, hi):
-    return {s: i for i, s in enumerate(_states(vars, lo, hi))}
-
-
-@lru_cache(maxsize=None)
-def _strides(lo, hi):
-    out = [1] * len(lo)
-    for i in range(len(lo) - 2, -1, -1):
-        out[i] = out[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

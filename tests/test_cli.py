@@ -457,7 +457,7 @@ def test_an_oversized_space_exits_two_naming_its_size(workdir, capsys,
     def unused(*_args):
         raise AssertionError("states were enumerated")
 
-    monkeypatch.setattr(rd, "_states", unused)
+    monkeypatch.setattr(rd, "product", unused)
     space = {"vars": ["x", "y", "z"], "lo": 0, "hi": 1000}
     if command == "sem":
         (workdir / "set_x.hl").write_text("x = 1;\n")

@@ -73,6 +73,8 @@ def test_hash_is_the_field_tuples_and_agrees_with_equality():
     assert parse(src) == parse(src) and parse(src) is not parse(src)
     assert hash(parse(src)) == hash(parse(src))
     for record, fields in _samples():
+        # a space's listed states are derived slots, not fields
+        assert type(record)._fields == tuple(fields), record
         assert [getattr(record, k) for k in fields] == list(fields.values())
         assert hash(record) == hash(tuple(fields.values())), record
 
@@ -145,5 +147,8 @@ def test_construction_still_validates():
         rd.StateSpace((), (), ())
     with pytest.raises(ValueError, match="unknown arithmetic mode"):
         rd.StateSpace(("x",), (0,), (1,), "wrapped")
+    with pytest.raises(ValueError, match="^space config has 4160 states, "
+                       "more than the limit of 4096$"):
+        rd.StateSpace(("x", "y"), (0, 0), (63, 64))
     with pytest.raises(ab.LatticeError, match="bad direction"):
         ab.ChainPoset(LAT, (ab.Family("F", ("top",), "bot", "sideways"),))
