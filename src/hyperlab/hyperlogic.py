@@ -272,6 +272,10 @@ def _project_triple(t: SemTriple, ext: StateSpace,
 
 
 def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
+    n = 2 * space.size()  # checked here, so the error names the extension
+    if n > rd.MAX_STATES:
+        raise ValueError("the choice rule's one-bit extension has %d states, "
+                         "more than the limit of %d" % (n, rd.MAX_STATES))
     sem1 = interpreter.sem(s1, space)
     sem2 = interpreter.sem(s2, space)
 

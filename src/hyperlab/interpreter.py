@@ -13,7 +13,10 @@ semantics does: the least one for the loop's exits, on rows and without the
 closure of the body, and the greatest one for its divergent starts, on
 masks.  It returns the loop's own triple: `sem` uses it as it is, and the
 post transformers compose each precondition with it.  Every carrier is
-finite, so the fixpoints run to stabilization without widening.
+finite, so the fixpoints run to stabilization without widening.  `lfp`,
+the one least-fixpoint routine, is semi-naive: a round applies the step
+only to what the round before added.  The trace loop calls it too, and the
+test suite keeps Kleene iteration as its reference.
 
 `oracle_sem` rebuilds the denotation triple operationally: one Tarjan pass
 over the configurations of the cut points (the start, the loop heads and
@@ -61,10 +64,10 @@ class FixpointReport(lang.Record):
 _report_iterations, _report_result = lang.slot_setters(FixpointReport)
 
 
-def _iterate(f: Callable, x, ordered: Callable, max_iter: int) -> FixpointReport:
+def _iterate(step: Callable, x, aux, ordered: Callable, max_iter: int) -> FixpointReport:
     n = 0
     while True:
-        y = f(x)
+        y, aux = step(x, aux)
         n += 1
         if y == x:
             return FixpointReport(n, x)
@@ -75,20 +78,20 @@ def _iterate(f: Callable, x, ordered: Callable, max_iter: int) -> FixpointReport
         x = y
 
 
-def lfp(f: Callable, bottom, le: Callable = None, max_iter: int = None) -> FixpointReport:
-    """Least fixpoint by Kleene iteration from `bottom`.
-
-    `le` (if given) checks that the iterates increase; a violation means the
-    caller's function is not monotone and raises NonMonotoneError naming the
-    offending iterate.  `max_iter` bounds the iteration (use the lattice
-    height); exceeding it raises instead of looping.
+def lfp(grow: Callable, bottom, delta, max_iter: int = None) -> FixpointReport:
+    """Least fixpoint of X = delta | g(X), g distributing over union, by
+    semi-naive iteration from `bottom`: `grow(x, d)` returns x | d and the
+    part of g(d) outside it.  The iterates and their count are Kleene's.
+    `max_iter` bounds the iteration (use the lattice height); exceeding it
+    raises instead of looping.
     """
-    return _iterate(f, bottom, le, max_iter)
+    return _iterate(grow, bottom, delta, None, max_iter)
 
 
 def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> FixpointReport:
-    """Greatest fixpoint by iteration from `top`; dual of lfp."""
-    return _iterate(f, top, ge, max_iter)
+    """Greatest fixpoint by Kleene iteration from `top`; `ge` (if given)
+    checks that the iterates decrease, or raises NonMonotoneError."""
+    return _iterate(lambda x, _: (f(x), None), top, None, ge, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +146,21 @@ def loop_triple(bs: SemTriple, exit: SemTriple,
     The post of the loop on a precondition p composes p with this triple,
     and no fixpoint depends on p.  The executions at the loop head leave
     through the exit test or a break of the body (`exits`); the loop's
-    e is the least solution of X = exits | bs.e ; X on rows, so the closure
-    bs.e* is never built.  Its divergent starts are the greatest solution
-    of X = bs.inf | pre[B;S](X) on masks: a start in it either diverges in
+    e is the least solution of X = exits | bs.e ; X on rows, which `lfp`
+    grows from `exits` by bs.e ; D, D the pairs the round before added: the
+    closure bs.e* is never built.  Its divergent starts are the greatest
+    solution of X = bs.inf | pre[B;S](X) on masks: a start in it diverges in
     the body or takes a body step back into it, so it iterates forever or
     reaches a divergence of the body.  The loop consumes its own breaks,
     so composing p with the triple passes p.br through unchanged.
     """
     n = space.size()
-    exits = rd.union(exit.e, bs.br)
-    e = lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
-            rd.empty_rel(space), le=rd.rel_leq, max_iter=n + 2).result
+
+    def grow(x, d):
+        x = rd.union(x, d)
+        return x, rd.difference(rd.compose_rel(bs.e, d), x)
+    e = lfp(grow, rd.empty_rel(space), rd.union(exit.e, bs.br),
+            max_iter=n + 2).result
     inf = gfp(lambda x: bs.inf | rd.rel_into(bs.e, x), (1 << n) - 1,
               ge=lambda x, y: x | y == x, max_iter=n + 2).result
     return SemTriple(e, inf, rd.empty_rel(space))
@@ -207,7 +214,8 @@ def _comp(s: lang.Stmt, nxt: int, brk: int, code: list,
             nxt = _comp(c, nxt, brk, code, space)
         return nxt
     if cls is Assign:
-        op = ("assign", s.expr, space.index(s.var), nxt)
+        i = space.index(s.var)
+        op = ("assign", s.expr, i, space.lo[i], space.hi[i], nxt)
     elif cls is RandAssign:
         i = space.index(s.var)
         lo, hi = max(space.lo[i], s.lo), min(space.hi[i], s.hi)
@@ -236,11 +244,11 @@ def _compile(s: lang.Stmt, space: StateSpace):
     `Skip` compiles to its continuation and `Break` to the exit of its
     innermost loop, or to the free-break terminal outside any loop.  An
     instruction's expression stays an AST, in slot 1; assignment targets
-    are resolved here, so an unbound one raises wherever it is.  Every
-    successor pc is smaller than its instruction's pc, except a loop head's
-    body entry: items are emitted last first, branches before their `if`,
-    and a head before its body.  So every cycle of the flow graph passes
-    through a loop head.
+    are resolved here, with their bounds, so an unbound one raises
+    wherever it is.  Every successor pc is smaller than its instruction's
+    pc, except a loop head's body entry: items are emitted last first,
+    branches before their `if`, and a head before its body.  So every
+    cycle of the flow graph passes through a loop head.
     """
     code = [("end",), ("break",)]
     return _comp(s, _END, _BREAK, code, space), code
@@ -309,10 +317,11 @@ def oracle_sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
             op = code[pc]
             kind = op[0]
             if kind == "assign":
-                _, _, i, nxt = op
+                _, _, i, lo, hi, nxt = op
                 sigma = states[j]
-                x = clip(i, (kernels[pc] or kernel(pc))(sigma))
-                if x is None:
+                x = (kernels[pc] or kernel(pc))(sigma)
+                # an in-range value is its own clip
+                if not lo <= x <= hi and (x := clip(i, x)) is None:
                     return 0, 0, ()
                 pc, j = nxt, j + (x - sigma[i]) * stride[i]
                 u = via.setdefault(pc * n + j, v)

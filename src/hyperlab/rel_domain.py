@@ -307,6 +307,10 @@ def intersection(r1: Rel, r2: Rel) -> Rel:
     return tuple(map(operator.and_, r1, r2))
 
 
+def difference(r1: Rel, r2: Rel) -> Rel:
+    return tuple(map(operator.and_, r1, map(operator.invert, r2)))
+
+
 def rel_leq(r1: Rel, r2: Rel) -> bool:
     """Inclusion of relations."""
     return union(r1, r2) == r2
@@ -426,9 +430,10 @@ def compose_rel(r1: Rel, r2: Rel) -> Rel:
         return r2
     if max(map(int.bit_count, r1)) <= 1:  # a partial function: look rows up
         return tuple(map(((0,) + r2).__getitem__, map(int.bit_length, r1)))
+    live = sum(compress(_identity(len(r2)), r2))  # the rows with a target
     out = []
     for m in r1:
-        acc = 0
+        acc, m = 0, m & live
         while m:
             low = m & -m
             acc |= r2[low.bit_length() - 1]

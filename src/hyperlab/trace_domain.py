@@ -6,9 +6,9 @@ contribute one step (two states: their relational pairs), tests and breaks
 act as filters (one state, and break traces simply stop at the break point,
 following the relational reading of the break-to constructor).
 Concatenation merges the shared middle state.  The algebra carries a trace
-as a tuple of state indexes, which hashes cheaply, and a loop extends only
-the traces its previous round added; `trace_sem` maps the result to state
-tuples once.
+as a tuple of state indexes, which hashes cheaply.  A loop is one call of
+the semi-naive `interpreter.lfp`, on traces paired with their truncation
+flag; `trace_sem` maps the result to state tuples once.
 
 Infinite traces are never materialized: the divergent component is carried as
 the set of divergent start states, which is the exact relational abstraction
@@ -21,7 +21,6 @@ past `MAX_TRACES` traces raises `TraceLimitError` (`hl`: exit 2) mid-build.
 
 from __future__ import annotations
 
-import operator
 from itertools import compress
 
 from . import interpreter, lang, rel_domain as rd
@@ -118,23 +117,16 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         return _TR(e, a.br | br2, a.truncated or b.truncated or c1 or c2)
 
     def loop(body, exit):
-        # semi-naive: concat distributes over union in its second argument,
-        # so each round extends only the traces the previous round added,
-        # and every product is formed once
-        cut, new = body.truncated, singles
+        # concat distributes over union in its second argument
+        def grow(x, d):
+            reach = x[0] | d
+            if len(reach) > MAX_TRACES:
+                raise TraceLimitError(len(reach))
+            grown, c = concat(body.e, d, cap)
+            return (reach, x[1] or c), grown - reach
 
-        def step(x):
-            nonlocal cut, new
-            x |= new
-            if len(x) > MAX_TRACES:
-                raise TraceLimitError(len(x))
-            grown, c = concat(body.e, new, cap)
-            cut = cut or c
-            new = grown - x
-            return x
-
-        reach = interpreter.lfp(step, frozenset(), le=operator.le,
-                                max_iter=cap + 2).result
+        reach, cut = interpreter.lfp(grow, (empty, body.truncated), singles,
+                                     max_iter=cap + 2).result
         e, c = concat(reach, exit.e | body.br, cap)
         return _TR(e, empty, cut or exit.truncated or c)
 

@@ -314,8 +314,9 @@ def test_choice_keeps_reserved_variable_fresh():
 def test_choice_rule_extension_is_capped_too():
     # 4096 states is the cap itself; the fresh choice bit doubles it
     space = StateSpace.make(("x", "y"), 0, 63)
-    with pytest.raises(ValueError, match="^space config has 8192 states, "
-                       "more than the limit of 4096$"):
+    with pytest.raises(ValueError, match="^the choice rule's one-bit "
+                       "extension has 8192 states, more than the limit of "
+                       "4096$"):
         check_rule("choice", space, pre=frozenset(), s1=Skip(), s2=Skip(),
                    post_q=frozenset())
 

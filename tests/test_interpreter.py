@@ -20,9 +20,39 @@ from hyperlab.selftest import (SPACE_XY, SPACE_Y, S1_SRC, S2_SRC, S3_SRC,
                                random_triple, s3_expected, s4_expected)
 
 
+def kleene_lfp(f, bottom, le=None):
+    """The reference least fixpoint: Kleene iteration from `bottom`.  `le`
+    (if given) checks that the iterates increase, and a violation raises
+    NonMonotoneError naming the offending iterate."""
+    x, n = bottom, 0
+    while True:
+        y = f(x)
+        n += 1
+        if y == x:
+            return FixpointReport(n, x)
+        if le is not None and not le(x, y):
+            raise NonMonotoneError(n)
+        x = y
+
+
 def test_lfp_identity_single_iteration():
-    rep = lfp(lambda x: x, frozenset())
+    rep = lfp(lambda x, d: (x | d, frozenset()), frozenset(), frozenset())
     assert rep == FixpointReport(1, frozenset())
+
+
+def test_lfp_iterates_semi_naively():
+    # X = {0} | {i + 1 : i in X, i < 4}: each round sees only the new item
+    seen = []
+
+    def grow(x, d):
+        seen.append(d)
+        x = x | d
+        return x, frozenset(i + 1 for i in d if i < 4) - x
+    rep = lfp(grow, frozenset(), frozenset((0,)))
+    assert rep == FixpointReport(6, frozenset(range(5)))
+    assert seen == [frozenset((i,)) for i in range(5)] + [frozenset()]
+    assert rep == kleene_lfp(
+        lambda x: frozenset((0,)) | {i + 1 for i in x if i < 4}, frozenset())
 
 
 def test_gfp_identity_on_top():
@@ -33,7 +63,7 @@ def test_gfp_identity_on_top():
 def test_lfp_detects_non_monotone_step():
     flip = lambda x: frozenset() if x else frozenset((1,))
     with pytest.raises(NonMonotoneError) as err:
-        lfp(flip, frozenset((2,)), le=lambda a, b: a <= b)
+        kleene_lfp(flip, frozenset((2,)), le=lambda a, b: a <= b)
     assert err.value.iteration >= 1
 
 
@@ -58,8 +88,8 @@ def divergence_gfp(cond, bs, space):
 
 def backward_entry_fixpoint(bs, space):
     ident = rd.identity_rel(space)
-    return lfp(lambda x: rd.union(ident, rd.compose_rel(bs.e, x)),
-               rd.empty_rel(space), le=rd.rel_leq).result
+    return kleene_lfp(lambda x: rd.union(ident, rd.compose_rel(bs.e, x)),
+                      rd.empty_rel(space), le=rd.rel_leq).result
 
 
 def test_never_entered_loop_gives_init():
@@ -205,6 +235,45 @@ def test_loop_triple_matches_the_closure_formulation():
             closure_loop_triple(cond, bs, space), (k, body)
     assert breaking >= 20 and diverging >= 20 and reaching >= 20, \
         (breaking, diverging, reaching)
+
+
+def kleene_loop_triple(bs, exit, space):
+    """(triple, iterations): the loop triple with its e by `kleene_lfp` on
+    X = exits | bs.e ; X, the reference for the semi-naive `lfp`."""
+    n = space.size()
+    exits = rd.union(exit.e, bs.br)
+    rep = kleene_lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
+                     rd.empty_rel(space), le=rd.rel_leq)
+    inf = gfp(lambda x: bs.inf | rd.rel_into(bs.e, x), (1 << n) - 1,
+              ge=lambda x, y: x | y == x).result
+    return rd.SemTriple(rep.result, inf, rd.empty_rel(space)), rep.iterations
+
+
+def test_loop_triple_matches_kleene_iteration(monkeypatch):
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(lfp(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(it, "lfp", recorded)
+    rng = random.Random(48)
+    no_exit = breaking = 0
+    for k in range(300):
+        body, space = random_program(rng, depth=3, allow_free_break=True)
+        v = Var(space.vars[0])
+        # every third guard always holds: such a loop leaves only by a break
+        cond = Cmp("==", v, v) if k % 3 == 0 else \
+            random_bexpr(rng, space.vars, 1)
+        bs = it.body_triple(cond, body, space)
+        exit = exit_test(cond, space)
+        no_exit += not any(rd.union(exit.e, bs.br))
+        breaking += any(bs.br)
+        reports.clear()
+        got = it.loop_triple(bs, exit, space)
+        want, iterations = kleene_loop_triple(bs, exit, space)
+        assert got == want, (k, body)
+        assert [r.iterations for r in reports] == [iterations], (k, body)
+    assert no_exit >= 20 and breaking >= 20, (no_exit, breaking)
 
 
 def test_sem_skip_is_identity_triple():
