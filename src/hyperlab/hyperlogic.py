@@ -20,8 +20,8 @@ are verified exactly.  For the sound-and-complete structural rules the
 checker also evaluates the conclusion directly through `sem` and records
 agreement; for rules with existential auxiliaries it synthesizes the
 canonical witness when none is supplied (toy mode), e.g. the forall-exists
-rule's weak family (`transformers.weak_family`), built once, which also
-gives its weak-hypercollecting conclusion.
+rule's weak family (one `lfp` call, `transformers.weak_while_iterates`),
+which also gives its weak-hypercollecting conclusion.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     # antecedents.  The family is the canonical (minimal) invariant:
     # premise 1 forces the antecedents in and premise 2 forces closure.
     bs, not_b, step = tf.weak_step(cond, body, space)
-    family, _ = tf.weak_family(step, pre_rels, space)
+    family, _ = tf.weak_while_iterates(step, pre_rels, space)
     synthesized = invariant is None
     inv = family if synthesized else frozenset(i.e for i in invariant)
 

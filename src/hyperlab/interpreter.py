@@ -15,8 +15,9 @@ masks.  It returns the loop's own triple: `sem` uses it as it is, and the
 post transformers compose each precondition with it.  Every carrier is
 finite, so the fixpoints run to stabilization without widening.  `lfp`,
 the one least-fixpoint routine, is semi-naive: a round applies the step
-only to what the round before added.  The trace loop calls it too, and the
-test suite keeps Kleene iteration as its reference.
+only to what the round before added.  The trace loop and the weak
+hypercollecting family (`transformers.weak_while_iterates`) call it too, and
+the test suite keeps Kleene iteration as its reference.
 
 `oracle_sem` rebuilds the denotation triple operationally: one Tarjan pass
 over the configurations of the cut points (the start, the loop heads and

@@ -17,14 +17,12 @@ hyper property is tested with `in`, whether a frozenset or an oracle.
 
 `Post_weak_while` is the weak hypercollecting loop semantics: the set of
 loop-exit images of every finite iterate, on the finitary components only
-(its defining setting ignores breaks and nontermination).  On a finite state
-space it contains the exact loop Post of break-free loops, usually strictly.
-`weak_while_iterates` takes the loop's step relation
-[if (b) body else skip]e, built by `weak_step`, as an argument, so the body
-is evaluated once per hyper set, not once per antecedent; `weak_family`
-collects the iterates of all antecedents, which `Post_weak_while` maps to
-their exit images and the forall-exists rule takes as its canonical
-invariant.
+(its defining setting ignores nontermination, and a body that breaks is
+refused).  On a finite state space it contains the exact loop Post, usually
+strictly.  `weak_while_iterates` closes all antecedents under the loop's
+step relation [if (b) body else skip]e, built once by `weak_step`, in one
+`interpreter.lfp` call.  `Post_weak_while` maps that weak family to its exit
+images, and the forall-exists rule takes it as its canonical invariant.
 """
 
 from __future__ import annotations
@@ -137,42 +135,28 @@ def Post_structural(s: lang.Stmt, props: HyperSet, space: StateSpace) -> HyperSe
 # ---------------------------------------------------------------------------
 # Weak hypercollecting loop semantics
 
-def weak_while_iterates(step, p_e, space: StateSpace) -> Tuple:
-    """The relation iterates X^0 = P, X^{n+1} = X^n ; step, where `step` is
-    [if (b) body else skip]e = [b;body]e | [!b]e.  The step does not depend
-    on P, so callers build it once for all their antecedents.
+def weak_while_iterates(step, pre_rels, space: StateSpace) -> Tuple:
+    """The weak family: the least set of relations that holds `pre_rels`
+    and is closed under r -> r ; step, where `step` is
+    [if (b) body else skip]e = [b;body]e | [!b]e.  Post is elementwise, so
+    it is the union of every antecedent's iterates.  The step does not
+    depend on the antecedents, so callers build it once.
 
-    Returns (iterates, stabilization_index): iteration stops at the first
-    repeated iterate, by which point every distinct exit image has appeared.
+    Returns (family, stabilization), the number of rounds that added a
+    relation less one (0 without antecedents).
     """
-    iterates = [p_e]
-    seen = {iterates[0]}
+    def grow(x, d):
+        x = x | d
+        return x, frozenset(rd.compose_rel(r, step) for r in d) - x
+
     cap = 4 * len(space.states()) ** 2 + 16
-    while True:
-        nxt = rd.compose_rel(iterates[-1], step)
-        if nxt in seen:
-            return iterates, len(iterates) - 1
-        if len(iterates) > cap:
-            raise interpreter.FixpointDivergenceError(
-                "weak iterates did not cycle within %d steps" % cap)
-        iterates.append(nxt)
-        seen.add(nxt)
-
-
-def weak_family(step, pre_rels, space: StateSpace) -> Tuple:
-    """Every weak iterate of every antecedent relation under `step`.
-
-    Returns (family, stabilization), the union of the iterate lists and the
-    largest stabilization index (0 without antecedents).  The family is the
-    canonical invariant of the forall-exists rule.
-    """
-    family = set()
-    stab = 0
-    for p in pre_rels:
-        iterates, n = weak_while_iterates(step, p, space)
-        family.update(iterates)
-        stab = max(stab, n)
-    return frozenset(family), stab
+    try:
+        rep = interpreter.lfp(grow, frozenset(), frozenset(pre_rels),
+                              max_iter=cap + 1)
+    except interpreter.FixpointDivergenceError:
+        raise interpreter.FixpointDivergenceError(
+            "weak iterates did not cycle within %d steps" % cap) from None
+    return rep.result, max(rep.iterations - 2, 0)
 
 
 def weak_step(b, body, space: StateSpace) -> Tuple:
@@ -189,9 +173,14 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
 
     Returns (results, stabilization), where results collects the pure-e
     triples post[!b](X^n(P)) for every P in props and every n up to
-    stabilization.
+    stabilization.  A body that breaks is refused with ValueError: the step
+    drops break pairs, so the results could miss the exact post.
     """
+    bad = lang.validate_breaks(body)
+    if bad is not None:
+        raise ValueError("the weak hypercollecting semantics has no breaks:"
+                         " break at path %s of the loop body" % bad)
     _, not_b, step = weak_step(b, body, space)
-    family, stab = weak_family(step, (p.e for p in props), space)
+    family, stab = weak_while_iterates(step, (p.e for p in props), space)
     return frozenset(rd.pure_e(rd.compose_rel(x, not_b.e))
                      for x in family), stab

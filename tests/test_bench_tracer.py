@@ -70,9 +70,9 @@ def test_traced_sem_records_the_relational_layer(tracer_mod, lab, tmp_path):
 
 def test_traced_forall_exists_check_records_the_weak_iterates(tracer_mod, lab,
                                                                tmp_path):
-    # the rule runs the weak iterates of each antecedent once: the family
-    # is the synthesized invariant and also gives the weak-hypercollecting
-    # conclusion
+    # the rule builds the weak family of all its antecedents in one call:
+    # the family is the synthesized invariant and also gives the
+    # weak-hypercollecting conclusion
     space = {"vars": ["l", "h"], "lo": 0, "hi": 1}
     pre = [{"e": [[[a, b], [a, b]]]} for a, b in ((0, 0), (0, 1), (1, 1))]
     files = {"loop.hl": "while (h > 0) { h = h - 1; l = l + 1; }\n",
@@ -91,7 +91,7 @@ def test_traced_forall_exists_check_records_the_weak_iterates(tracer_mod, lab,
                             "--json"]) in (0, 1)
     tracer.end_op(1.0)
     calls = {name: c for name, (c, _self_s) in tracer.totals().items()}
-    assert calls["transformers.weak_while_iterates"] == len(pre)
+    assert calls["transformers.weak_while_iterates"] == 1
     assert calls["rel_domain.prim"] > 0
 
 

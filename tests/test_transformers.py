@@ -10,6 +10,7 @@ from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Skip, Var, While,
                            parse, validate_breaks)
 from hyperlab.rel_domain import SemTriple, StateSpace, leq, prim, pure_e
 from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
+from weak_reference import kleene_weak_family
 
 
 def _s1_sem():
@@ -226,7 +227,9 @@ def test_weak_while_contains_exact_post_and_is_strict():
 
 
 def test_weak_while_matches_hyper_level_fixpoint():
-    # independent route: iterate the set-of-relations functional directly
+    # independent route: Kleene iteration of the set-of-relations functional
+    # on 2-4 antecedents gives the family, and the count of its growing
+    # rounds the stabilization
     rng = random.Random(40)
     done = 0
     while done < 25:
@@ -235,26 +238,49 @@ def test_weak_while_matches_hyper_level_fixpoint():
             continue
         done += 1
         cond = Cmp(">", Var(space.vars[0]), Const(0))
-        p0 = rd.identity_rel(space)
+        pre = {pure_e(rd.identity_rel(space))}
+        # a one-state space has only two relations
+        n = min(rng.randint(2, 4), 2 ** len(space.states()) ** 2)
+        while len(pre) < n:
+            pre.add(random_triple(rng, space, pure=True))
+        pre_rels = frozenset(p.e for p in pre)
         if_e = it.sem(If(cond, body, Skip()), space).e
         not_b = rd.prim(rd.BoolTest(rd.lang.Not(cond)), space).e
-        hyper = {p0}
-        while True:
-            grown = hyper | {rd.compose_rel(x, if_e) for x in hyper}
-            if grown == hyper:
-                break
-            hyper = grown
+        hyper, rounds = kleene_weak_family(pre_rels, if_e)
+        assert tf.weak_while_iterates(if_e, pre_rels, space) == (hyper, rounds)
         reference = frozenset(pure_e(rd.compose_rel(x, not_b)) for x in hyper)
-        weak, _ = tf.Post_weak_while(cond, body,
-                                     frozenset((pure_e(p0),)), space)
-        assert weak == reference
+        assert tf.Post_weak_while(cond, body, frozenset(pre), space) == (
+            reference, rounds)
 
 
 def test_weak_while_reports_stabilization():
+    # x = 3 needs three steps down to 0, so the identity's orbit has four
+    # relations and stabilizes at 3.  Its second iterate, given as a second
+    # antecedent, merges into that orbit: the family is the same, complete
+    # after one more round, so the count is 1, below the identity's 3
     space = StateSpace.make(("x",), 0, 3)
     cond = Cmp(">", Var("x"), Const(0))
     body = Assign("x", rd.lang.ABin("-", Var("x"), Const(1)))
     step = it.sem(If(cond, body, Skip()), space).e
-    iterates, n = tf.weak_while_iterates(step, rd.identity_rel(space), space)
-    assert len(iterates) == n + 1
-    assert iterates[-1] == rd.compose_rel(iterates[-1], step)
+    p0 = rd.identity_rel(space)
+    family, n = tf.weak_while_iterates(step, {p0}, space)
+    assert n == 3 and len(family) == n + 1
+    assert {rd.compose_rel(r, step) for r in family} <= family
+    p2 = rd.compose_rel(rd.compose_rel(p0, step), step)
+    assert tf.weak_while_iterates(step, {p2}, space)[1] == 1
+    assert tf.weak_while_iterates(step, {p0, p2}, space) == (family, 1)
+    assert kleene_weak_family({p0, p2}, step) == (family, 1)
+
+
+def test_weak_while_refuses_a_body_that_breaks():
+    # the weak family steps with [b;body]e only, so a break's exit pair is
+    # lost: from init over x in [0,2] the exact post is no weak exit image
+    space = StateSpace.make(("x",), 0, 2)
+    loop = parse("while (x < 2) { if (x == 1) break; else x = x + 1; }")
+    init = prim("init", space)
+    exact = pure_e(rd.compose_rel(init.e, it.sem(loop, space).e))
+    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    family, _ = tf.weak_while_iterates(step, {init.e}, space)
+    assert exact not in {pure_e(rd.compose_rel(x, not_b.e)) for x in family}
+    with pytest.raises(ValueError, match=r"break at path \[0\]"):
+        tf.Post_weak_while(loop.cond, loop.body, frozenset((init,)), space)
