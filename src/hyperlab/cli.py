@@ -18,7 +18,7 @@ from functools import lru_cache
 # each command imports the modules it runs when it runs: `hl sem` loads
 # `lang`, `rel_domain` and `interpreter` only
 from . import rel_domain as rd
-from .lang import ParseError, parse, validate_breaks
+from .lang import ParseError, parse, require_no_free_break
 from .rel_domain import StateSpace
 
 
@@ -43,11 +43,7 @@ def _load_program(path: str):
 
 
 def _program(text: str):
-    stmt = parse(text)
-    bad = validate_breaks(stmt)
-    if bad is not None:
-        raise CliError("break without enclosing loop at AST path %s" % bad)
-    return stmt
+    return require_no_free_break(parse(text))
 
 
 def _load_space(path: str) -> StateSpace:

@@ -10,9 +10,10 @@ antecedent.
 Both polarities read one post function: `_violations` yields the
 antecedents whose image the consequent rejects (upper), `_unmatched` the
 consequent elements that are no antecedent's image (lower).  The direct
-checks and `negate_upper` pass the exact post of `sem`; the conditional,
-loop and choice rules pass their structural post function, built once per
-statement (`transformers.transformer`).
+checks, `negate_upper` and the seq, choice and principal-ideal rules read
+the exact post of `sem` from `_exact_post`, which refuses a free break; the
+conditional and loop rules pass their structural post function, built once
+per statement (`transformers.transformer`).
 
 Rule checkers are certificate checkers: auxiliary objects such as invariant
 families or frontier partitions are supplied by the caller and the premises
@@ -21,7 +22,8 @@ checker also evaluates the conclusion directly through `sem` and records
 agreement; for rules with existential auxiliaries it synthesizes the
 canonical witness when none is supplied (toy mode), e.g. the forall-exists
 rule's weak family (one `lfp` call, `transformers.weak_while_iterates`),
-which also gives its weak-hypercollecting conclusion.
+which also gives its weak-hypercollecting conclusion (`weak_step` refuses
+a body that breaks).
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import Optional
 
 from . import interpreter, rel_domain as rd, transformers as tf
 from .abstractions import HyperOracle, ToyLattice
-from .lang import (BoolTest, Cmp, Const, If, RandAssign, Record, Seq, Stmt,
-                   Var, While, neg, stmt_vars, validate_breaks)
+from .lang import (Cmp, Const, If, RandAssign, Record, Seq, Stmt, Var, While,
+                   require_no_free_break, stmt_vars)
 from .rel_domain import SemTriple, StateSpace, join, leq
-from .transformers import HyperSet, Post, post
+from .transformers import HyperSet, post
 
 
 _set = object.__setattr__
@@ -90,10 +92,9 @@ class RuleReport(Record):
         }
 
 
-def _require_valid(stmt):
-    bad = validate_breaks(stmt)
-    if bad is not None:
-        raise ValueError("break without enclosing loop at path %s" % bad)
+def _exact_post(stmt, space: StateSpace):
+    """p -> post(sem(stmt), p); a free break in `stmt` is refused."""
+    return partial(post, interpreter.sem(require_no_free_break(stmt), space))
 
 
 def _explicit(q, message) -> frozenset:
@@ -143,17 +144,15 @@ def _conclude(rep, direct) -> RuleReport:
 
 def check_upper(t: Triple, space: StateSpace) -> RuleReport:
     """Upper triple: every antecedent's exact post belongs to the consequent."""
-    _require_valid(t.stmt)
-    post_fn = partial(post, interpreter.sem(t.stmt, space))
     return _report("upper", "forall pre: post in consequent",
-                   list(_violations(post_fn, t.pre, t.post)), "%d violations")
+                   list(_violations(_exact_post(t.stmt, space), t.pre,
+                                    t.post)), "%d violations")
 
 
 def check_lower(t: Triple, space: StateSpace) -> RuleReport:
     """Lower triple: every consequent is the exact post of some antecedent."""
-    _require_valid(t.stmt)
+    post_fn = _exact_post(t.stmt, space)
     qs = _explicit(t.post, "lower triples need an explicit consequent")
-    post_fn = partial(post, interpreter.sem(t.stmt, space))
     return _report("lower", "forall consequent: exists matching pre",
                    _unmatched(post_fn, t.pre, qs), "%d unmatched")
 
@@ -164,9 +163,7 @@ def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
 
     Returns (failed, witness_subset) with a minimal singleton witness.
     """
-    _require_valid(stmt)
-    post_fn = partial(post, interpreter.sem(stmt, space))
-    first = next(_violations(post_fn, pre, post_q), None)
+    first = next(_violations(_exact_post(stmt, space), pre, post_q), None)
     return (False, None) if first is None else (True, frozenset((first[0],)))
 
 
@@ -183,7 +180,7 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
     rep.witnesses.extend(r1.witnesses + r2.witnesses)
     direct = check_upper(Triple(pre, Seq(s1, s2), post_q), space)
     rep.note("conclusion:direct", direct.holds())
-    canonical = Post(interpreter.sem(s1, space), pre)
+    canonical = frozenset(map(_exact_post(s1, space), pre))
     complete = check_upper(Triple(canonical, s2, post_q), space)
     rep.note("agreement:canonical-mid", complete.holds() == direct.holds())
     return rep
@@ -276,11 +273,10 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
     if n > rd.MAX_STATES:
         raise ValueError("the choice rule's one-bit extension has %d states, "
                          "more than the limit of %d" % (n, rd.MAX_STATES))
-    sem1 = interpreter.sem(s1, space)
-    sem2 = interpreter.sem(s2, space)
+    post1, post2 = _exact_post(s1, space), _exact_post(s2, space)
 
     def both(p):
-        return join(post(sem1, p), post(sem2, p))
+        return join(post1(p), post2(p))
     rep = _report("choice", "forall pre: join of both outcomes in consequent",
                   list(_violations(both, pre, post_q)))
 
@@ -300,10 +296,6 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
     rep = RuleReport("forall_exists")
-    if validate_breaks(body) is not None:
-        rep.premise("body break-free", False,
-                    "the weak hypercollecting setting has no breaks")
-        return rep
     pre_rels = frozenset(p.e for p in pre)
     if not isinstance(post_q, HyperOracle):
         # only e-components are compared
@@ -347,15 +339,14 @@ def _rule_principal_ideal(space, pre, stmt, generator, dual=False) -> RuleReport
     """Reduction of a principal-ideal (dually principal-filter) consequent
     to one classic execution-property triple."""
     rep = RuleReport("principal_ideal")
-    _require_valid(stmt)
-    s_sem = interpreter.sem(stmt, space)
+    post_fn = _exact_post(stmt, space)
     if not dual:
         lumped = rd.join_all(pre, space)
         rep.premise("execution triple: post(join pre) below generator",
-                    leq(post(s_sem, lumped), generator))
-        direct = all(leq(post(s_sem, p), generator) for p in pre)
+                    leq(post_fn(lumped), generator))
+        direct = all(leq(post_fn(p), generator) for p in pre)
     else:
-        direct = all(leq(generator, post(s_sem, p)) for p in pre)
+        direct = all(leq(generator, post_fn(p)) for p in pre)
         rep.premise("execution triples: generator below each post", direct)
     return _conclude(rep, direct)
 

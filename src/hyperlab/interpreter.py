@@ -190,7 +190,8 @@ def sem(s: lang.Stmt, space: StateSpace) -> SemTriple:
     """Denotation triple of a statement.
 
     Free breaks land in the br component; callers that want a whole program
-    (empty top-level br) should run validate_breaks first.
+    (empty top-level br) pass `s` through `lang.require_no_free_break`
+    first, as `hl` and `hyperlogic` do.
     """
     return interpret(s, relational(space))
 

@@ -249,6 +249,14 @@ def validate_breaks(s: Stmt):
     return _free_break(s, [])
 
 
+def require_no_free_break(s: Stmt) -> Stmt:
+    """`s`, or ValueError naming the AST path of its first free break."""
+    bad = validate_breaks(s)
+    if bad is not None:
+        raise ValueError("break without enclosing loop at AST path %s" % bad)
+    return s
+
+
 def _expr_vars(e, out: set) -> None:
     """Add the variables of an arithmetic or boolean expression to `out`."""
     if isinstance(e, Var):

@@ -19,8 +19,8 @@ from . import interpreter as it
 from . import rel_domain as rd
 from . import trace_domain as td
 from . import transformers as tf
-from .lang import (ABin, Assign, BBin, Break, Cmp, Const, If, Not, RandAssign,
-                   Seq, Skip, Var, While, parse, validate_breaks)
+from .lang import (ABin, Assign, BBin, BoolTest, Break, Cmp, Const, If, Not,
+                   RandAssign, Seq, Skip, Var, While, parse, validate_breaks)
 from .rel_domain import SemTriple, StateSpace, pure_e
 
 S1_SRC = "while (y != 0) y = y - 1;"
@@ -310,10 +310,10 @@ def suite_conditional_exactness():
     s1 = Assign("x", ABin("+", Var("x"), Const(1)))
     s2 = Assign("x", ABin("-", Var("x"), Const(1)))
     p1 = rd.prim("init", space)
-    p2 = rd.prim(hl.BoolTest(Cmp("==", Var("x"), Const(1))), space)
+    p2 = rd.prim(BoolTest(Cmp("==", Var("x"), Const(1))), space)
     props = frozenset((p1, p2))
-    t1 = it.sem(Seq(hl.BoolTest(cond), s1), space)
-    t2 = it.sem(Seq(hl.BoolTest(Not(cond)), s2), space)
+    t1 = it.sem(Seq(BoolTest(cond), s1), space)
+    t2 = it.sem(Seq(BoolTest(Not(cond)), s2), space)
     tied = frozenset(rd.join(tf.post(t1, p), tf.post(t2, p)) for p in props)
     cross = frozenset(rd.join(tf.post(t1, p), tf.post(t2, q))
                       for p in props for q in props)
@@ -627,7 +627,7 @@ def _forall_exists_bruteforce(space, cond, body, pre_rels, member_rel):
     """Exhaustive invariant-family search on a |Sigma|=2 space."""
     rels = tf.enumerate_rels(space)
     if_e = it.sem(If(cond, body, Skip()), space).e
-    not_b = rd.prim(hl.BoolTest(Not(cond)), space).e
+    not_b = rd.prim(BoolTest(Not(cond)), space).e
     idx = {r: i for i, r in enumerate(rels)}
     if_img = [idx[rd.compose_rel(r, if_e)] for r in rels]
     ok_exit = [member_rel(rd.compose_rel(r, not_b)) for r in rels]

@@ -17,12 +17,13 @@ hyper property is tested with `in`, whether a frozenset or an oracle.
 
 `Post_weak_while` is the weak hypercollecting loop semantics: the set of
 loop-exit images of every finite iterate, on the finitary components only
-(its defining setting ignores nontermination, and a body that breaks is
-refused).  On a finite state space it contains the exact loop Post, usually
-strictly.  `weak_while_iterates` closes all antecedents under the loop's
-step relation [if (b) body else skip]e, built once by `weak_step`, in one
-`interpreter.lfp` call.  `Post_weak_while` maps that weak family to its exit
-images, and the forall-exists rule takes it as its canonical invariant.
+(its defining setting ignores nontermination).  On a finite state space it
+contains the exact loop Post, usually strictly.  `weak_while_iterates`
+closes all antecedents under the loop's step relation
+[if (b) body else skip]e in one `interpreter.lfp` call.  `Post_weak_while`
+maps that weak family to its exit images, and the forall-exists rule takes
+it as its canonical invariant.  Both build the step once by `weak_step`,
+which refuses a body that breaks: the step has no break edge.
 """
 
 from __future__ import annotations
@@ -162,7 +163,13 @@ def weak_while_iterates(step, pre_rels, space: StateSpace) -> Tuple:
 def weak_step(b, body, space: StateSpace) -> Tuple:
     """(bs, not_b, step) of `while (b) body`: the guarded body's triple
     bs = sem(B;S), the exit test's triple not_b = sem(!b) and the weak step
-    relation [if (b) body else skip]e = bs.e | [!b]e."""
+    relation [if (b) body else skip]e = bs.e | [!b]e.  A body that breaks
+    is refused: the step drops its break pairs, so its weak family could
+    miss the exact post."""
+    bad = lang.validate_breaks(body)
+    if bad is not None:
+        raise ValueError("the weak hypercollecting semantics has no breaks:"
+                         " break at path %s of the loop body" % bad)
     bs = interpreter.body_triple(b, body, space)
     not_b = prim(BoolTest(neg(b)), space)
     return bs, not_b, rd.union(bs.e, not_b.e)
@@ -173,13 +180,8 @@ def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
 
     Returns (results, stabilization), where results collects the pure-e
     triples post[!b](X^n(P)) for every P in props and every n up to
-    stabilization.  A body that breaks is refused with ValueError: the step
-    drops break pairs, so the results could miss the exact post.
+    stabilization.
     """
-    bad = lang.validate_breaks(body)
-    if bad is not None:
-        raise ValueError("the weak hypercollecting semantics has no breaks:"
-                         " break at path %s of the loop body" % bad)
     _, not_b, step = weak_step(b, body, space)
     family, stab = weak_while_iterates(step, (p.e for p in props), space)
     return frozenset(rd.pure_e(rd.compose_rel(x, not_b.e))

@@ -176,6 +176,30 @@ def test_check_past_the_weak_iterate_cap_exits_2_naming_the_cap(workdir,
         2, "", "error: weak iterates did not cycle within 6740 steps\n")
 
 
+def test_forall_exists_on_a_body_that_breaks_exits_2(workdir, capsys):
+    # the weak hypercollecting semantics has no breaks: an input the rule
+    # cannot read, not a failed triple, by flags and by request alike
+    loop = "while (x < 2) { if (x == 1) break; else x = x + 1; }"
+    space = {"vars": ["x"], "lo": 0, "hi": 2}
+    init = [{"e": [[[v], [v]] for v in range(3)], "inf": [], "br": []}]
+    for name, data in (("break.hl", loop), ("space_x.json", space),
+                       ("init_x.json", init), ("none.json", [])):
+        (workdir / name).write_text(
+            data if isinstance(data, str) else json.dumps(data))
+    (workdir / "req.json").write_text(json.dumps(
+        {"rule": "forall_exists", "program": loop, "space": space,
+         "pre": init, "post_oracle": "NI", "low": "x", "high": "x"}))
+    want = (2, "", "error: the weak hypercollecting semantics has no breaks: "
+            "break at path [0] of the loop body\n")
+    assert run_cli(capsys, "check", "--rule", "forall_exists",
+                   "--program", str(workdir / "break.hl"),
+                   "--space", str(workdir / "space_x.json"),
+                   "--pre", str(workdir / "init_x.json"),
+                   "--post-oracle", str(workdir / "none.json")) == want
+    assert run_cli(capsys, "check",
+                   "--request", str(workdir / "req.json")) == want
+
+
 def test_check_request_object(workdir, capsys):
     req = {
         "rule": "upper",

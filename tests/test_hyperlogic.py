@@ -8,8 +8,8 @@ from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.hyperlogic import HyperOracle, Triple, check_lower, check_rule, check_upper
-from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Skip, Var,
-                           While, parse, validate_breaks)
+from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Skip,
+                           Var, While, neg, parse, validate_breaks)
 from hyperlab.rel_domain import StateSpace, prim, pure_e
 from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
 from weak_reference import kleene_weak_family
@@ -400,7 +400,7 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
         cond = Cmp(">", Var(space.vars[0]), Const(0))
         loop = While(cond, body)
         pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
-        not_b = prim(BoolTest(hl.neg(cond)), space).e
+        not_b = prim(BoolTest(neg(cond)), space).e
         step = rd.union(it.body_triple(cond, body, space).e, not_b)
         weak, stab = tf.Post_weak_while(cond, body, pre, space)
         assert stab == kleene_weak_family((p.e for p in pre), step)[1]
@@ -590,6 +590,46 @@ def test_frontier_rho_rejects_unclosed_consequent():
     with pytest.raises(ab.LatticeError, match="missing top or bottom"):
         check_rule("frontier_rho", None, carrier=carrier[1:], le=le,
                    post_fn=post_fn, pre=pre, post_q=qs)
+
+
+def test_forall_exists_refuses_a_body_that_breaks():
+    # the weak step has no break edge: refused, not a failed premise
+    space = StateSpace.make(("x",), 0, 2)
+    loop = parse("while (x < 2) { if (x == 1) break; else x = x + 1; }")
+    pre = frozenset((prim("init", space),))
+    for post_q in (ab.family("NI", space=space, low="x", high="x"),
+                   frozenset()):
+        with pytest.raises(ValueError, match=r"^the weak hypercollecting "
+                           r"semantics has no breaks: break at path \[0\] "
+                           r"of the loop body$"):
+            check_rule("forall_exists", space, pre=pre, cond=loop.cond,
+                       body=loop.body, post_q=post_q)
+
+
+_FREE = parse("x = 1; break;")
+
+
+@pytest.mark.parametrize("run, path", [
+    (lambda sp, pre: check_upper(Triple(pre, _FREE, frozenset()), sp), "[1]"),
+    (lambda sp, pre: check_lower(Triple(pre, _FREE, frozenset()), sp), "[1]"),
+    (lambda sp, pre: hl.negate_upper(pre, _FREE, frozenset(), sp), "[1]"),
+    (lambda sp, pre: check_rule("principal_ideal", sp, pre=pre, stmt=_FREE,
+                                generator=rd.triple(sp)), "[1]"),
+    (lambda sp, pre: check_rule("seq", sp, pre=pre, s1=Skip(), s2=_FREE,
+                                mid=pre, post_q=frozenset()), "[1]"),
+    (lambda sp, pre: check_rule("choice", sp, pre=pre, s1=Skip(), s2=_FREE,
+                                post_q=frozenset()), "[1]"),
+    (lambda sp, pre: check_rule("choice", sp, pre=pre, s1=Break(), s2=Skip(),
+                                post_q=frozenset()), "[]"),
+], ids=["check_upper", "check_lower", "negate_upper", "principal_ideal",
+        "seq", "choice", "choice_bare_break"])
+def test_every_exact_post_refuses_a_free_break(run, path):
+    # a free break has no denotation as a whole program: refused, never a
+    # verdict
+    space = StateSpace.make(("x",), 0, 2)
+    with pytest.raises(ValueError) as err:
+        run(space, frozenset((prim("init", space),)))
+    assert str(err.value) == "break without enclosing loop at AST path " + path
 
 
 def test_unknown_rule_name():

@@ -7,7 +7,7 @@ from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.abstractions import HyperOracle
 from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Skip, Var, While,
-                           parse, validate_breaks)
+                           neg, parse, validate_breaks)
 from hyperlab.rel_domain import SemTriple, StateSpace, leq, prim, pure_e
 from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
 from weak_reference import kleene_weak_family
@@ -279,8 +279,16 @@ def test_weak_while_refuses_a_body_that_breaks():
     loop = parse("while (x < 2) { if (x == 1) break; else x = x + 1; }")
     init = prim("init", space)
     exact = pure_e(rd.compose_rel(init.e, it.sem(loop, space).e))
-    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    # the step weak_step would build, which it refuses to
+    not_b = prim(BoolTest(neg(loop.cond)), space).e
+    step = rd.union(it.body_triple(loop.cond, loop.body, space).e, not_b)
     family, _ = tf.weak_while_iterates(step, {init.e}, space)
-    assert exact not in {pure_e(rd.compose_rel(x, not_b.e)) for x in family}
-    with pytest.raises(ValueError, match=r"break at path \[0\]"):
-        tf.Post_weak_while(loop.cond, loop.body, frozenset((init,)), space)
+    assert exact not in {pure_e(rd.compose_rel(x, not_b)) for x in family}
+    for refused in (
+            lambda: tf.weak_step(loop.cond, loop.body, space),
+            lambda: tf.Post_weak_while(loop.cond, loop.body,
+                                       frozenset((init,)), space)):
+        with pytest.raises(ValueError, match=r"^the weak hypercollecting "
+                           r"semantics has no breaks: break at path \[0\] "
+                           r"of the loop body$"):
+            refused()
