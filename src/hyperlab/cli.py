@@ -101,18 +101,9 @@ def cmd_trace(args) -> int:
     space = _load_space(args.space)
     t = td.trace_sem(stmt, space, args.L)
     if args.json:
-        payload = {
-            "traces": sorted([list(s) for s in p] for p in t.finite),
-            "div_starts": [list(s) for s in sorted(t.div_starts)],
-            "truncated": t.truncated,
-        }
-        print(rd.dumps_canonical(payload))
+        print(rd.dumps_canonical(td.traces_to_json(t, space)))
     else:
         print(td.dump_traces(t, space))
-        if t.div_starts:
-            print("divergent starts: " +
-                  " ".join(td.format_trace((s,), space)
-                           for s in sorted(t.div_starts)))
         if t.truncated:
             print("warning: traces beyond length %d were dropped" % args.L)
     return 0

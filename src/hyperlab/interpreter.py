@@ -74,24 +74,25 @@ def _iterate(step: Callable, x, aux, ordered: Callable, max_iter: int) -> Fixpoi
             return FixpointReport(n, x)
         if ordered is not None and not ordered(x, y):
             raise NonMonotoneError(n)
-        if max_iter is not None and n > max_iter:
+        if n > max_iter:
             raise FixpointDivergenceError("no fixpoint after %d iterations" % n)
         x = y
 
 
-def lfp(grow: Callable, bottom, delta, max_iter: int = None) -> FixpointReport:
+def lfp(grow: Callable, bottom, delta, max_iter: int) -> FixpointReport:
     """Least fixpoint of X = delta | g(X), g distributing over union, by
     semi-naive iteration from `bottom`: `grow(x, d)` returns x | d and the
     part of g(d) outside it.  The iterates and their count are Kleene's.
-    `max_iter` bounds the iteration (use the lattice height); exceeding it
-    raises instead of looping.
+    `max_iter`, the lattice height or another bound on the rounds, caps the
+    iteration: exceeding it raises FixpointDivergenceError.
     """
     return _iterate(grow, bottom, delta, None, max_iter)
 
 
-def gfp(f: Callable, top, ge: Callable = None, max_iter: int = None) -> FixpointReport:
-    """Greatest fixpoint by Kleene iteration from `top`; `ge` (if given)
-    checks that the iterates decrease, or raises NonMonotoneError."""
+def gfp(f: Callable, top, ge: Callable, max_iter: int) -> FixpointReport:
+    """Greatest fixpoint by Kleene iteration from `top`.  `ge(x, y)` checks
+    that each iterate y is below the one before, x, or raises
+    NonMonotoneError; `max_iter` caps the iteration as in `lfp`."""
     return _iterate(lambda x, _: (f(x), None), top, None, ge, max_iter)
 
 

@@ -12,9 +12,10 @@ A program denotation is the triple ``SemTriple(e, inf, br)`` of terminating
 pairs, divergent start states, and pairs terminating via break, ordered by
 componentwise inclusion.  This module alone knows the format: other modules
 build values with `triple`/`rel`/`mask` and read them with
-`pairs`/`members`, or by index with `labeled_pairs`/`bits`.  `StateSpace`
-and `SemTriple` are `lang.Record`s; `SemTriple` writes out its constructor,
-equality and hash, since a check builds and compares thousands of triples.
+`pairs`/`members`, or by index with `index_rel` and `labeled_pairs`/`bits`.
+`StateSpace` and `SemTriple` are `lang.Record`s; `SemTriple` writes out its
+constructor, equality and hash, since a check builds and compares thousands
+of triples.
 
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
 key they do not read, naming it, rather than ignore a misspelt one.  The
@@ -274,9 +275,14 @@ def members(m: StateSet, space: StateSpace):
 def rel(state_pairs: Iterable, space: StateSpace) -> Rel:
     """The relation holding the given (state, state) pairs."""
     at = space.positions()
-    rows = [0] * len(at)
-    for a, b in state_pairs:
-        rows[at[a]] |= 1 << at[b]
+    return index_rel(((at[a], at[b]) for a, b in state_pairs), space)
+
+
+def index_rel(index_pairs: Iterable, space: StateSpace) -> Rel:
+    """The relation holding the given (index, index) pairs."""
+    rows = [0] * space.size()
+    for i, j in index_pairs:
+        rows[i] |= 1 << j
     return tuple(rows)
 
 

@@ -5,13 +5,14 @@ on the trace algebra `traces(space, cap)`.  Skips and assignments
 contribute one step (two states: their relational pairs), tests and breaks
 act as filters (one state, and break traces simply stop at the break point,
 following the relational reading of the break-to constructor).
-Concatenation merges the shared middle state.  The algebra carries a trace
-as a tuple of state indexes, which hashes cheaply.  A loop is one call of
-the semi-naive `interpreter.lfp`, on traces paired with their truncation
-flag; `trace_sem` maps the result to state tuples once.
+Concatenation merges the shared middle state.  A trace is a tuple of state
+indexes: it hashes cheaply and sorts as its states do (index order is state
+order, see `rel_domain`).  Only the writers (`format_trace`, `dump_traces`,
+`traces_to_json`) look its states up.  A loop is one call of the semi-naive
+`interpreter.lfp`, on traces paired with their truncation flag.
 
 Infinite traces are never materialized: the divergent component is carried as
-the set of divergent start states, which is the exact relational abstraction
+the mask of divergent start states, which is the exact relational abstraction
 of the infinite trace set.  It is read from `interpreter.oracle_sem`: the
 starts that reach a cycle of configurations.  Traces longer than the
 configured cap L are dropped and the result is flagged as truncated, never
@@ -40,10 +41,9 @@ class TraceLimitError(ValueError):
 class TraceSet(lang.Record):
     __slots__ = ("finite", "div_starts", "truncated")
 
-    def __init__(self, finite: frozenset, div_starts: frozenset,
-                 truncated: bool):
-        _set_finite(self, finite)          # terminating traces (tuples)
-        _set_div_starts(self, div_starts)  # starts of infinite executions
+    def __init__(self, finite: frozenset, div_starts: int, truncated: bool):
+        _set_finite(self, finite)          # terminating traces (index tuples)
+        _set_div_starts(self, div_starts)  # mask of the diverging starts
         _set_truncated(self, truncated)    # a trace exceeded the cap
 
 
@@ -142,27 +142,40 @@ def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     tr = interpreter.interpret(s, traces(space, max_len))
-    states = space.states()
-    div = frozenset(rd.members(interpreter.oracle_sem(s, space).inf, space))
-    return TraceSet(frozenset(tuple(map(states.__getitem__, p)) for p in tr.e),
-                    div, tr.truncated)
+    return TraceSet(tr.e, interpreter.oracle_sem(s, space).inf, tr.truncated)
+
+
+def ends(traces, space: StateSpace) -> rd.Rel:
+    """The first/last-state abstraction: the relation of the traces' ends."""
+    return rd.index_rel(((p[0], p[-1]) for p in traces), space)
 
 
 def abstract_to_rel(t: TraceSet, space: StateSpace):
-    """First/last-state abstraction of the finite traces.
-
-    Returns (relation, divergent mask) over `space`; the divergent starts
-    pass through unchanged.
-    """
-    return (rd.rel(((p[0], p[-1]) for p in t.finite), space),
-            rd.mask(t.div_starts, space))
+    """(`ends` of the finite traces, divergent mask): the first/last-state
+    abstraction, which passes the divergent starts through."""
+    return ends(t.finite, space), t.div_starts
 
 
 def format_trace(p, space: StateSpace) -> str:
-    return ";".join(",".join("%s:%d" % (v, s[i]) for i, v in enumerate(space.vars))
-                    for s in p)
+    states = space.states()
+    return ";".join(",".join("%s:%d" % vs for vs in zip(space.vars, states[i]))
+                    for i in p)
 
 
 def dump_traces(t: TraceSet, space: StateSpace) -> str:
-    """One trace per line, states as var:val groups separated by `;`."""
-    return "\n".join(sorted(format_trace(p, space) for p in t.finite))
+    """One trace per line, states as var:val groups separated by `;`, the
+    lines in string order; then the divergent starts, if any, ascending."""
+    text = "\n".join(sorted(format_trace(p, space) for p in t.finite))
+    if t.div_starts:
+        text += "\ndivergent starts: " + " ".join(
+            format_trace((i,), space) for i in rd.bits(t.div_starts))
+    return text
+
+
+def traces_to_json(t: TraceSet, space: StateSpace) -> dict:
+    """Traces and divergent starts as value arrays, ascending, and the
+    truncation flag."""
+    states = space.states()
+    return {"traces": [[list(states[i]) for i in p] for p in sorted(t.finite)],
+            "div_starts": [list(states[i]) for i in rd.bits(t.div_starts)],
+            "truncated": t.truncated}

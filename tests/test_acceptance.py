@@ -33,8 +33,8 @@ def test_criterion_02_trace_example():
     checks.append(("finite component equals the closed form at L=10",
                    t.finite == st.trace_expected(), ""))
     checks.append(("divergent starts are {x | x > 2}",
-                   t.div_starts == frozenset(
-                       (v,) for v in range(3, 6)), ""))
+                   t.div_starts == rd.mask(
+                       ((v,) for v in range(3, 6)), st.SPACE_TRACE), ""))
     _criterion(2, "bounded trace semantics of the even/odd loop", checks)
 
 

@@ -61,6 +61,54 @@ def test_trace_text_output(workdir, capsys):
     assert "y:0;y:1" in out.splitlines()
 
 
+_TRACE_TEXT = """\
+x:10,y:-1
+x:10,y:0
+x:2,y:-1;x:6,y:-1;x:10,y:-1
+x:2,y:0;x:6,y:0;x:10,y:0
+x:3,y:-1;x:7,y:-1;x:10,y:-1
+x:3,y:0;x:7,y:0;x:10,y:0
+x:4,y:-1;x:8,y:-1;x:10,y:-1
+x:4,y:0;x:8,y:0;x:10,y:0
+x:5,y:-1;x:9,y:-1;x:10,y:-1
+x:5,y:0;x:9,y:0;x:10,y:0
+x:6,y:-1;x:10,y:-1
+x:6,y:0;x:10,y:0
+x:7,y:-1;x:10,y:-1
+x:7,y:0;x:10,y:0
+x:8,y:-1;x:10,y:-1
+x:8,y:0;x:10,y:0
+x:9,y:-1;x:10,y:-1
+x:9,y:0;x:10,y:0
+divergent starts: x:-1,y:-1 x:-1,y:0
+warning: traces beyond length 3 were dropped
+"""
+
+_TRACE_JSON = (
+    '{"div_starts":[[-1,-1],[-1,0]],"traces":['
+    '[[2,-1],[6,-1],[10,-1]],[[2,0],[6,0],[10,0]],'
+    '[[3,-1],[7,-1],[10,-1]],[[3,0],[7,0],[10,0]],'
+    '[[4,-1],[8,-1],[10,-1]],[[4,0],[8,0],[10,0]],'
+    '[[5,-1],[9,-1],[10,-1]],[[5,0],[9,0],[10,0]],'
+    '[[6,-1],[10,-1]],[[6,0],[10,0]],[[7,-1],[10,-1]],[[7,0],[10,0]],'
+    '[[8,-1],[10,-1]],[[8,0],[10,0]],[[9,-1],[10,-1]],[[9,0],[10,0]],'
+    '[[10,-1]],[[10,0]]],"truncated":true}\n')
+
+
+def test_trace_output_bytes_are_pinned(workdir, capsys):
+    # x = -1 diverges, x = 0 and 1 take four states (past L = 3), the
+    # others one to three; the text lines sort as strings (x:10 first),
+    # the JSON traces and both divergent-start lists in numeric order
+    (workdir / "step.hl").write_text(
+        "while (x != 10) { if (x < 0) skip; else x = x + 4; }\n")
+    (workdir / "space_xy.json").write_text(
+        '{"vars": ["x", "y"], "lo": [-1, -1], "hi": [10, 0]}')
+    argv = ("trace", "--program", str(workdir / "step.hl"),
+            "--space", str(workdir / "space_xy.json"), "--L", "3")
+    assert run_cli(capsys, *argv) == (0, _TRACE_TEXT, "")
+    assert run_cli(capsys, *argv, "--json") == (0, _TRACE_JSON, "")
+
+
 @pytest.mark.parametrize("bound", ("0", "-1"))
 def test_trace_rejects_a_bound_below_one_naming_the_flag(workdir, capsys,
                                                           bound):

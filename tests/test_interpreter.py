@@ -36,7 +36,8 @@ def kleene_lfp(f, bottom, le=None):
 
 
 def test_lfp_identity_single_iteration():
-    rep = lfp(lambda x, d: (x | d, frozenset()), frozenset(), frozenset())
+    rep = lfp(lambda x, d: (x | d, frozenset()), frozenset(), frozenset(),
+              max_iter=1)
     assert rep == FixpointReport(1, frozenset())
 
 
@@ -48,7 +49,7 @@ def test_lfp_iterates_semi_naively():
         seen.append(d)
         x = x | d
         return x, frozenset(i + 1 for i in d if i < 4) - x
-    rep = lfp(grow, frozenset(), frozenset((0,)))
+    rep = lfp(grow, frozenset(), frozenset((0,)), max_iter=6)
     assert rep == FixpointReport(6, frozenset(range(5)))
     assert seen == [frozenset((i,)) for i in range(5)] + [frozenset()]
     assert rep == kleene_lfp(
@@ -57,7 +58,8 @@ def test_lfp_iterates_semi_naively():
 
 def test_gfp_identity_on_top():
     top = frozenset(range(5))
-    assert gfp(lambda x: x, top).result == top
+    assert gfp(lambda x: x, top, ge=frozenset.__ge__,
+               max_iter=1).result == top
 
 
 def test_lfp_detects_non_monotone_step():
@@ -245,7 +247,7 @@ def kleene_loop_triple(bs, exit, space):
     rep = kleene_lfp(lambda x: rd.union(exits, rd.compose_rel(bs.e, x)),
                      rd.empty_rel(space), le=rd.rel_leq)
     inf = gfp(lambda x: bs.inf | rd.rel_into(bs.e, x), (1 << n) - 1,
-              ge=lambda x, y: x | y == x).result
+              ge=lambda x, y: x | y == x, max_iter=n + 2).result
     return rd.SemTriple(rep.result, inf, rd.empty_rel(space)), rep.iterations
 
 
@@ -305,8 +307,7 @@ def test_oracle_equals_sem_smoke():
         s, space = random_program(rng, allow_free_break=k >= 120)
         t = sem(s, space)
         assert t == oracle_sem(s, space), (k, s)
-        assert td.trace_sem(s, space, 2).div_starts == \
-            frozenset(rd.members(t.inf, space)), (k, s)
+        assert td.trace_sem(s, space, 2).div_starts == t.inf, (k, s)
         diverging += t.inf != 0
     assert diverging >= 20, diverging
 

@@ -7,7 +7,7 @@ from hyperlab.lang import (ABin, Assign, BoolTest, Break, Cmp, Const, If,
                            ParseError, RandAssign, Seq, Skip, Var, While,
                            parse, pretty, subtrees, validate_breaks, NEG_INF,
                            POS_INF)
-from hyperlab.selftest import random_program
+from hyperlab.selftest import random_program, random_stmt
 
 
 def test_parse_skip_atomic():
@@ -154,6 +154,23 @@ def test_pretty_parse_round_trip_on_random_programs():
     a, b, c = Assign("x", Const(1)), Skip(), Break()
     for s in (Seq(Seq(a, b), c), Seq(a, Seq(b, c)), Seq(a, b, c)):
         assert parse(pretty(s)) == s, pretty(s)
+
+
+def test_random_programs_break_outside_a_loop_only_when_asked():
+    # the selftest suites draw their programs and loop bodies unfiltered:
+    # without allow_free_break, every break the generator emits is inside
+    # a loop it also emitted
+    rng = random.Random(31)
+    for _ in range(1500):
+        s, space = random_program(rng, depth=rng.choice((3, 4)),
+                                  allow_while=rng.random() < 0.5)
+        assert validate_breaks(s) is None, pretty(s)
+        body = random_stmt(rng, space.vars, 2, allow_while=False)
+        assert validate_breaks(body) is None, pretty(body)
+    free = sum(validate_breaks(random_program(rng, depth=3,
+                                              allow_free_break=True)[0])
+               is not None for _ in range(200))
+    assert free > 20, free
 
 
 def test_booltest_has_no_concrete_syntax():

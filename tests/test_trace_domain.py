@@ -15,8 +15,8 @@ from hyperlab.selftest import (SPACE_TRACE, TRACE_SRC, random_aexpr,
 def test_trace_sem_skip_duplicates_each_state():
     space = StateSpace.make(("x",), 0, 2)
     t = td.trace_sem(Skip(), space, 5)
-    assert t.finite == frozenset((s, s) for s in space.states())
-    assert not t.truncated and t.div_starts == frozenset()
+    assert t.finite == frozenset((i, i) for i in range(space.size()))
+    assert not t.truncated and t.div_starts == 0
 
 
 def test_trace_sem_rejects_zero_cap():
@@ -26,15 +26,17 @@ def test_trace_sem_rejects_zero_cap():
 
 def test_paper_loop_traces_present_at_l8():
     t = td.trace_sem(parse(TRACE_SRC), SPACE_TRACE, 8)
-    assert tuple((v,) for v in (-2, 0, 2)) in t.finite
-    assert tuple((v,) for v in (-3, -1, 1)) in t.finite
-    assert frozenset(((3,), (4,), (5,))) <= t.div_starts
+    at = SPACE_TRACE.positions()
+    assert tuple(at[(v,)] for v in (-2, 0, 2)) in t.finite
+    assert tuple(at[(v,)] for v in (-3, -1, 1)) in t.finite
+    div = rd.mask(((3,), (4,), (5,)), SPACE_TRACE)
+    assert div & t.div_starts == div
 
 
 def test_paper_loop_closed_form_at_l10():
     t = td.trace_sem(parse(TRACE_SRC), SPACE_TRACE, 10)
     assert t.finite == trace_expected()
-    assert t.div_starts == frozenset(((3,), (4,), (5,)))
+    assert t.div_starts == rd.mask(((3,), (4,), (5,)), SPACE_TRACE)
 
 
 def test_concat_merges_middle_state_and_caps():
@@ -87,7 +89,7 @@ def test_abstract_to_rel_trivial_cases():
     pairs, div = td.abstract_to_rel(stutter, space)
     assert pairs == rd.rel(((s, s) for s in space.states()), space)
     assert div == 0
-    empty = td.TraceSet(frozenset(), frozenset(), False)
+    empty = td.TraceSet(frozenset(), 0, False)
     assert td.abstract_to_rel(empty, space) == (rd.empty_rel(space), 0)
 
 
@@ -124,10 +126,12 @@ def test_break_traces_have_no_extra_state():
     space = StateSpace.make(("x",), 0, 3)
     prog = parse("while (x > 0) { if (x == 2) break; x = x - 1; }")
     t = td.trace_sem(prog, space, 6)
+    at = space.positions()
     # one skip stutter from the else branch, then the break stops at 2
     # without duplicating the final state
-    assert ((3,), (3,), (2,)) in t.finite
-    assert all(not (len(p) >= 2 and p[-1] == p[-2] == (2,)) for p in t.finite)
+    assert (at[(3,)], at[(3,)], at[(2,)]) in t.finite
+    assert all(not (len(p) >= 2 and p[-1] == p[-2] == at[(2,)])
+               for p in t.finite)
 
 
 def test_dump_format_is_sorted_and_stable():
@@ -142,21 +146,20 @@ def test_abstraction_commutes_with_each_trace_operation():
     # operation of the trace algebra to the relational algebra's operation
     # on the abstracted arguments (e and br; traces carry no divergence):
     # alpha(loop(a, x)) = loop#(alpha(a), alpha(x)) with x the exit test.
-    # The algebra's traces are tuples of state indexes
+    # The algebra's traces are tuples of state indexes; td.ends is alpha
     rng = random.Random(24)
     space = StateSpace.make(("x", "y"), 0, 2)
-    sts = space.states()
+    indexes = range(space.size())
     tr, rel = td.traces(space, 12), it.relational(space)
 
     def rand_traces(k):
-        return frozenset(tuple(rng.choice(range(len(sts)))
+        return frozenset(tuple(rng.choice(indexes)
                                for _ in range(rng.randint(1, 3)))
                          for _ in range(rng.randint(0, k)))
 
     def alpha(t):
         assert not t.truncated
-        ends = lambda ts: ((sts[p[0]], sts[p[-1]]) for p in ts)
-        return rd.triple(space, e=ends(t.e), br=ends(t.br))
+        return rd.SemTriple(td.ends(t.e, space), 0, td.ends(t.br, space))
 
     def same(t, r):
         a = alpha(t)
