@@ -735,13 +735,14 @@ _FAMILY_KEYS = frozenset(("family", "elements", "limit", "direction",
 
 
 def lattice_from_config(cfg: dict):
-    """Build a ToyLattice or ChainPoset from a description dict.
+    """Build a ChainPoset from a description dict.
 
     Keys: elements (list of string names), leq (list of [a,b] order pairs,
     reflexive-transitive closure taken), optional families with
     {family, elements, limit, direction, parametric}, each family under a
-    distinct string name.  A malformed description, or one with another
-    key, raises LatticeError naming the bad value or key.
+    distinct string name; with none, `families` is ().  A malformed
+    description, or one with another key, raises LatticeError naming the
+    bad value or key.
     """
     if not isinstance(cfg, dict):
         raise LatticeError("a lattice description is an object, got %r"
@@ -789,6 +790,4 @@ def lattice_from_config(cfg: dict):
         limit, = _known((f["limit"],), known, "limit of family %r", name)
         fams.append(Family(name, _known(members, known, "family %r", name),
                            limit, direction, parametric))
-    if fams:
-        return ChainPoset(lat, tuple(fams))
-    return lat
+    return ChainPoset(lat, tuple(fams))

@@ -229,9 +229,7 @@ _CHAIN_OPS = ("chain_down", "chain_up", "chain_down_star", "chain_up_star")
 
 def cmd_abstract(args) -> int:
     from . import abstractions as ab
-    lattice = ab.lattice_from_config(_load_json(args.lattice))
-    cp = lattice if isinstance(lattice, ab.ChainPoset) else \
-        ab.ChainPoset(lattice, ())
+    cp = ab.lattice_from_config(_load_json(args.lattice))
     lat = cp.lattice
     subset = frozenset(args.set.split(",")) if args.set else frozenset()
     for e in subset:
@@ -251,17 +249,16 @@ def cmd_abstract(args) -> int:
 def cmd_lattice_lab(args) -> int:
     from . import abstractions as ab
     try:
-        lattice = ab.lattice_from_config(_load_json(args.lattice))
+        cp = ab.lattice_from_config(_load_json(args.lattice))
     except ab.LatticeError as exc:
         print("construction error: %s" % exc, file=sys.stderr)
         return 2
-    lat = lattice.lattice if isinstance(lattice, ab.ChainPoset) else lattice
+    lat = cp.lattice
     payload = {
         "elements": sorted(str(e) for e in lat.elements),
         "bot": str(lat.bot),
         "top": str(lat.top),
-        "families": [f.name for f in lattice.families]
-        if isinstance(lattice, ab.ChainPoset) else [],
+        "families": [f.name for f in cp.families],
     }
     _emit(payload, args.json)
     return 0

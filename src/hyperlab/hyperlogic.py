@@ -259,20 +259,9 @@ def choice_statement(s1, s2, cvar="c"):
                If(Cmp("==", Var(cvar), Const(1)), s1, s2))
 
 
-def _project_triple(t: SemTriple, ext: StateSpace,
-                    space: StateSpace) -> SemTriple:
-    """`t` over `ext` with its last variable dropped, over `space`."""
-    def project(r):
-        return ((a[:-1], b[:-1]) for a, b in rd.pairs(r, ext))
-    return rd.triple(space, project(t.e),
-                     (a[:-1] for a in rd.members(t.inf, ext)), project(t.br))
-
-
 def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
-    n = 2 * space.size()  # checked here, so the error names the extension
-    if n > rd.MAX_STATES:
-        raise ValueError("the choice rule's one-bit extension has %d states, "
-                         "more than the limit of %d" % (n, rd.MAX_STATES))
+    cvar = _fresh_choice_var(space, s1, s2)
+    ext = rd.extend(space, cvar)  # refused before any sem runs
     post1, post2 = _exact_post(s1, space), _exact_post(s2, space)
 
     def both(p):
@@ -280,13 +269,10 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
     rep = _report("choice", "forall pre: join of both outcomes in consequent",
                   list(_violations(both, pre, post_q)))
 
-    cvar = _fresh_choice_var(space, s1, s2)
-    ext = StateSpace(space.vars + (cvar,), space.lo + (0,), space.hi + (1,),
-                     space.arith)
     # an antecedent lifts to the full cylinder over the fresh variable, so
     # projecting the desugared denotation once gives the same posts
-    dsem = _project_triple(
-        interpreter.sem(choice_statement(s1, s2, cvar), ext), ext, space)
+    dsem = rd.project(interpreter.sem(choice_statement(s1, s2, cvar), ext),
+                      space)
     agree = all(post(dsem, p) == both(p) for p in pre)
     rep.note("agreement:desugared-choice", agree)
     return rep

@@ -35,8 +35,8 @@ from itertools import count
 from typing import Callable
 
 from . import lang, rel_domain as rd
-from .lang import (Assign, BoolTest, Break, If, RandAssign, Seq, Skip, While,
-                   neg)
+from .lang import (Assign, BoolTest, Break, If, Not, RandAssign, Seq, Skip,
+                   While)
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
 
 
@@ -131,10 +131,10 @@ def interpret(s: lang.Stmt, d: Algebra):
         return v
     if cls is If:
         return d.join(guarded(s.cond, s.then, d),
-                      guarded(neg(s.cond), s.orelse, d))
+                      guarded(Not(s.cond), s.orelse, d))
     if cls is While:
         return d.loop(guarded(s.cond, s.body, d),
-                      d.prim(BoolTest(neg(s.cond))))
+                      d.prim(BoolTest(Not(s.cond))))
     return d.prim(s)
 
 

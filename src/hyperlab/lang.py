@@ -534,8 +534,3 @@ def parse(text: str) -> Stmt:
             message, words[k] or "end of input")) from None
     finally:  # the rules call one another: unbind them to leave no cycle
         del stmt_seq, stmt, bexpr, band, batom, aexpr, term, factor
-
-
-def neg(b: BExpr) -> BExpr:
-    """Negation used when splitting conditionals and loop exits."""
-    return Not(b)

@@ -13,6 +13,9 @@ pairs, divergent start states, and pairs terminating via break, ordered by
 componentwise inclusion.  This module alone knows the format: other modules
 build values with `triple`/`rel`/`mask` and read them with
 `pairs`/`members`, or by index with `index_rel` and `labeled_pairs`/`bits`.
+It alone lays out a space, too: `extend(space, var)` appends `var` in
+[0, 1] last, so state i with var = c is state 2i + c of the extension, and
+`project(t, space)` drops it from a triple again by halving indexes.
 `StateSpace` and `SemTriple` are `lang.Record`s; `SemTriple` writes out its
 constructor, equality and hash, since a check builds and compares thousands
 of triples.
@@ -20,8 +23,8 @@ of triples.
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
 key they do not read, naming it, rather than ignore a misspelt one.  The
 `StateSpace` constructor rejects a space of more than `MAX_STATES` states,
-however it is built (from a JSON config, by `make`, or as the choice rule's
-extension by one bit), and only then lists its states, once.
+however it is built (from a JSON config, by `make`, or by `extend`, which
+names the extension), and only then lists its states, once.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -52,7 +55,7 @@ StateSet = int    # bit i stands for the state of index i
 ARITH_MODES = ("saturate", "wrap", "prune")
 
 # the most states any space may have, whether read from JSON, built by
-# `make` or extended by the choice rule: a relation holds |S|^2 bits, and
+# `make` or by `extend`: a relation holds |S|^2 bits, and
 # the benchmark ladder's widest space has 1331 states
 MAX_STATES = 4096
 
@@ -190,6 +193,16 @@ class StateSpace(lang.Record):
             return lo + (v - lo) % (hi - lo + 1)
         return None
 
+
+def extend(space: StateSpace, var: str) -> StateSpace:
+    """`space` with `var` in [0, 1] appended last: state i of `space` with
+    var = c is state 2i + c of the extension."""
+    n = 2 * space.size()  # checked here, so the error names the extension
+    if n > MAX_STATES:
+        raise ValueError("the one-bit extension has %d states, more than the "
+                         "limit of %d" % (n, MAX_STATES))
+    return StateSpace(space.vars + (var,), space.lo + (0,), space.hi + (1,),
+                      space.arith)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +390,15 @@ def top_triple(space: StateSpace) -> SemTriple:
     n = space.size()
     full = ((1 << n) - 1,) * n
     return SemTriple(full, (1 << n) - 1, full)
+
+
+def project(t: SemTriple, space: StateSpace) -> SemTriple:
+    """`t` over `extend(space, var)` with `var` dropped, over `space`: pair
+    (i, j) becomes (i >> 1, j >> 1) and divergent state i becomes i >> 1."""
+    halves = [i >> 1 for i in range(2 * space.size())]
+    inf = sum(1 << i for i in {i >> 1 for i in bits(t.inf)})
+    return SemTriple(index_rel(labeled_pairs(t.e, halves), space), inf,
+                     index_rel(labeled_pairs(t.br, halves), space))
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,6 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         if s.__class__ is Break:
             return _TR(empty, singles, False)
         rows = rd.prim(s, space).e
-        if max(map(int.bit_count, rows)) <= 1:  # a row's target: bit_length-1
-            return _TR(frozenset(zip(compress(indexes, rows), map(
-                (-1).__add__, map(int.bit_length, filter(None, rows))))),
-                empty, False)
         n = sum(map(int.bit_count, rows))
         if n > MAX_TRACES:
             raise TraceLimitError(n)

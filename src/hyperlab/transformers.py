@@ -33,7 +33,7 @@ from typing import Callable, Tuple
 
 from . import interpreter, lang, rel_domain as rd
 from .interpreter import Algebra
-from .lang import BoolTest, neg
+from .lang import BoolTest, Not
 from .rel_domain import SemTriple, StateSpace, compose, join, prim
 
 HyperSet = frozenset
@@ -171,7 +171,7 @@ def weak_step(b, body, space: StateSpace) -> Tuple:
         raise ValueError("the weak hypercollecting semantics has no breaks:"
                          " break at path %s of the loop body" % bad)
     bs = interpreter.body_triple(b, body, space)
-    not_b = prim(BoolTest(neg(b)), space)
+    not_b = prim(BoolTest(Not(b)), space)
     return bs, not_b, rd.union(bs.e, not_b.e)
 
 

@@ -376,7 +376,7 @@ def test_lattice_from_config_with_families():
     assert chain_down(cp, frozenset(("top", "a"))) == \
         frozenset(("top", "a", "bot"))
     plain = lattice_from_config({"elements": ["x"], "leq": []})
-    assert isinstance(plain, ToyLattice)
+    assert isinstance(plain, ChainPoset) and plain.families == ()
 
 
 @pytest.mark.parametrize("cfg, named", (

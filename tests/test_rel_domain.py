@@ -236,8 +236,6 @@ def test_branch_join_reproduces_if_semantics():
         s, space = random_program(rng, depth=2)
         cond = Cmp("==", Var(space.vars[0]), Const(0))
         prog = rd.lang.If(cond, s, Skip())
-        if rd.lang.validate_breaks(prog) is not None:
-            continue
         branches = join(
             compose(prim(BoolTest(cond), space), it.sem(s, space)),
             compose(prim(BoolTest(rd.lang.Not(cond)), space),
@@ -315,6 +313,38 @@ def test_space_config_state_count_is_capped():
     with pytest.raises(ValueError, match="^space config has 4160 states, "
                        "more than the limit of 4096$"):
         StateSpace.from_config(dict(at_cap, hi=[63, 32]))
+
+
+def _project_by_tuples(t, ext, space):
+    """The choice rule's former projection: drop the last value of every
+    state tuple of `t` over `ext`, then look the results up in `space`."""
+    def project(r):
+        return ((a[:-1], b[:-1]) for a, b in rd.pairs(r, ext))
+    return rd.triple(space, project(t.e),
+                     (a[:-1] for a in rd.members(t.inf, ext)), project(t.br))
+
+
+def test_project_drops_the_extension_bit_as_the_tuple_route_does():
+    rng = random.Random(35)
+    checked = 0
+    for _ in range(120):
+        names = ("x", "y")[:rng.randint(1, 2)]
+        lo = [rng.randint(-3, 1) for _ in names]
+        hi = [v + rng.randint(0, 2) for v in lo]
+        space = StateSpace.make(names, lo, hi, rng.choice(ARITH_MODES))
+        ext = rd.extend(space, "c")
+        # the space the choice rule built by hand, field for field, and
+        # state i with c = v at index 2i + v
+        assert ext == StateSpace(space.vars + ("c",), space.lo + (0,),
+                                 space.hi + (1,), space.arith)
+        assert ext.states() == tuple(s + (v,) for s in space.states()
+                                     for v in (0, 1))
+        for t in (rd.bottom(ext), top_triple(ext),
+                  random_triple(rng, ext, pure=True),
+                  *(random_triple(rng, ext) for _ in range(6))):
+            assert rd.project(t, space) == _project_by_tuples(t, ext, space)
+            checked += 1
+    assert checked >= 1000
 
 
 def test_sem_matches_paper_countdown():
