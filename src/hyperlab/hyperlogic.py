@@ -22,8 +22,7 @@ checker also evaluates the conclusion directly through `sem` and records
 agreement; for rules with existential auxiliaries it synthesizes the
 canonical witness when none is supplied (toy mode), e.g. the forall-exists
 rule's weak family (one `lfp` call, `transformers.weak_while_iterates`),
-which also gives its weak-hypercollecting conclusion (`weak_step` refuses
-a body that breaks).
+which also gives its weak-hypercollecting conclusion.
 """
 
 from __future__ import annotations
@@ -282,7 +281,7 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
     rep = RuleReport("forall_exists")
-    pre_rels = frozenset(p.e for p in pre)
+    pre_ts = frozenset(rd.pure_e(p.e) for p in pre)
     if not isinstance(post_q, HyperOracle):
         # only e-components are compared
         post_q = frozenset(rd.pure_e(q.e) for q in post_q)
@@ -292,16 +291,16 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     # antecedents.  The family is the canonical (minimal) invariant:
     # premise 1 forces the antecedents in and premise 2 forces closure.
     bs, not_b, step = tf.weak_step(cond, body, space)
-    family, _ = tf.weak_while_iterates(step, pre_rels, space)
+    family, _ = tf.weak_while_iterates(step, pre_ts, space)
     synthesized = invariant is None
-    inv = family if synthesized else frozenset(i.e for i in invariant)
+    inv = family if synthesized else frozenset(
+        SemTriple(i.e, 0, i.br) for i in invariant)
 
-    rep.premise("pre included in invariant", pre_rels <= inv)
-    closed = all(rd.compose_rel(i, step) in inv for i in inv)
-    rep.premise("invariant closed under guarded body step", closed)
-    def exit_in_consequent(rels):
-        return all(rd.pure_e(rd.compose_rel(i, not_b.e)) in post_q
-                   for i in rels)
+    rep.premise("pre included in invariant", pre_ts <= inv)
+    rep.premise("invariant closed under guarded body step",
+                all(rd.compose(i, step) in inv for i in inv))
+    def exit_in_consequent(ts):
+        return all(tf.weak_exit(i, not_b) in post_q for i in ts)
     exits_ok = exit_in_consequent(inv)
     rep.premise("invariant exits in consequent", exits_ok)
     rep.note("consequent chain-limit closed", True,
@@ -310,8 +309,8 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
         rep.note("invariant synthesized", True, "%d elements" % len(inv))
 
     wsem = interpreter.loop_triple(bs, not_b, space)
-    sound = all(rd.pure_e(rd.compose_rel(p, wsem.e)) in post_q
-                for p in pre_rels)
+    sound = all(rd.pure_e(rd.compose_rel(p.e, wsem.e)) in post_q
+                for p in pre_ts)
     rep.note("conclusion:direct", sound)
     # the weak conclusion is the exit premise of the family
     rep.note("conclusion:weak-hypercollecting",

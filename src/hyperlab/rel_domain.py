@@ -22,9 +22,9 @@ of triples.
 
 The JSON readers (`StateSpace.from_config`, `triple_from_json`) reject a
 key they do not read, naming it, rather than ignore a misspelt one.  The
-`StateSpace` constructor rejects a space of more than `MAX_STATES` states,
-however it is built (from a JSON config, by `make`, or by `extend`, which
-names the extension), and only then lists its states, once.
+`StateSpace` constructor rejects a repeated variable or over `MAX_STATES`
+states, however it is built (from a JSON config, by `make`, or by `extend`,
+which names the extension), and only then lists its states, once.
 
 The componentwise order is the one used throughout; the alternative mixed
 (bi-inductive) order on e/inf is noted in the source paper but not
@@ -103,6 +103,9 @@ class StateSpace(lang.Record):
                  arith: str = "saturate"):
         if not vars:
             raise ValueError("state space needs at least one variable")
+        if len(set(vars)) != len(vars):
+            raise ValueError("state space variables must be distinct, got %s"
+                             % json.dumps(list(vars)))
         if len(lo) != len(vars) or len(hi) != len(vars):
             raise ValueError("bounds do not match variables")
         if any(l > h for l, h in zip(lo, hi)):
@@ -143,8 +146,7 @@ class StateSpace(lang.Record):
         if not cfg.keys() <= _SPACE_KEYS:
             raise ValueError(unknown_key(cfg, _SPACE_KEYS, "space config"))
         vs = cfg["vars"]
-        if not (isinstance(vs, list) and all(isinstance(v, str) for v in vs)
-                and len(set(vs)) == len(vs)):
+        if not (isinstance(vs, list) and all(isinstance(v, str) for v in vs)):
             raise ValueError("space config 'vars' must be an array of "
                              "distinct strings, got %s" % json.dumps(vs))
         for key in ("lo", "hi"):

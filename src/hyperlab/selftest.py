@@ -323,21 +323,22 @@ def suite_conditional_exactness():
             ("structural Post picks the tied set", exact, "")]
 
 
-def suite_weak(n=120, seed=20240804):
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(n):
-        space = random_space(rng, max_range=4)
-        cond = random_bexpr(rng, space.vars, 1)
-        body = random_stmt(rng, space.vars, 2, in_loop=False,
-                           allow_while=False)
-        props = frozenset((rd.prim("init", space),
-                           random_triple(rng, space, pure=True)))
-        weak, _ = tf.Post_weak_while(cond, body, props, space)
-        wsem = it.sem(While(cond, body), space)
-        exact = frozenset(pure_e(rd.compose_rel(p.e, wsem.e)) for p in props)
-        if not exact <= weak:
-            bad += 1
+def suite_weak(n=120, seed=20240804, break_seed=20240808):
+    misses = [0, 0]  # break-free bodies, then bodies that may break
+    for k, rng in enumerate((random.Random(seed), random.Random(break_seed))):
+        for _ in range(n):
+            space = random_space(rng, max_range=4)
+            cond = random_bexpr(rng, space.vars, 1)
+            body = random_stmt(rng, space.vars, 2, in_loop=k == 1,
+                               allow_while=False)
+            props = frozenset((rd.prim("init", space),
+                               random_triple(rng, space, pure=True)))
+            weak, _ = tf.Post_weak_while(cond, body, props, space)
+            wsem = it.sem(While(cond, body), space)
+            exact = frozenset(pure_e(rd.compose_rel(p.e, wsem.e))
+                              for p in props)
+            misses[k] += not exact <= weak
+    bad, broke = misses
     checks = [("Post(while) is inside the weak hypercollecting set",
                bad == 0, "%d failures" % bad)]
 
@@ -349,6 +350,8 @@ def suite_weak(n=120, seed=20240804):
     checks.append(("pinned strictness witness on S1",
                    exact < weak and len(weak) > 1,
                    "weak has %d elements, stabilized at %d" % (len(weak), stab)))
+    checks.append(("Post(while) is inside the weak set of a body that may "
+                   "break", broke == 0, "%d failures" % broke))
     return checks
 
 
@@ -627,23 +630,13 @@ def _forall_exists_bruteforce(space, cond, body, pre_rels, member_rel):
     if_img = [idx[rd.compose_rel(r, if_e)] for r in rels]
     ok_exit = [member_rel(rd.compose_rel(r, not_b)) for r in rels]
     pre_bits = [idx[r] for r in pre_rels]
-    for mask in range(1 << len(rels)):
-        if any(not mask >> b & 1 for b in pre_bits):
-            continue
-        good = True
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not mask >> if_img[i] & 1 or not ok_exit[i]:
-                good = False
-                break
-        if good:
-            return True
-    return False
+    return any(all(mask >> b & 1 for b in pre_bits)
+               and all(mask >> if_img[i] & 1 and ok_exit[i]
+                       for i in rd.bits(mask))
+               for mask in range(1 << len(rels)))
 
 
-def suite_rules(n=120, seed=20240806):
+def suite_rules(n=120, seed=20240806, break_seed=20240809):
     rng = random.Random(seed)
     checks = []
 
@@ -659,7 +652,7 @@ def suite_rules(n=120, seed=20240806):
     checks.append(("principal ideal rule holds on the countdown example",
                    rep.holds(), rep.verdict))
 
-    sound = complete = coincide = dual = True
+    coincide = dual = True
     for _ in range(n):
         s, space = random_program(rng, depth=3)
         s_sem = it.sem(s, space)
@@ -684,19 +677,24 @@ def suite_rules(n=120, seed=20240806):
             if not sub.holds():
                 dual = False
 
-    for _ in range(n):
-        space = random_space(rng, max_range=4)
-        cond = random_bexpr(rng, space.vars, 1)
-        body = random_stmt(rng, space.vars, 2, allow_while=False)
-        props = frozenset((rd.prim("init", space),))
-        weak, _ = tf.Post_weak_while(cond, body, props, space)
-        rep = hl.check_rule("forall_exists", space, pre=props, cond=cond,
-                            body=body, post_q=weak)
-        notes = dict((name, ok) for name, ok, _ in rep.premises)
-        if rep.holds() and not notes.get("conclusion:direct", True):
-            sound = False
-        if notes.get("conclusion:weak-hypercollecting") and not rep.holds():
-            complete = False
+    verdicts = []
+    for rng, in_loop in ((rng, False), (random.Random(break_seed), True)):
+        sound = complete = True
+        for _ in range(n):
+            space = random_space(rng, max_range=4)
+            cond = random_bexpr(rng, space.vars, 1)
+            body = random_stmt(rng, space.vars, 2, in_loop=in_loop,
+                               allow_while=False)
+            props = frozenset((rd.prim("init", space),))
+            weak, _ = tf.Post_weak_while(cond, body, props, space)
+            rep = hl.check_rule("forall_exists", space, pre=props, cond=cond,
+                                body=body, post_q=weak)
+            notes = dict((name, ok) for name, ok, _ in rep.premises)
+            sound &= not rep.holds() or notes.get("conclusion:direct", True)
+            complete &= rep.holds() or not notes.get(
+                "conclusion:weak-hypercollecting")
+        verdicts.append((sound, complete))
+    (sound, complete), broke = verdicts
     checks.append(("forall-exists rule sound against the exact semantics",
                    sound, ""))
     checks.append(("forall-exists rule complete for the weak semantics",
@@ -720,6 +718,9 @@ def suite_rules(n=120, seed=20240806):
     checks.append(("incompleteness witness: exact triple holds but no "
                    "invariant family exists",
                    direct.holds() and not rep.holds() and not brute, ""))
+    checks.append(("forall-exists rule sound and complete for the weak "
+                   "semantics of a body that may break",
+                   broke == (True, True), ""))
     return checks
 
 

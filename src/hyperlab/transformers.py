@@ -19,11 +19,11 @@ hyper property is tested with `in`, whether a frozenset or an oracle.
 loop-exit images of every finite iterate, on the finitary components only
 (its defining setting ignores nontermination).  On a finite state space it
 contains the exact loop Post, usually strictly.  `weak_while_iterates`
-closes all antecedents under the loop's step relation
-[if (b) body else skip]e in one `interpreter.lfp` call.  `Post_weak_while`
-maps that weak family to its exit images, and the forall-exists rule takes
-it as its canonical invariant.  Both build the step once by `weak_step`,
-which refuses a body that breaks: the step has no break edge.
+closes all antecedents, as triples <e, 0, br>, under the step triple of
+`weak_step` in one `interpreter.lfp` call: e holds the pairs still at the
+loop head, and br the pairs that left by a break, in every later iterate
+too.  `Post_weak_while` maps that weak family to its exit images
+(`weak_exit`); the forall-exists rule takes it as its canonical invariant.
 """
 
 from __future__ import annotations
@@ -136,23 +136,22 @@ def Post_structural(s: lang.Stmt, props: HyperSet, space: StateSpace) -> HyperSe
 # ---------------------------------------------------------------------------
 # Weak hypercollecting loop semantics
 
-def weak_while_iterates(step, pre_rels, space: StateSpace) -> Tuple:
-    """The weak family: the least set of relations that holds `pre_rels`
-    and is closed under r -> r ; step, where `step` is
-    [if (b) body else skip]e = [b;body]e | [!b]e.  Post is elementwise, so
-    it is the union of every antecedent's iterates.  The step does not
-    depend on the antecedents, so callers build it once.
+def weak_while_iterates(step: SemTriple, pre, space: StateSpace) -> Tuple:
+    """The weak family: the least set of triples that holds `pre` and is
+    closed under t -> t ; step, where `step` is `weak_step`'s triple.  Post
+    is elementwise, so it is the union of every antecedent's iterates.  The
+    step does not depend on the antecedents, so callers build it once.
 
     Returns (family, stabilization), the number of rounds that added a
-    relation less one (0 without antecedents).
+    triple less one (0 without antecedents).
     """
     def grow(x, d):
         x = x | d
-        return x, frozenset(rd.compose_rel(r, step) for r in d) - x
+        return x, frozenset(compose(t, step) for t in d) - x
 
     cap = 4 * len(space.states()) ** 2 + 16
     try:
-        rep = interpreter.lfp(grow, frozenset(), frozenset(pre_rels),
+        rep = interpreter.lfp(grow, frozenset(), frozenset(pre),
                               max_iter=cap + 1)
     except interpreter.FixpointDivergenceError:
         raise interpreter.FixpointDivergenceError(
@@ -163,26 +162,24 @@ def weak_while_iterates(step, pre_rels, space: StateSpace) -> Tuple:
 def weak_step(b, body, space: StateSpace) -> Tuple:
     """(bs, not_b, step) of `while (b) body`: the guarded body's triple
     bs = sem(B;S), the exit test's triple not_b = sem(!b) and the weak step
-    relation [if (b) body else skip]e = bs.e | [!b]e.  A body that breaks
-    is refused: the step drops its break pairs, so its weak family could
-    miss the exact post."""
-    bad = lang.validate_breaks(body)
-    if bad is not None:
-        raise ValueError("the weak hypercollecting semantics has no breaks:"
-                         " break at path %s of the loop body" % bad)
+    <bs.e | [!b]e, 0, bs.br>, whose br takes a breaking run out."""
     bs = interpreter.body_triple(b, body, space)
     not_b = prim(BoolTest(Not(b)), space)
-    return bs, not_b, rd.union(bs.e, not_b.e)
+    return bs, not_b, SemTriple(rd.union(bs.e, not_b.e), 0, bs.br)
+
+
+def weak_exit(t: SemTriple, not_b: SemTriple) -> SemTriple:
+    """The exit image pure_e(t.e ; [!b]e | t.br) of a weak iterate t."""
+    return rd.pure_e(rd.union(rd.compose_rel(t.e, not_b.e), t.br))
 
 
 def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
     """Weak hypercollecting semantics of `while (b) body` on e-components.
 
-    Returns (results, stabilization), where results collects the pure-e
-    triples post[!b](X^n(P)) for every P in props and every n up to
-    stabilization.
+    Returns (results, stabilization), where results collects the exit
+    images of X^n(pure_e(P.e)) for every P in props and every n.
     """
     _, not_b, step = weak_step(b, body, space)
-    family, stab = weak_while_iterates(step, (p.e for p in props), space)
-    return frozenset(rd.pure_e(rd.compose_rel(x, not_b.e))
-                     for x in family), stab
+    family, stab = weak_while_iterates(
+        step, (rd.pure_e(p.e) for p in props), space)
+    return frozenset(weak_exit(t, not_b) for t in family), stab

@@ -224,28 +224,38 @@ def test_check_past_the_weak_iterate_cap_exits_2_naming_the_cap(workdir,
         2, "", "error: weak iterates did not cycle within 6740 steps\n")
 
 
-def test_forall_exists_on_a_body_that_breaks_exits_2(workdir, capsys):
-    # the weak hypercollecting semantics has no breaks: an input the rule
-    # cannot read, not a failed triple, by flags and by request alike
+def test_forall_exists_on_a_body_that_breaks(workdir, capsys):
+    # from init over x in [0,2] the weak set is three exit images: listed,
+    # the rule holds on them; with the first dropped it fails, while the
+    # triple itself still holds.  Flags and request agree
     loop = "while (x < 2) { if (x == 1) break; else x = x + 1; }"
     space = {"vars": ["x"], "lo": 0, "hi": 2}
     init = [{"e": [[[v], [v]] for v in range(3)], "inf": [], "br": []}]
+    images = [{"e": [[[a], [b]] for a, b in pairs], "inf": [], "br": []}
+              for pairs in (((2, 2),), ((1, 1), (2, 2)),
+                            ((0, 1), (1, 1), (2, 2)))]
     for name, data in (("break.hl", loop), ("space_x.json", space),
-                       ("init_x.json", init), ("none.json", [])):
+                       ("init_x.json", init)):
         (workdir / name).write_text(
             data if isinstance(data, str) else json.dumps(data))
-    (workdir / "req.json").write_text(json.dumps(
-        {"rule": "forall_exists", "program": loop, "space": space,
-         "pre": init, "post_oracle": "NI", "low": "x", "high": "x"}))
-    want = (2, "", "error: the weak hypercollecting semantics has no breaks: "
-            "break at path [0] of the loop body\n")
-    assert run_cli(capsys, "check", "--rule", "forall_exists",
-                   "--program", str(workdir / "break.hl"),
-                   "--space", str(workdir / "space_x.json"),
-                   "--pre", str(workdir / "init_x.json"),
-                   "--post-oracle", str(workdir / "none.json")) == want
-    assert run_cli(capsys, "check",
-                   "--request", str(workdir / "req.json")) == want
+    for post, code in ((images, 0), (images[1:], 1)):
+        (workdir / "post_x.json").write_text(json.dumps(post))
+        (workdir / "req.json").write_text(json.dumps(
+            {"rule": "forall_exists", "program": loop, "space": space,
+             "pre": init, "post": post}))
+        flags = run_cli(capsys, "check", "--rule", "forall_exists",
+                        "--program", str(workdir / "break.hl"),
+                        "--space", str(workdir / "space_x.json"),
+                        "--pre", str(workdir / "init_x.json"),
+                        "--post-oracle", str(workdir / "post_x.json"))
+        request = run_cli(capsys, "check",
+                          "--request", str(workdir / "req.json"))
+        assert flags == request
+        assert (flags[0], flags[2]) == (code, "")
+        assert '"3 elements"' in flags[1]
+        notes = {p["name"]: p["ok"] for p in json.loads(flags[1])["premises"]}
+        assert notes["conclusion:direct"]
+        assert notes["invariant exits in consequent"] == (code == 0)
 
 
 def test_check_request_object(workdir, capsys):

@@ -8,11 +8,12 @@ from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.hyperlogic import HyperOracle, Triple, check_lower, check_rule, check_upper
-from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Not,
-                           Skip, Var, While, parse)
+from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Skip,
+                           Var, While, parse)
 from hyperlab.rel_domain import StateSpace, prim, pure_e
 from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
-from weak_reference import kleene_weak_family
+from weak_reference import (BREAK_LOOP, break_loop_images,
+                            kleene_weak_family, weak_step_by_if)
 
 
 LH = StateSpace.make(("l", "h"), 0, 1)
@@ -375,18 +376,15 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
         cond = Cmp(">", Var(space.vars[0]), Const(0))
         loop = While(cond, body)
         pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
-        not_b = prim(BoolTest(Not(cond)), space).e
-        step = rd.union(it.body_triple(cond, body, space).e, not_b)
+        step = weak_step_by_if(cond, body, space)
         weak, stab = tf.Post_weak_while(cond, body, pre, space)
-        assert stab == kleene_weak_family((p.e for p in pre), step)[1]
+        assert stab == kleene_weak_family(pre, step)[1]
         explicit = frozenset(sorted(weak, key=rd.SemTriple.sort_key)[1:]
                              + [random_triple(rng, space, pure=True)])
         ni = ab.family("NI", space=space, low=space.vars[0],
                        high=space.vars[-1])
         extra = random_triple(rng, space, pure=True)
-        wider, _ = tf.weak_while_iterates(step, {p.e for p in pre | {extra}},
-                                          space)
-        wider = frozenset(map(pure_e, wider))
+        wider, _ = tf.weak_while_iterates(step, pre | {extra}, space)
         bad = pre | {extra}
         for post_q in (ni, explicit):
             want = all(q in post_q for q in weak)
@@ -563,18 +561,46 @@ def test_frontier_rho_rejects_unclosed_consequent():
                    post_fn=post_fn, pre=pre, post_q=qs)
 
 
-def test_forall_exists_refuses_a_body_that_breaks():
-    # the weak step has no break edge: refused, not a failed premise
+def test_forall_exists_on_a_body_that_breaks():
+    # from init over x in [0,2] the weak set is three exit images, the last
+    # the exact post: the rule holds on the three, and fails once the first
+    # is dropped, while the triple itself still holds
     space = StateSpace.make(("x",), 0, 2)
-    loop = parse("while (x < 2) { if (x == 1) break; else x = x + 1; }")
+    loop = parse(BREAK_LOOP)
     pre = frozenset((prim("init", space),))
-    for post_q in (ab.family("NI", space=space, low="x", high="x"),
-                   frozenset()):
-        with pytest.raises(ValueError, match=r"^the weak hypercollecting "
-                           r"semantics has no breaks: break at path \[0\] "
-                           r"of the loop body$"):
-            check_rule("forall_exists", space, pre=pre, cond=loop.cond,
-                       body=loop.body, post_q=post_q)
+    images = break_loop_images(space)
+    for post_q, holds in ((images, True), (images[1:], False)):
+        rep = check_rule("forall_exists", space, pre=pre, cond=loop.cond,
+                         body=loop.body, post_q=frozenset(post_q))
+        notes = _agreement(rep)
+        assert rep.holds() == holds
+        assert notes["invariant exits in consequent"] == holds
+        assert notes["conclusion:weak-hypercollecting"] == holds
+        assert notes["conclusion:direct"]
+    assert ("invariant synthesized", True, "3 elements") in rep.premises
+
+
+def test_forall_exists_reads_a_supplied_invariants_breaks():
+    # the synthesized family is an invariant; without the br of its members
+    # it is no longer closed under the step, which moves a breaking run
+    # into br.  Its inf is ignored, as before
+    space = StateSpace.make(("x",), 0, 2)
+    loop = parse(BREAK_LOOP)
+    pre = frozenset((prim("init", space),))
+    step = tf.weak_step(loop.cond, loop.body, space)[2]
+    family, _ = tf.weak_while_iterates(step, pre, space)
+    assert any(any(t.br) for t in family)
+    full = (1 << space.size()) - 1
+    weak, _ = tf.Post_weak_while(loop.cond, loop.body, pre, space)
+    for invariant, closed in (
+            (family, True),
+            (frozenset(rd.SemTriple(t.e, full, t.br) for t in family), True),
+            (frozenset(pure_e(t.e) for t in family), False)):
+        rep = check_rule("forall_exists", space, pre=pre, cond=loop.cond,
+                         body=loop.body, post_q=weak, invariant=invariant)
+        notes = _agreement(rep)
+        assert notes["invariant closed under guarded body step"] == closed
+        assert rep.holds() == closed
 
 
 _FREE = parse("x = 1; break;")

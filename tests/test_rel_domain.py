@@ -315,6 +315,23 @@ def test_space_config_state_count_is_capped():
         StateSpace.from_config(dict(at_cap, hi=[63, 32]))
 
 
+def test_space_refuses_a_repeated_variable_however_it_is_built():
+    # a repeated name would give two positions one index: an assignment to
+    # the second would write the first
+    for build, shown in (
+            (lambda: StateSpace.make(("x", "x"), 0, 1), '["x", "x"]'),
+            (lambda: StateSpace.make(("x", "y", "x"), 0, 1),
+             '["x", "y", "x"]'),
+            (lambda: rd.extend(StateSpace.make(("x",), 0, 1), "x"),
+             '["x", "x"]'),
+            (lambda: StateSpace.from_config(
+                {"vars": ["l", "l"], "lo": 0, "hi": 1}), '["l", "l"]')):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == ("state space variables must be distinct, "
+                                  "got " + shown)
+
+
 def _project_by_tuples(t, ext, space):
     """The choice rule's former projection: drop the last value of every
     state tuple of `t` over `ext`, then look the results up in `space`."""

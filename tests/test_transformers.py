@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from hyperlab import hyperlogic as hl
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.abstractions import HyperOracle
-from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Not, Skip, Var,
-                           While, parse)
+from hyperlab.lang import (Assign, BoolTest, Cmp, Const, If, Skip, Var, While,
+                           parse)
 from hyperlab.rel_domain import SemTriple, StateSpace, leq, prim, pure_e
-from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
-from weak_reference import kleene_weak_family
+from hyperlab.selftest import (SPACE_Y, S1_SRC, random_bexpr, random_program,
+                               random_space, random_stmt, random_triple)
+from weak_reference import (BREAK_LOOP, break_loop_images, exit_image,
+                            kleene_weak_family, weak_step_by_if)
 
 
 def _s1_sem():
@@ -221,64 +224,83 @@ def test_weak_while_contains_exact_post_and_is_strict():
 
 
 def test_weak_while_matches_hyper_level_fixpoint():
-    # independent route: Kleene iteration of the set-of-relations functional
-    # on 2-4 antecedents gives the family, and the count of its growing
-    # rounds the stabilization
+    # independent route: Kleene iteration of the set-of-triples functional
+    # on 2-4 antecedents, stepping with the conditional's own triple, gives
+    # the family, and the count of its growing rounds the stabilization;
+    # the bodies are drawn inside a loop, so some break
     rng = random.Random(40)
-    for _ in range(25):
-        body, space = random_program(rng, depth=2, allow_while=False)
+    broke = 0
+    for _ in range(60):
+        space = random_space(rng)
+        body = random_stmt(rng, space.vars, 2, in_loop=True,
+                           allow_while=False)
         cond = Cmp(">", Var(space.vars[0]), Const(0))
         pre = {pure_e(rd.identity_rel(space))}
         # a one-state space has only two relations
         n = min(rng.randint(2, 4), 2 ** len(space.states()) ** 2)
         while len(pre) < n:
             pre.add(random_triple(rng, space, pure=True))
-        pre_rels = frozenset(p.e for p in pre)
-        if_e = it.sem(If(cond, body, Skip()), space).e
-        not_b = rd.prim(rd.BoolTest(rd.lang.Not(cond)), space).e
-        hyper, rounds = kleene_weak_family(pre_rels, if_e)
-        assert tf.weak_while_iterates(if_e, pre_rels, space) == (hyper, rounds)
-        reference = frozenset(pure_e(rd.compose_rel(x, not_b)) for x in hyper)
+        step = weak_step_by_if(cond, body, space)
+        broke += any(step.br)
+        assert tf.weak_step(cond, body, space)[2] == step
+        hyper, rounds = kleene_weak_family(pre, step)
+        assert tf.weak_while_iterates(step, pre, space) == (hyper, rounds)
+        reference = frozenset(exit_image(t, cond, space) for t in hyper)
         assert tf.Post_weak_while(cond, body, frozenset(pre), space) == (
             reference, rounds)
+    assert broke >= 6, broke
 
 
 def test_weak_while_reports_stabilization():
     # x = 3 needs three steps down to 0, so the identity's orbit has four
-    # relations and stabilizes at 3.  Its second iterate, given as a second
+    # triples and stabilizes at 3.  Its second iterate, given as a second
     # antecedent, merges into that orbit: the family is the same, complete
     # after one more round, so the count is 1, below the identity's 3
     space = StateSpace.make(("x",), 0, 3)
     cond = Cmp(">", Var("x"), Const(0))
     body = Assign("x", rd.lang.ABin("-", Var("x"), Const(1)))
-    step = it.sem(If(cond, body, Skip()), space).e
-    p0 = rd.identity_rel(space)
+    step = weak_step_by_if(cond, body, space)
+    p0 = pure_e(rd.identity_rel(space))
     family, n = tf.weak_while_iterates(step, {p0}, space)
     assert n == 3 and len(family) == n + 1
-    assert {rd.compose_rel(r, step) for r in family} <= family
-    p2 = rd.compose_rel(rd.compose_rel(p0, step), step)
+    assert {rd.compose(t, step) for t in family} <= family
+    p2 = rd.compose(rd.compose(p0, step), step)
     assert tf.weak_while_iterates(step, {p2}, space)[1] == 1
     assert tf.weak_while_iterates(step, {p0, p2}, space) == (family, 1)
     assert kleene_weak_family({p0, p2}, step) == (family, 1)
 
 
-def test_weak_while_refuses_a_body_that_breaks():
-    # the weak family steps with [b;body]e only, so a break's exit pair is
-    # lost: from init over x in [0,2] the exact post is no weak exit image
+def test_weak_while_keeps_the_runs_that_broke():
+    # a run that breaks stays an exit in every later iterate, so the last
+    # exit image is the exact post
     space = StateSpace.make(("x",), 0, 2)
-    loop = parse("while (x < 2) { if (x == 1) break; else x = x + 1; }")
+    loop = parse(BREAK_LOOP)
     init = prim("init", space)
-    exact = pure_e(rd.compose_rel(init.e, it.sem(loop, space).e))
-    # the step weak_step would build, which it refuses to
-    not_b = prim(BoolTest(Not(loop.cond)), space).e
-    step = rd.union(it.body_triple(loop.cond, loop.body, space).e, not_b)
-    family, _ = tf.weak_while_iterates(step, {init.e}, space)
-    assert exact not in {pure_e(rd.compose_rel(x, not_b)) for x in family}
-    for refused in (
-            lambda: tf.weak_step(loop.cond, loop.body, space),
-            lambda: tf.Post_weak_while(loop.cond, loop.body,
-                                       frozenset((init,)), space)):
-        with pytest.raises(ValueError, match=r"^the weak hypercollecting "
-                           r"semantics has no breaks: break at path \[0\] "
-                           r"of the loop body$"):
-            refused()
+    weak, stab = tf.Post_weak_while(loop.cond, loop.body,
+                                    frozenset((init,)), space)
+    assert (weak, stab) == (frozenset(break_loop_images(space)), 2)
+    assert pure_e(rd.compose_rel(init.e, it.sem(loop, space).e)) in weak
+
+
+def test_weak_while_contains_the_exact_post_of_bodies_that_break():
+    # the weak set holds every antecedent's exact loop post, and
+    # forall_exists holds on it, soundly, on loops whose bodies may break
+    rng = random.Random(41)
+    broke = 0
+    for _ in range(1000):
+        space = random_space(rng, max_range=3)
+        cond = random_bexpr(rng, space.vars, 1)
+        body = random_stmt(rng, space.vars, 2, in_loop=True,
+                           allow_while=False)
+        pre = frozenset((prim("init", space),
+                         random_triple(rng, space, pure=True)))
+        step = tf.weak_step(cond, body, space)[2]
+        broke += any(step.br)
+        weak, _ = tf.Post_weak_while(cond, body, pre, space)
+        wsem = it.sem(While(cond, body), space)
+        assert {pure_e(rd.compose_rel(p.e, wsem.e)) for p in pre} <= weak
+        rep = hl.check_rule("forall_exists", space, pre=pre, cond=cond,
+                            body=body, post_q=weak)
+        notes = {name: ok for name, ok, _ in rep.premises}
+        assert rep.holds() and notes["conclusion:direct"]
+    assert broke >= 150, broke
