@@ -203,18 +203,11 @@ def cmd_check(args) -> int:
                            low=req.get("low", "l"), high=req.get("high", "h"))
     else:
         post_q = triples("post")
-    invariant = (triples("invariant") if req.get("invariant") is not None
-                 else None)
-    if rule == "upper":
-        rep = hl.check_upper(hl.Triple(pre, stmt, post_q), space)
-    elif rule == "lower":
-        rep = hl.check_lower(hl.Triple(pre, stmt, post_q), space)
-    else:
-        if not isinstance(stmt, hl.While):
-            raise CliError("rule %r needs a single while loop" % rule)
-        extra = {"invariant": invariant} if rule == "forall_exists" else {}
-        rep = hl.check_rule(rule, space, pre=pre, cond=stmt.cond,
-                            body=stmt.body, post_q=post_q, **extra)
+    # only forall_exists reads an invariant: any other rule refused it above
+    extra = ({"invariant": triples("invariant")}
+             if req.get("invariant") is not None else {})
+    rep = hl.check_rule(rule, space, pre=pre, stmt=stmt, post_q=post_q,
+                        **extra)
     _emit(rep.to_json(space), args.json)
     return 0 if rep.holds() else 1
 

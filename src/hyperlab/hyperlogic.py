@@ -15,6 +15,11 @@ the exact post of `sem` from `_exact_post`, which refuses a free break; the
 conditional and loop rules pass their structural post function, built once
 per statement (`transformers.transformer`).
 
+A rule that proves a statement takes it whole as `stmt` (`seq` a `Seq`,
+the if rules an `If`, the while rules and `forall_exists` a `While`) and
+refuses any other construct first, in `_construct`; `upper` and `lower`
+are rules too, so `check_rule` is the one entry point.
+
 Rule checkers are certificate checkers: auxiliary objects such as invariant
 families or frontier partitions are supplied by the caller and the premises
 are verified exactly.  For the sound-and-complete structural rules the
@@ -169,7 +174,19 @@ def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
 # ---------------------------------------------------------------------------
 # Rule checkers
 
-def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
+def _construct(rule, stmt, cls) -> Stmt:
+    """`stmt`, or ValueError naming `rule` unless it is a `cls` (a `Seq` of
+    two items at least), the one construct the rule proves."""
+    if stmt.__class__ is not cls or cls is Seq and len(stmt.stmts) < 2:
+        raise ValueError("rule %r needs a single %s" % (rule, {
+            Seq: "sequence", If: "conditional", While: "while loop"}[cls]))
+    return stmt
+
+
+def _rule_seq(space, pre, stmt, mid, post_q) -> RuleReport:
+    # read as `interpret` folds it: the first item, then the rest
+    s1, *rest = _construct("seq", stmt, Seq).stmts
+    s2 = rest[0] if len(rest) == 1 else Seq(*rest)
     mid_set = _explicit(mid, "intermediate hyper property must be explicit")
     rep = RuleReport("seq")
     r1 = check_upper(Triple(pre, s1, mid_set), space)
@@ -177,7 +194,7 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
     r2 = check_upper(Triple(mid_set, s2, post_q), space)
     rep.premise("mid s2 post", r2.holds())
     rep.witnesses.extend(r1.witnesses + r2.witnesses)
-    direct = check_upper(Triple(pre, Seq(s1, s2), post_q), space)
+    direct = check_upper(Triple(pre, stmt, post_q), space)
     rep.note("conclusion:direct", direct.holds())
     canonical = frozenset(map(_exact_post(s1, space), pre))
     complete = check_upper(Triple(canonical, s2, post_q), space)
@@ -185,48 +202,20 @@ def _rule_seq(space, pre, s1, s2, mid, post_q) -> RuleReport:
     return rep
 
 
-def _structural_upper(name, stmt, premise, space, pre, post_q) -> RuleReport:
-    """Upper rule for a conditional or loop: the structural post function
-    maps each antecedent into the consequent."""
-    post_fn = interpreter.interpret(stmt, tf.transformer(space))
-    rep = _report(name, premise, list(_violations(post_fn, pre, post_q)))
-    direct = check_upper(Triple(pre, stmt, post_q), space)
-    return _conclude(rep, direct.holds())
-
-
-def _structural_lower(name, stmt, premise, space, pre, post_q) -> RuleReport:
-    """Lower rule: every consequent element is the structural image of some
-    antecedent."""
-    qs = _explicit(post_q, "lower triples need an explicit consequent")
-    post_fn = interpreter.interpret(stmt, tf.transformer(space))
-    rep = _report(name, premise, _unmatched(post_fn, pre, qs))
-    direct = check_lower(Triple(pre, stmt, post_q), space)
-    return _conclude(rep, direct.holds())
-
-
-def _rule_if_upper(space, pre, cond, s1, s2, post_q) -> RuleReport:
-    return _structural_upper("if_upper", If(cond, s1, s2),
-                             "forall pre: tied branch join in consequent",
-                             space, pre, post_q)
-
-
-def _rule_if_lower(space, pre, cond, s1, s2, post_q) -> RuleReport:
-    return _structural_lower("if_lower", If(cond, s1, s2),
-                             "forall consequent: exists tied branch join",
-                             space, pre, post_q)
-
-
-def _rule_while_upper(space, pre, cond, body, post_q) -> RuleReport:
-    return _structural_upper(
-        "while_upper", While(cond, body),
-        "forall pre: element from exact fixpoints in consequent",
-        space, pre, post_q)
-
-
-def _rule_while_lower(space, pre, cond, body, post_q) -> RuleReport:
-    return _structural_lower("while_lower", While(cond, body),
-                             "forall consequent: element of some antecedent",
-                             space, pre, post_q)
+def _structural(name, cls, premise, lower=False):
+    """Rule `name` for the construct `cls`: the structural post function,
+    checked upper or lower, and the direct check of that polarity."""
+    def rule(space, pre, stmt, post_q) -> RuleReport:
+        _construct(name, stmt, cls)
+        qs = (_explicit(post_q, "lower triples need an explicit consequent")
+              if lower else post_q)
+        post_fn = interpreter.interpret(stmt, tf.transformer(space))
+        witnesses = (_unmatched(post_fn, pre, qs) if lower
+                     else list(_violations(post_fn, pre, qs)))
+        direct = (check_lower if lower else check_upper)(
+            Triple(pre, stmt, post_q), space)
+        return _conclude(_report(name, premise, witnesses), direct.holds())
+    return rule
 
 
 def _rule_consequence(space, pre, stmt, post_q, wider_pre, narrower_post) -> RuleReport:
@@ -279,7 +268,8 @@ def _rule_choice(space, pre, s1, s2, post_q) -> RuleReport:
 
 # -- forall-exists ----------------------------------------------------------
 
-def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleReport:
+def _rule_forall_exists(space, pre, stmt, post_q, invariant=None) -> RuleReport:
+    loop = _construct("forall_exists", stmt, While)
     rep = RuleReport("forall_exists")
     pre_ts = frozenset(rd.pure_e(p.e) for p in pre)
     if not isinstance(post_q, HyperOracle):
@@ -290,7 +280,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     # triple and the weak family come from it whatever the number of
     # antecedents.  The family is the canonical (minimal) invariant:
     # premise 1 forces the antecedents in and premise 2 forces closure.
-    bs, not_b, step = tf.weak_step(cond, body, space)
+    bs, not_b, step = tf.weak_step(loop.cond, loop.body, space)
     family, _ = tf.weak_while_iterates(step, pre_ts, space)
     synthesized = invariant is None
     inv = family if synthesized else frozenset(
@@ -299,9 +289,11 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     rep.premise("pre included in invariant", pre_ts <= inv)
     rep.premise("invariant closed under guarded body step",
                 all(rd.compose(i, step) in inv for i in inv))
-    def exit_in_consequent(ts):
-        return all(tf.weak_exit(i, not_b) in post_q for i in ts)
-    exits_ok = exit_in_consequent(inv)
+    def exits_in_consequent(ts):
+        # every distinct image is tested: oracle calls follow no hash order
+        images = {tf.weak_exit(t, not_b) for t in ts}
+        return all([x in post_q for x in images])
+    exits_ok = exits_in_consequent(inv)
     rep.premise("invariant exits in consequent", exits_ok)
     rep.note("consequent chain-limit closed", True,
              "automatic on a finite space")
@@ -314,7 +306,7 @@ def _rule_forall_exists(space, pre, cond, body, post_q, invariant=None) -> RuleR
     rep.note("conclusion:direct", sound)
     # the weak conclusion is the exit premise of the family
     rep.note("conclusion:weak-hypercollecting",
-             exits_ok if synthesized else exit_in_consequent(family))
+             exits_ok if synthesized else exits_in_consequent(family))
     return rep
 
 
@@ -399,12 +391,25 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
     return rep
 
 
+# `upper` and `lower` look `check_upper` and `check_lower` up at each call,
+# so a wrapper set on the module sees those calls too
 _RULES = {
+    "upper": lambda space, pre, stmt, post_q:
+        check_upper(Triple(pre, stmt, post_q), space),
+    "lower": lambda space, pre, stmt, post_q:
+        check_lower(Triple(pre, stmt, post_q), space),
     "seq": _rule_seq,
-    "if_upper": _rule_if_upper,
-    "if_lower": _rule_if_lower,
-    "while_upper": _rule_while_upper,
-    "while_lower": _rule_while_lower,
+    "if_upper": _structural("if_upper", If,
+                            "forall pre: tied branch join in consequent"),
+    "if_lower": _structural("if_lower", If,
+                            "forall consequent: exists tied branch join",
+                            lower=True),
+    "while_upper": _structural(
+        "while_upper", While,
+        "forall pre: element from exact fixpoints in consequent"),
+    "while_lower": _structural(
+        "while_lower", While, "forall consequent: element of some antecedent",
+        lower=True),
     "consequence": _rule_consequence,
     "choice": _rule_choice,
     "forall_exists": _rule_forall_exists,

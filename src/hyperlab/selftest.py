@@ -687,8 +687,8 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
                                allow_while=False)
             props = frozenset((rd.prim("init", space),))
             weak, _ = tf.Post_weak_while(cond, body, props, space)
-            rep = hl.check_rule("forall_exists", space, pre=props, cond=cond,
-                                body=body, post_q=weak)
+            rep = hl.check_rule("forall_exists", space, pre=props,
+                                stmt=While(cond, body), post_q=weak)
             notes = dict((name, ok) for name, ok, _ in rep.premises)
             sound &= not rep.holds() or notes.get("conclusion:direct", True)
             complete &= rep.holds() or not notes.get(
@@ -706,8 +706,8 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
     loop = parse("while (y != 0) y = y - 1;")
     exact = frozenset((pure_e(it.sem(loop, space2).e),))
     init = frozenset((rd.prim("init", space2),))
-    rep = hl.check_rule("forall_exists", space2, pre=init, cond=loop.cond,
-                        body=loop.body, post_q=exact)
+    rep = hl.check_rule("forall_exists", space2, pre=init, stmt=loop,
+                        post_q=exact)
     direct = hl.check_upper(
         hl.Triple(init, loop,
                   hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e")),

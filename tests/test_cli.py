@@ -202,6 +202,26 @@ def test_check_while_rule_rejects_non_loop(workdir, capsys):
     assert code == 2 and "while loop" in err
 
 
+@pytest.mark.parametrize("rule", ["while_upper", "while_lower",
+                                  "forall_exists"])
+def test_check_loop_rule_refuses_straight_line_program(workdir, capsys,
+                                                       rule):
+    # the rule refuses the construct itself; flags and request alike
+    (workdir / "init_lh.json").write_text(json.dumps(
+        [{"e": [[[0, 0], [0, 0]]]}]))
+    (workdir / "req.json").write_text(json.dumps(
+        {"rule": rule, "program": "l = h;",
+         "space": {"vars": ["l", "h"], "lo": 0, "hi": 1},
+         "pre": [{"e": [[[0, 0], [0, 0]]]}], "post": []}))
+    for argv in (("--program", str(workdir / "leak.hl"),
+                  "--space", str(workdir / "space_lh.json"),
+                  "--pre", str(workdir / "init_lh.json"),
+                  "--rule", rule, "--post-oracle", "NI"),
+                 ("--request", str(workdir / "req.json"))):
+        assert run_cli(capsys, "check", *argv) == (
+            2, "", "error: rule %r needs a single while loop\n" % rule)
+
+
 def test_check_past_the_weak_iterate_cap_exits_2_naming_the_cap(workdir,
                                                                 capsys):
     # the body permutes [0, 40] in cycles of the prime lengths 2 to 13, so

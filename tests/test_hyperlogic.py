@@ -8,8 +8,8 @@ from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
 from hyperlab.hyperlogic import HyperOracle, Triple, check_lower, check_rule, check_upper
-from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Skip,
-                           Var, While, parse)
+from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq,
+                           Skip, Var, While, parse)
 from hyperlab.rel_domain import StateSpace, prim, pure_e
 from hyperlab.selftest import SPACE_Y, S1_SRC, random_program, random_triple
 from weak_reference import (BREAK_LOOP, break_loop_images,
@@ -132,12 +132,12 @@ def test_witnesses_come_in_sort_order():
         want_q = [(q, q) for q in sorted(q_set, key=rd.SemTriple.sort_key)]
         nothing = HyperOracle(lambda t: False, "nothing")
         for rep in (check_upper(Triple(pre, loop, nothing), space),
-                    check_rule("while_upper", space, pre=pre, cond=cond,
-                               body=body, post_q=nothing)):
+                    check_rule("while_upper", space, pre=pre, stmt=loop,
+                               post_q=nothing)):
             assert [p for p, _ in rep.witnesses] == want_pre
         for rep in (check_lower(Triple(pre, loop, q_set), space),
-                    check_rule("while_lower", space, pre=pre, cond=cond,
-                               body=body, post_q=q_set)):
+                    check_rule("while_lower", space, pre=pre, stmt=loop,
+                               post_q=q_set)):
             assert rep.witnesses == want_q
         assert hl.negate_upper(pre, loop, nothing, space) == \
             (True, frozenset(want_pre[:1]))
@@ -170,7 +170,7 @@ def test_seq_rule_with_canonical_intermediate():
         pre = frozenset((random_triple(rng, space),))
         mid = tf.Post(it.sem(s1, space), pre)
         post_q = tf.Post(it.sem(s2, space), mid)
-        rep = check_rule("seq", space, pre=pre, s1=s1, s2=s2, mid=mid,
+        rep = check_rule("seq", space, pre=pre, stmt=Seq(s1, s2), mid=mid,
                          post_q=post_q)
         assert rep.holds()
         assert _agreement(rep)["agreement:canonical-mid"]
@@ -183,19 +183,19 @@ def test_if_and_while_rules_agree_with_direct_checks():
         cond = Cmp(">", Var(space.vars[0]), Const(0))
         pre = frozenset((random_triple(rng, space), random_triple(rng, space)))
         exact_if = tf.Post(it.sem(If(cond, body, Skip()), space), pre)
-        rep = check_rule("if_upper", space, pre=pre, cond=cond, s1=body,
-                         s2=Skip(), post_q=exact_if)
+        rep = check_rule("if_upper", space, pre=pre,
+                         stmt=If(cond, body, Skip()), post_q=exact_if)
         assert rep.holds() and _agreement(rep)["agreement"]
         exact_w = tf.Post(it.sem(While(cond, body), space), pre)
-        rep = check_rule("while_upper", space, pre=pre, cond=cond, body=body,
-                         post_q=exact_w)
+        rep = check_rule("while_upper", space, pre=pre,
+                         stmt=While(cond, body), post_q=exact_w)
         assert rep.holds() and _agreement(rep)["agreement"]
-        rep = check_rule("while_lower", space, pre=pre, cond=cond, body=body,
-                         post_q=exact_w)
+        rep = check_rule("while_lower", space, pre=pre,
+                         stmt=While(cond, body), post_q=exact_w)
         assert rep.holds() and _agreement(rep)["agreement"]
         smaller = frozenset(list(exact_w)[:1])
-        rep = check_rule("if_lower", space, pre=pre, cond=cond, s1=body,
-                         s2=Skip(), post_q=tf.Post(
+        rep = check_rule("if_lower", space, pre=pre,
+                         stmt=If(cond, body, Skip()), post_q=tf.Post(
                              it.sem(If(cond, body, Skip()), space), pre))
         assert rep.holds() and _agreement(rep)["agreement"]
         assert smaller <= exact_w
@@ -204,8 +204,8 @@ def test_if_and_while_rules_agree_with_direct_checks():
 def test_while_rule_fails_when_consequent_too_small():
     s1 = parse(S1_SRC)
     pre = frozenset((prim("init", SPACE_Y),))
-    rep = check_rule("while_upper", SPACE_Y, pre=pre, cond=s1.cond,
-                     body=s1.body, post_q=frozenset())
+    rep = check_rule("while_upper", SPACE_Y, pre=pre, stmt=s1,
+                     post_q=frozenset())
     assert not rep.holds() and _agreement(rep)["agreement"]
 
 
@@ -248,16 +248,17 @@ def test_rules_that_list_their_consequent_refuse_an_oracle():
     anything = HyperOracle(lambda t: True, "anything")
     s = parse("x = 0;")
     with pytest.raises(ValueError) as err:
-        check_rule("seq", space, pre=pre, s1=s, s2=s, mid=anything,
+        check_rule("seq", space, pre=pre, stmt=Seq(s, s), mid=anything,
                    post_q=anything)
     assert str(err.value) == "intermediate hyper property must be explicit"
     loop = parse("while (x > 0) x = x - 1;")
     for run in (
             lambda: check_lower(Triple(pre, s, anything), space),
-            lambda: check_rule("while_lower", space, pre=pre, cond=loop.cond,
-                               body=loop.body, post_q=anything),
-            lambda: check_rule("if_lower", space, pre=pre, cond=loop.cond,
-                               s1=s, s2=Skip(), post_q=anything)):
+            lambda: check_rule("while_lower", space, pre=pre, stmt=loop,
+                               post_q=anything),
+            lambda: check_rule("if_lower", space, pre=pre,
+                               stmt=If(loop.cond, s, Skip()),
+                               post_q=anything)):
         with pytest.raises(ValueError) as err:
             run()
         assert str(err.value) == "lower triples need an explicit consequent"
@@ -306,8 +307,8 @@ def test_forall_exists_sound_and_relative_complete():
     s1 = parse(S1_SRC)
     props = frozenset((prim("init", SPACE_Y),))
     weak, _ = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
-    rep = check_rule("forall_exists", SPACE_Y, pre=props, cond=s1.cond,
-                     body=s1.body, post_q=weak)
+    rep = check_rule("forall_exists", SPACE_Y, pre=props, stmt=s1,
+                     post_q=weak)
     notes = _agreement(rep)
     assert rep.holds()
     assert notes["conclusion:direct"] and notes["conclusion:weak-hypercollecting"]
@@ -317,8 +318,8 @@ def test_forall_exists_rejects_supplied_bad_invariant():
     s1 = parse(S1_SRC)
     props = frozenset((prim("init", SPACE_Y),))
     weak, _ = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
-    rep = check_rule("forall_exists", SPACE_Y, pre=props, cond=s1.cond,
-                     body=s1.body, post_q=weak,
+    rep = check_rule("forall_exists", SPACE_Y, pre=props, stmt=s1,
+                     post_q=weak,
                      invariant=frozenset((pure_e(rd.empty_rel(SPACE_Y)),)))
     assert not rep.holds()
 
@@ -328,8 +329,8 @@ def test_forall_exists_incomplete_for_exact_consequents():
     loop = parse("while (y != 0) y = y - 1;")
     pre = frozenset((prim("init", space),))
     exact = frozenset((pure_e(it.sem(loop, space).e),))
-    rep = check_rule("forall_exists", space, pre=pre, cond=loop.cond,
-                     body=loop.body, post_q=exact)
+    rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                     post_q=exact)
     assert not rep.holds()
     assert _agreement(rep)["conclusion:direct"]  # yet the triple holds
 
@@ -357,8 +358,8 @@ def test_forall_exists_builds_the_step_relation_once(monkeypatch):
         weak, _ = tf.Post_weak_while(prog.cond, prog.body, pre, space)
         weak_calls = dict(calls)
         calls.update(guarded=0, interpret=0)
-        rep = check_rule("forall_exists", space, pre=pre, cond=prog.cond,
-                         body=prog.body, post_q=weak)
+        rep = check_rule("forall_exists", space, pre=pre, stmt=prog,
+                         post_q=weak)
         assert rep.holds()
         seen.append((weak_calls, dict(calls)))
     assert seen[0][1]["guarded"] > 0
@@ -389,8 +390,8 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
         for post_q in (ni, explicit):
             want = all(q in post_q for q in weak)
             for invariant in (None, wider, bad):
-                rep = check_rule("forall_exists", space, pre=pre, cond=cond,
-                                 body=body, post_q=post_q, invariant=invariant)
+                rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                                 post_q=post_q, invariant=invariant)
                 notes = _agreement(rep)
                 assert notes["conclusion:weak-hypercollecting"] == want, loop
                 if invariant is None:
@@ -423,8 +424,8 @@ def test_forall_exists_reads_only_the_e_component_of_a_listed_consequent():
             dressed = frozenset(rd.SemTriple(q.e, top.inf, top.br)
                                 for q in pure)
             for invariant in (None, pre):
-                got = [check_rule("forall_exists", space, pre=pre, cond=cond,
-                                  body=body, post_q=post_q,
+                got = [check_rule("forall_exists", space, pre=pre,
+                                  stmt=While(cond, body), post_q=post_q,
                                   invariant=invariant)
                        for post_q in (pure, dressed)]
                 assert got[0].verdict == got[1].verdict
@@ -570,8 +571,8 @@ def test_forall_exists_on_a_body_that_breaks():
     pre = frozenset((prim("init", space),))
     images = break_loop_images(space)
     for post_q, holds in ((images, True), (images[1:], False)):
-        rep = check_rule("forall_exists", space, pre=pre, cond=loop.cond,
-                         body=loop.body, post_q=frozenset(post_q))
+        rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                         post_q=frozenset(post_q))
         notes = _agreement(rep)
         assert rep.holds() == holds
         assert notes["invariant exits in consequent"] == holds
@@ -596,11 +597,82 @@ def test_forall_exists_reads_a_supplied_invariants_breaks():
             (family, True),
             (frozenset(rd.SemTriple(t.e, full, t.br) for t in family), True),
             (frozenset(pure_e(t.e) for t in family), False)):
-        rep = check_rule("forall_exists", space, pre=pre, cond=loop.cond,
-                         body=loop.body, post_q=weak, invariant=invariant)
+        rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                         post_q=weak, invariant=invariant)
         notes = _agreement(rep)
         assert notes["invariant closed under guarded body step"] == closed
         assert rep.holds() == closed
+
+
+def test_forall_exists_calls_an_oracle_once_per_distinct_exit_image():
+    # two of the three exit images fail NI: each is still tested once, so
+    # the number of oracle calls does not follow the order a frozenset
+    # iterates in.  The one antecedent adds one call for the direct
+    # conclusion; a supplied invariant adds the family's images for the
+    # weak conclusion
+    space = StateSpace.make(("l", "h"), 0, 2)
+    loop = parse("while (h > 0) { h = h - 1; l = l + 1; }")
+    pre = frozenset((prim("init", space),))
+    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    family, _ = tf.weak_while_iterates(step, pre, space)
+    exits = {tf.weak_exit(t, not_b) for t in family}
+    ni = ab.family("NI", space=space)
+    assert len(exits) == 3 and sum(x not in ni for x in exits) == 2
+    for invariant, images in ((None, 1), (family, 2)):
+        seen = []
+
+        def counted(t):
+            seen.append(t)
+            return ni.fn(t)
+        rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                         post_q=HyperOracle(counted, ni.name),
+                         invariant=invariant)
+        assert not _agreement(rep)["invariant exits in consequent"]
+        assert len(seen) == images * len(exits) + 1
+        assert sorted(seen[:3], key=rd.SemTriple.sort_key) == \
+            sorted(exits, key=rd.SemTriple.sort_key)
+        if invariant is not None:
+            assert set(seen[4:]) == exits
+
+
+# a statement of each kind: the index of its own kind is skipped per rule
+_CONSTRUCTS = (parse("x = 1;"), Seq(Skip()), parse("x = 0; x = 1;"),
+               parse("if (x > 0) x = 0; else skip;"),
+               parse("while (x > 0) x = x - 1;"))
+
+
+@pytest.mark.parametrize("rule, construct, own", [
+    ("seq", "sequence", 2), ("if_upper", "conditional", 3),
+    ("if_lower", "conditional", 3), ("while_upper", "while loop", 4),
+    ("while_lower", "while loop", 4), ("forall_exists", "while loop", 4)])
+def test_statement_rules_refuse_another_construct_first(rule, construct,
+                                                        own):
+    # each rule proves one construct (a sequence of two items at least) and
+    # refuses any other, naming itself, before it reads its consequent or
+    # its intermediate property
+    space = StateSpace.make(("x",), 0, 1)
+    pre = frozenset((prim("init", space),))
+    anything = HyperOracle(lambda t: True, "anything")
+    extra = {"mid": anything} if rule == "seq" else {}
+    for k, stmt in enumerate(_CONSTRUCTS):
+        if k == own:
+            continue
+        with pytest.raises(ValueError) as err:
+            check_rule(rule, space, pre=pre, stmt=stmt, post_q=anything,
+                       **extra)
+        assert str(err.value) == "rule %r needs a single %s" % (rule,
+                                                                construct)
+
+
+def test_upper_and_lower_rules_are_the_direct_checks():
+    space = StateSpace.make(("x",), 0, 2)
+    prog = parse("x = 1;")
+    pre = frozenset((prim("init", space),))
+    for post_q in (tf.Post(it.sem(prog, space), pre), frozenset()):
+        for rule, check in (("upper", check_upper), ("lower", check_lower)):
+            got = check_rule(rule, space, pre=pre, stmt=prog, post_q=post_q)
+            want = check(Triple(pre, prog, post_q), space)
+            assert got.to_json(space) == want.to_json(space)
 
 
 _FREE = parse("x = 1; break;")
@@ -612,7 +684,7 @@ _FREE = parse("x = 1; break;")
     (lambda sp, pre: hl.negate_upper(pre, _FREE, frozenset(), sp), "[1]"),
     (lambda sp, pre: check_rule("principal_ideal", sp, pre=pre, stmt=_FREE,
                                 generator=rd.triple(sp)), "[1]"),
-    (lambda sp, pre: check_rule("seq", sp, pre=pre, s1=Skip(), s2=_FREE,
+    (lambda sp, pre: check_rule("seq", sp, pre=pre, stmt=Seq(Skip(), _FREE),
                                 mid=pre, post_q=frozenset()), "[1]"),
     (lambda sp, pre: check_rule("choice", sp, pre=pre, s1=Skip(), s2=_FREE,
                                 post_q=frozenset()), "[1]"),

@@ -411,8 +411,8 @@ def test_while_rule_runs_the_divergence_gfp_once(monkeypatch):
                         for _ in range(n))
         post_q = tf.Post(sem(prog, space), pre)
         calls["gfp"] = 0
-        rep = check_rule("while_upper", space, pre=pre, cond=prog.cond,
-                         body=prog.body, post_q=post_q)
+        rep = check_rule("while_upper", space, pre=pre, stmt=prog,
+                         post_q=post_q)
         assert rep.holds()
         # one for the premise's loop post, one in the direct check's sem
         assert calls["gfp"] == 2

@@ -299,8 +299,8 @@ def test_weak_while_contains_the_exact_post_of_bodies_that_break():
         weak, _ = tf.Post_weak_while(cond, body, pre, space)
         wsem = it.sem(While(cond, body), space)
         assert {pure_e(rd.compose_rel(p.e, wsem.e)) for p in pre} <= weak
-        rep = hl.check_rule("forall_exists", space, pre=pre, cond=cond,
-                            body=body, post_q=weak)
+        rep = hl.check_rule("forall_exists", space, pre=pre,
+                            stmt=While(cond, body), post_q=weak)
         notes = {name: ok for name, ok, _ in rep.premises}
         assert rep.holds() and notes["conclusion:direct"]
     assert broke >= 150, broke
