@@ -11,13 +11,20 @@ order, see `rel_domain`).  Only the writers (`format_trace`, `dump_traces`,
 `traces_to_json`) look its states up.  A loop is one call of the semi-naive
 `interpreter.lfp`, on traces paired with their truncation flag.
 
-Infinite traces are never materialized: the divergent component is carried as
-the mask of divergent start states, which is the exact relational abstraction
-of the infinite trace set.  It is read from `interpreter.oracle_sem`: the
-starts that reach a cycle of configurations.  Traces longer than the
-configured cap L are dropped and the result is flagged as truncated, never
-silently cut, so commutation checks can skip flagged cases soundly.  A set
-past `MAX_TRACES` traces raises `TraceLimitError` (`hl`: exit 2) mid-build.
+One record, `TraceSet(e, inf, br, truncated)`, is the algebra's value and
+`trace_sem`'s result, in `SemTriple`'s order: ending traces, divergent
+starts, break traces (a loop consumes its body's; a whole program keeps
+those of a free break), then the truncation flag.
+Infinite traces are never materialized: inf is the mask of divergent
+starts, the exact relational abstraction of the infinite trace set.  The
+algebra's values carry none; `trace_sem` reads it from
+`interpreter.oracle_sem`: the starts that reach a cycle of configurations.
+`abstract_to_rel` maps a record to one `SemTriple`, `ends` of e and br with
+inf passed through, which on an untruncated set is `interpreter.sem`.
+Traces longer than the cap L are dropped and the result is flagged as
+truncated, never silently cut, so commutation checks can skip flagged cases
+soundly.  A set past `MAX_TRACES` traces raises `TraceLimitError` (`hl`:
+exit 2) mid-build.
 """
 
 from __future__ import annotations
@@ -39,27 +46,17 @@ class TraceLimitError(ValueError):
 
 
 class TraceSet(lang.Record):
-    __slots__ = ("finite", "div_starts", "truncated")
+    __slots__ = ("e", "inf", "br", "truncated")
 
-    def __init__(self, finite: frozenset, div_starts: int, truncated: bool):
-        _set_finite(self, finite)          # terminating traces (index tuples)
-        _set_div_starts(self, div_starts)  # mask of the diverging starts
-        _set_truncated(self, truncated)    # a trace exceeded the cap
-
-
-class _TR(lang.Record):
-    """Internal structural value: ending traces, break traces, flag."""
-
-    __slots__ = ("e", "br", "truncated")
-
-    def __init__(self, e: frozenset, br: frozenset, truncated: bool):
-        _tr_e(self, e)
-        _tr_br(self, br)
-        _tr_truncated(self, truncated)
+    def __init__(self, e: frozenset, inf: int, br: frozenset,
+                 truncated: bool):
+        _set_e(self, e)                  # ending traces (index tuples)
+        _set_inf(self, inf)              # mask of the diverging starts
+        _set_br(self, br)                # traces stopped at a break
+        _set_truncated(self, truncated)  # a trace exceeded the cap
 
 
-_set_finite, _set_div_starts, _set_truncated = lang.slot_setters(TraceSet)
-_tr_e, _tr_br, _tr_truncated = lang.slot_setters(_TR)
+_set_e, _set_inf, _set_br, _set_truncated = lang.slot_setters(TraceSet)
 
 
 def concat(t1, t2, cap: int):
@@ -97,20 +94,22 @@ def traces(space: StateSpace, cap: int) -> Algebra:
     def prim(s):
         if s.__class__ is BoolTest:
             test = rd.compile_expr(s.cond, space)
-            return _TR(frozenset(compress(units, map(test, states))), empty,
-                       False)
+            return TraceSet(frozenset(compress(units, map(test, states))), 0,
+                            empty, False)
         if s.__class__ is Break:
-            return _TR(empty, singles, False)
+            return TraceSet(empty, 0, singles, False)
         rows = rd.prim(s, space).e
         n = sum(map(int.bit_count, rows))
         if n > MAX_TRACES:
             raise TraceLimitError(n)
-        return _TR(frozenset(rd.labeled_pairs(rows, indexes)), empty, False)
+        return TraceSet(frozenset(rd.labeled_pairs(rows, indexes)), 0, empty,
+                        False)
 
     def seq(a, b):
         e, c1 = concat(a.e, b.e, cap)
         br2, c2 = concat(a.e, b.br, cap)
-        return _TR(e, a.br | br2, a.truncated or b.truncated or c1 or c2)
+        return TraceSet(e, 0, a.br | br2,
+                        a.truncated or b.truncated or c1 or c2)
 
     def loop(body, exit):
         # concat distributes over union in its second argument
@@ -124,21 +123,22 @@ def traces(space: StateSpace, cap: int) -> Algebra:
         reach, cut = interpreter.lfp(grow, (empty, body.truncated), singles,
                                      max_iter=cap + 2).result
         e, c = concat(reach, exit.e | body.br, cap)
-        return _TR(e, empty, cut or exit.truncated or c)
+        return TraceSet(e, 0, empty, cut or exit.truncated or c)
 
     return Algebra(prim, seq,
-                   lambda a, b: _TR(a.e | b.e, a.br | b.br,
-                                    a.truncated or b.truncated),
+                   lambda a, b: TraceSet(a.e | b.e, 0, a.br | b.br,
+                                         a.truncated or b.truncated),
                    loop)
 
 
 def trace_sem(s: lang.Stmt, space: StateSpace, max_len: int) -> TraceSet:
-    """Finite-trace semantics up to length `max_len`, plus divergent starts
-    (from `oracle_sem`)."""
+    """Finite-trace semantics up to length `max_len`, with the divergent
+    starts of `oracle_sem` as its inf."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tr = interpreter.interpret(s, traces(space, max_len))
-    return TraceSet(tr.e, interpreter.oracle_sem(s, space).inf, tr.truncated)
+    t = interpreter.interpret(s, traces(space, max_len))
+    return TraceSet(t.e, interpreter.oracle_sem(s, space).inf, t.br,
+                    t.truncated)
 
 
 def ends(traces, space: StateSpace) -> rd.Rel:
@@ -146,10 +146,10 @@ def ends(traces, space: StateSpace) -> rd.Rel:
     return rd.index_rel(((p[0], p[-1]) for p in traces), space)
 
 
-def abstract_to_rel(t: TraceSet, space: StateSpace):
-    """(`ends` of the finite traces, divergent mask): the first/last-state
-    abstraction, which passes the divergent starts through."""
-    return ends(t.finite, space), t.div_starts
+def abstract_to_rel(t: TraceSet, space: StateSpace) -> rd.SemTriple:
+    """The first/last-state abstraction: `ends` of e and of br, with the
+    divergent starts passed through."""
+    return rd.SemTriple(ends(t.e, space), t.inf, ends(t.br, space))
 
 
 def format_trace(p, space: StateSpace) -> str:
@@ -161,10 +161,10 @@ def format_trace(p, space: StateSpace) -> str:
 def dump_traces(t: TraceSet, space: StateSpace) -> str:
     """One trace per line, states as var:val groups separated by `;`, the
     lines in string order; then the divergent starts, if any, ascending."""
-    text = "\n".join(sorted(format_trace(p, space) for p in t.finite))
-    if t.div_starts:
+    text = "\n".join(sorted(format_trace(p, space) for p in t.e))
+    if t.inf:
         text += "\ndivergent starts: " + " ".join(
-            format_trace((i,), space) for i in rd.bits(t.div_starts))
+            format_trace((i,), space) for i in rd.bits(t.inf))
     return text
 
 
@@ -172,6 +172,6 @@ def traces_to_json(t: TraceSet, space: StateSpace) -> dict:
     """Traces and divergent starts as value arrays, ascending, and the
     truncation flag."""
     states = space.states()
-    return {"traces": [[list(states[i]) for i in p] for p in sorted(t.finite)],
-            "div_starts": [list(states[i]) for i in rd.bits(t.div_starts)],
+    return {"traces": [[list(states[i]) for i in p] for p in sorted(t.e)],
+            "div_starts": [list(states[i]) for i in rd.bits(t.inf)],
             "truncated": t.truncated}

@@ -375,12 +375,17 @@ def test_a_loop_with_a_long_body_checks_by_the_while_rule(workdir, capsys):
     assert json.loads(out)["rule"] == "while_upper"
 
 
-def test_free_break_rejected_by_cli(workdir, capsys):
+@pytest.mark.parametrize("command", ["sem", "trace", "post", "hyper-post"])
+def test_free_break_rejected_by_cli(workdir, capsys, command):
+    # the boundary refuses a free break before any semantics runs; for
+    # `trace` it is the one guard, as its output has no break traces
     (workdir / "freebreak.hl").write_text("break;\n")
-    code, _, err = run_cli(capsys, "sem",
-                           "--program", str(workdir / "freebreak.hl"),
-                           "--space", str(workdir / "space_y.json"))
-    assert code == 2 and "enclosing loop" in err
+    pre = () if command in ("sem", "trace") else (
+        "--pre", str(workdir / "init_y.json"))
+    assert run_cli(capsys, command,
+                   "--program", str(workdir / "freebreak.hl"),
+                   "--space", str(workdir / "space_y.json"), *pre) == (
+        2, "", "error: break without enclosing loop at AST path []\n")
 
 
 def test_abstract_and_lattice_lab(workdir, capsys):

@@ -635,6 +635,39 @@ def test_forall_exists_calls_an_oracle_once_per_distinct_exit_image():
             assert set(seen[4:]) == exits
 
 
+def test_forall_exists_tests_each_direct_conclusion_image_once():
+    # of three pure antecedents one has an exact loop post outside NI: the
+    # direct conclusion still tests every distinct exact image once, so the
+    # oracle sees each weak exit image and each exact image exactly once,
+    # wherever the failing antecedent falls in the frozenset's order
+    space = StateSpace.make(("l", "h"), 0, 2)
+    loop = parse("while (h > 0) { h = h - 1; l = l + 1; }")
+    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    loop_e = it.sem(loop, space).e
+    ni = ab.family("NI", space=space)
+
+    def pure_id(*starts):
+        return rd.triple(space, e=((s, s) for s in starts))
+    for bad in (pure_id((0, 0), (0, 1)), pure_id((1, 0), (1, 2)),
+                pure_id((0, 1), (0, 2))):
+        for good in ((0, 0), (1, 0), (2, 1), (0, 2)):
+            pre = frozenset((bad, pure_id(good), pure_id((2, 2))))
+            family, _ = tf.weak_while_iterates(step, pre, space)
+            exits = {tf.weak_exit(t, not_b) for t in family}
+            exact = {pure_e(rd.compose_rel(p.e, loop_e)) for p in pre}
+            assert len(exact) == 3 and sum(x not in ni for x in exact) == 1
+            seen = []
+
+            def counted(t):
+                seen.append(t)
+                return ni.fn(t)
+            rep = check_rule("forall_exists", space, pre=pre, stmt=loop,
+                             post_q=HyperOracle(counted, ni.name))
+            assert not _agreement(rep)["conclusion:direct"]
+            assert len(seen) == len(exits) + len(exact), (bad, good)
+            assert set(seen) == exits | exact
+
+
 # a statement of each kind: the index of its own kind is skipped per rule
 _CONSTRUCTS = (parse("x = 1;"), Seq(Skip()), parse("x = 0; x = 1;"),
                parse("if (x > 0) x = 0; else skip;"),

@@ -45,11 +45,8 @@ def _samples():
         (it.FixpointReport(2, "r"), {"iterations": 2, "result": "r"}),
         (it.Algebra(len, min, max, abs),
          {"prim": len, "seq": min, "join": max, "loop": abs}),
-        (td.TraceSet(frozenset(), frozenset(), False),
-         {"finite": frozenset(), "div_starts": frozenset(),
-          "truncated": False}),
-        (td._TR(frozenset(), frozenset(), True),
-         {"e": frozenset(), "br": frozenset(), "truncated": True}),
+        (td.TraceSet(frozenset(), 1, frozenset(), True),
+         {"e": frozenset(), "inf": 1, "br": frozenset(), "truncated": True}),
         (hl.Triple(frozenset(), Skip(), frozenset()),
          {"pre": frozenset(), "stmt": Skip(), "post": frozenset()}),
         (FAM, {"name": "F", "elements": ("top",), "limit": "bot",

@@ -8,35 +8,19 @@ from hyperlab import trace_domain as td
 from hyperlab.lang import (Assign, BoolTest, Break, Not, RandAssign, Skip,
                            parse)
 from hyperlab.rel_domain import StateSpace
-from hyperlab.selftest import (SPACE_TRACE, TRACE_SRC, random_aexpr,
-                               random_bexpr, random_program, trace_expected)
+from hyperlab.selftest import random_aexpr, random_bexpr, random_program
 
 
 def test_trace_sem_skip_duplicates_each_state():
     space = StateSpace.make(("x",), 0, 2)
     t = td.trace_sem(Skip(), space, 5)
-    assert t.finite == frozenset((i, i) for i in range(space.size()))
-    assert not t.truncated and t.div_starts == 0
+    assert t.e == frozenset((i, i) for i in range(space.size()))
+    assert not t.truncated and t.inf == 0 and t.br == frozenset()
 
 
 def test_trace_sem_rejects_zero_cap():
     with pytest.raises(ValueError):
         td.trace_sem(Skip(), StateSpace.make(("x",), 0, 1), 0)
-
-
-def test_paper_loop_traces_present_at_l8():
-    t = td.trace_sem(parse(TRACE_SRC), SPACE_TRACE, 8)
-    at = SPACE_TRACE.positions()
-    assert tuple(at[(v,)] for v in (-2, 0, 2)) in t.finite
-    assert tuple(at[(v,)] for v in (-3, -1, 1)) in t.finite
-    div = rd.mask(((3,), (4,), (5,)), SPACE_TRACE)
-    assert div & t.div_starts == div
-
-
-def test_paper_loop_closed_form_at_l10():
-    t = td.trace_sem(parse(TRACE_SRC), SPACE_TRACE, 10)
-    assert t.finite == trace_expected()
-    assert t.div_starts == rd.mask(((3,), (4,), (5,)), SPACE_TRACE)
 
 
 def test_concat_merges_middle_state_and_caps():
@@ -80,17 +64,16 @@ def test_a_sequence_is_composed_from_the_right():
     space = StateSpace.make(("x",), 0, 2)
     s = parse("x = 1; x = 2; x = [5,6];")
     t = td.trace_sem(s, space, 2)
-    assert t.finite == frozenset() and not t.truncated
+    assert t.e == frozenset() and not t.truncated
 
 
 def test_abstract_to_rel_trivial_cases():
     space = StateSpace.make(("x",), 0, 1)
     stutter = td.trace_sem(Skip(), space, 3)
-    pairs, div = td.abstract_to_rel(stutter, space)
-    assert pairs == rd.rel(((s, s) for s in space.states()), space)
-    assert div == 0
-    empty = td.TraceSet(frozenset(), 0, False)
-    assert td.abstract_to_rel(empty, space) == (rd.empty_rel(space), 0)
+    assert td.abstract_to_rel(stutter, space) == rd.pure_e(
+        rd.identity_rel(space))
+    empty = td.TraceSet(frozenset(), 0, frozenset(), False)
+    assert td.abstract_to_rel(empty, space) == rd.triple(space)
 
 
 def test_abstract_to_rel_on_terminating_countdown():
@@ -98,9 +81,8 @@ def test_abstract_to_rel_on_terminating_countdown():
     prog = parse("while (y != 0) y = y - 1;")
     t = td.trace_sem(prog, space, 8)
     assert not t.truncated
-    pairs, div = td.abstract_to_rel(t, space)
-    assert pairs == rd.rel(((s, (0,)) for s in space.states()), space)
-    assert div == 0
+    assert td.abstract_to_rel(t, space) == rd.triple(
+        space, e=((s, (0,)) for s in space.states()))
 
 
 def test_commutation_on_random_programs():
@@ -113,9 +95,36 @@ def test_commutation_on_random_programs():
         t = td.trace_sem(s, space, 9)
         if t.truncated:
             continue
-        pairs, div = td.abstract_to_rel(t, space)
+        assert td.abstract_to_rel(t, space) == it.sem(s, space)
+
+
+def test_trace_sem_keeps_the_traces_of_a_free_break():
+    # a fragment that breaks outside any loop keeps its break traces in br,
+    # as sem keeps their pairs, so the abstraction is sem's whole triple
+    space = StateSpace.make(("x",), 0, 2)
+    s = parse("if (x == 1) break; else x = 0;")
+    t = td.trace_sem(s, space, 4)
+    at = space.positions()
+    assert t.br == frozenset({(at[(1,)],)}) and not t.truncated
+    assert td.abstract_to_rel(t, space) == it.sem(s, space) == rd.triple(
+        space, e=[((0,), (0,)), ((2,), (0,))],
+        br=[((1,), (1,))])
+
+
+def test_commutation_on_random_fragments_with_free_breaks():
+    rng = random.Random(25)
+    breaking = 0
+    for _ in range(200):
+        s, space = random_program(rng, depth=3, allow_free_break=True)
+        if space.size() > 16:
+            space = StateSpace.make(space.vars, 0, 2)
+        t = td.trace_sem(s, space, 9)
+        if t.truncated:
+            continue
         ref = it.sem(s, space)
-        assert pairs == ref.e and div == ref.inf
+        assert td.abstract_to_rel(t, space) == ref, s
+        breaking += any(ref.br)
+    assert breaking >= 20, breaking
 
 
 def test_break_traces_have_no_extra_state():
@@ -125,9 +134,9 @@ def test_break_traces_have_no_extra_state():
     at = space.positions()
     # one skip stutter from the else branch, then the break stops at 2
     # without duplicating the final state
-    assert (at[(3,)], at[(3,)], at[(2,)]) in t.finite
+    assert (at[(3,)], at[(3,)], at[(2,)]) in t.e
     assert all(not (len(p) >= 2 and p[-1] == p[-2] == at[(2,)])
-               for p in t.finite)
+               for p in t.e)
 
 
 def test_dump_format_is_sorted_and_stable():
@@ -142,7 +151,8 @@ def test_abstraction_commutes_with_each_trace_operation():
     # operation of the trace algebra to the relational algebra's operation
     # on the abstracted arguments (e and br; traces carry no divergence):
     # alpha(loop(a, x)) = loop#(alpha(a), alpha(x)) with x the exit test.
-    # The algebra's traces are tuples of state indexes; td.ends is alpha
+    # The algebra's values are TraceSets of index tuples; abstract_to_rel is
+    # alpha, and its inf is the 0 the algebra carries
     rng = random.Random(24)
     space = StateSpace.make(("x", "y"), 0, 2)
     indexes = range(space.size())
@@ -155,7 +165,7 @@ def test_abstraction_commutes_with_each_trace_operation():
 
     def alpha(t):
         assert not t.truncated
-        return rd.SemTriple(td.ends(t.e, space), 0, td.ends(t.br, space))
+        return td.abstract_to_rel(t, space)
 
     def same(t, r):
         a = alpha(t)
@@ -168,8 +178,8 @@ def test_abstraction_commutes_with_each_trace_operation():
                              rng.randint(0, 3)),
                   BoolTest(random_bexpr(rng, space.vars, 1)), Skip(), Break()):
             assert same(tr.prim(s), rel.prim(s))
-        a = td._TR(rand_traces(5), rand_traces(2), False)
-        b = td._TR(rand_traces(5), rand_traces(2), False)
+        a = td.TraceSet(rand_traces(5), 0, rand_traces(2), False)
+        b = td.TraceSet(rand_traces(5), 0, rand_traces(2), False)
         assert same(tr.seq(a, b), rel.seq(alpha(a), alpha(b)))
         assert same(tr.join(a, b), rel.join(alpha(a), alpha(b)))
         x = tr.prim(BoolTest(Not(random_bexpr(rng, space.vars, 1))))
