@@ -7,18 +7,22 @@ every antecedent's exact post lands in the consequent; the lower triple
 (frozenset consequents only) when every consequent is the exact post of some
 antecedent.
 
+Every check takes the arguments of the rule table, `(space, pre, stmt,
+post_q)` and the rule's own auxiliaries; `upper` and `lower` are rules too
+(`check_upper`, `check_lower`), so `check_rule` is the one entry point.
 Both polarities read one post function: `_violations` yields the
 antecedents whose image the consequent rejects (upper), `_unmatched` the
-consequent elements that are no antecedent's image (lower).  The direct
-checks, `negate_upper` and the seq, choice and principal-ideal rules read
-the exact post of `sem` from `_exact_post`, which refuses a free break; the
-conditional and loop rules pass their structural post function, built once
-per statement (`transformers.transformer`).
+consequent elements that are no antecedent's image (lower).  The exact post
+of `sem` comes from `_exact_post`, which refuses a free break and runs
+`sem` once; a rule builds it once per statement it reads (a `seq` its first
+item, the rest and the whole) and reads its premises, its direct conclusion
+and their witnesses from it.  The conditional and loop rules also pass
+their structural post function, built once per statement
+(`transformers.transformer`).
 
 A rule that proves a statement takes it whole as `stmt` (`seq` a `Seq`,
 the if rules an `If`, the while rules and `forall_exists` a `While`) and
-refuses any other construct first, in `_construct`; `upper` and `lower`
-are rules too, so `check_rule` is the one entry point.
+refuses any other construct first, in `_construct`.
 
 Rule checkers are certificate checkers: auxiliary objects such as invariant
 families or frontier partitions are supplied by the caller and the premises
@@ -41,18 +45,6 @@ from .lang import (Cmp, Const, If, RandAssign, Record, Seq, Stmt, Var, While,
                    require_no_free_break, stmt_vars)
 from .rel_domain import SemTriple, StateSpace, join, leq
 from .transformers import HyperSet, post
-
-
-_set = object.__setattr__
-
-
-class Triple(Record):
-    __slots__ = ("pre", "stmt", "post")
-
-    def __init__(self, pre: HyperSet, stmt: Stmt, post):
-        _set(self, "pre", pre)
-        _set(self, "stmt", stmt)
-        _set(self, "post", post)  # HyperSet or HyperOracle
 
 
 class RuleReport(Record):
@@ -146,22 +138,22 @@ def _conclude(rep, direct) -> RuleReport:
 # ---------------------------------------------------------------------------
 # Direct triple checks
 
-def check_upper(t: Triple, space: StateSpace) -> RuleReport:
+def check_upper(space: StateSpace, pre: HyperSet, stmt, post_q) -> RuleReport:
     """Upper triple: every antecedent's exact post belongs to the consequent."""
     return _report("upper", "forall pre: post in consequent",
-                   list(_violations(_exact_post(t.stmt, space), t.pre,
-                                    t.post)), "%d violations")
+                   list(_violations(_exact_post(stmt, space), pre, post_q)),
+                   "%d violations")
 
 
-def check_lower(t: Triple, space: StateSpace) -> RuleReport:
+def check_lower(space: StateSpace, pre: HyperSet, stmt, post_q) -> RuleReport:
     """Lower triple: every consequent is the exact post of some antecedent."""
-    post_fn = _exact_post(t.stmt, space)
-    qs = _explicit(t.post, "lower triples need an explicit consequent")
+    post_fn = _exact_post(stmt, space)
+    qs = _explicit(post_q, "lower triples need an explicit consequent")
     return _report("lower", "forall consequent: exists matching pre",
-                   _unmatched(post_fn, t.pre, qs), "%d unmatched")
+                   _unmatched(post_fn, pre, qs), "%d unmatched")
 
 
-def negate_upper(pre: HyperSet, stmt, post_q, space: StateSpace):
+def negate_upper(space: StateSpace, pre: HyperSet, stmt, post_q):
     """Duality with the lower logic: the upper triple fails exactly when some
     nonempty subset of the antecedent lands entirely in the complement.
 
@@ -188,46 +180,48 @@ def _rule_seq(space, pre, stmt, mid, post_q) -> RuleReport:
     s1, *rest = _construct("seq", stmt, Seq).stmts
     s2 = rest[0] if len(rest) == 1 else Seq(*rest)
     mid_set = _explicit(mid, "intermediate hyper property must be explicit")
-    rep = RuleReport("seq")
-    r1 = check_upper(Triple(pre, s1, mid_set), space)
-    rep.premise("pre s1 mid", r1.holds())
-    r2 = check_upper(Triple(mid_set, s2, post_q), space)
-    rep.premise("mid s2 post", r2.holds())
-    rep.witnesses.extend(r1.witnesses + r2.witnesses)
-    direct = check_upper(Triple(pre, stmt, post_q), space)
-    rep.note("conclusion:direct", direct.holds())
-    canonical = frozenset(map(_exact_post(s1, space), pre))
-    complete = check_upper(Triple(canonical, s2, post_q), space)
-    rep.note("agreement:canonical-mid", complete.holds() == direct.holds())
+    post1 = _exact_post(s1, space)
+    w1 = list(_violations(post1, pre, mid_set))
+    post2 = _exact_post(s2, space)
+    w2 = list(_violations(post2, mid_set, post_q))
+    rep = RuleReport("seq", witnesses=w1 + w2)
+    rep.premise("pre s1 mid", not w1)
+    rep.premise("mid s2 post", not w2)
+    direct = not any(_violations(_exact_post(stmt, space), pre, post_q))
+    rep.note("conclusion:direct", direct)
+    canonical = frozenset(map(post1, pre))
+    rep.note("agreement:canonical-mid",
+             (not any(_violations(post2, canonical, post_q))) == direct)
     return rep
 
 
 def _structural(name, cls, premise, lower=False):
     """Rule `name` for the construct `cls`: the structural post function,
     checked upper or lower, and the direct check of that polarity."""
+    find = _unmatched if lower else _violations
+
     def rule(space, pre, stmt, post_q) -> RuleReport:
         _construct(name, stmt, cls)
-        qs = (_explicit(post_q, "lower triples need an explicit consequent")
-              if lower else post_q)
+        if lower:
+            post_q = _explicit(post_q,
+                               "lower triples need an explicit consequent")
         post_fn = interpreter.interpret(stmt, tf.transformer(space))
-        witnesses = (_unmatched(post_fn, pre, qs) if lower
-                     else list(_violations(post_fn, pre, qs)))
-        direct = (check_lower if lower else check_upper)(
-            Triple(pre, stmt, post_q), space)
-        return _conclude(_report(name, premise, witnesses), direct.holds())
+        rep = _report(name, premise, list(find(post_fn, pre, post_q)))
+        return _conclude(rep, not any(find(_exact_post(stmt, space), pre,
+                                           post_q)))
     return rule
 
 
 def _rule_consequence(space, pre, stmt, post_q, wider_pre, narrower_post) -> RuleReport:
     # sound but not needed for completeness
     rep = RuleReport("consequence")
-    rep.premise("pre included in wider pre", frozenset(pre) <= frozenset(wider_pre))
-    inner = check_upper(Triple(frozenset(wider_pre), stmt, narrower_post),
-                        space)
-    rep.premise("wider triple holds", inner.holds())
+    wider = frozenset(wider_pre)
+    rep.premise("pre included in wider pre", frozenset(pre) <= wider)
+    inner = list(_violations(_exact_post(stmt, space), wider, narrower_post))
+    rep.premise("wider triple holds", not inner)
     sub = all(q in post_q for q in narrower_post)
     rep.premise("narrower post included in post", sub)
-    rep.witnesses.extend(inner.witnesses)
+    rep.witnesses.extend(inner)
     return rep
 
 
@@ -340,13 +334,13 @@ def _rule_conjunctive(space, pre, stmt, post_q) -> RuleReport:
     ideal = frozenset(t for t in carrier if any(leq(t, q) for q in qs))
     filt = frozenset(t for t in carrier if any(leq(q, t) for q in qs))
     rep.premise("consequent conjunctively closed", ideal & filt == qs)
-    up = check_upper(Triple(frozenset(pre), stmt, ideal), space)
-    rep.premise("upper triple for order ideal part", up.holds())
-    down = check_upper(Triple(frozenset(pre), stmt, filt), space)
-    rep.premise("upper triple for order filter part", down.holds())
-    rep.witnesses.extend(up.witnesses + down.witnesses)
-    direct = check_upper(Triple(frozenset(pre), stmt, qs), space)
-    return _conclude(rep, direct.holds())
+    pre, post_fn = frozenset(pre), _exact_post(stmt, space)
+    up = list(_violations(post_fn, pre, ideal))
+    rep.premise("upper triple for order ideal part", not up)
+    down = list(_violations(post_fn, pre, filt))
+    rep.premise("upper triple for order filter part", not down)
+    rep.witnesses.extend(up + down)
+    return _conclude(rep, not any(_violations(post_fn, pre, qs)))
 
 
 # -- frontier rho elimination ------------------------------------------------
@@ -396,9 +390,9 @@ def _rule_frontier_rho(space, carrier, le, post_fn, pre, post_q,
 # so a wrapper set on the module sees those calls too
 _RULES = {
     "upper": lambda space, pre, stmt, post_q:
-        check_upper(Triple(pre, stmt, post_q), space),
+        check_upper(space, pre, stmt, post_q),
     "lower": lambda space, pre, stmt, post_q:
-        check_lower(Triple(pre, stmt, post_q), space),
+        check_lower(space, pre, stmt, post_q),
     "seq": _rule_seq,
     "if_upper": _structural("if_upper", If,
                             "forall pre: tied branch join in consequent"),

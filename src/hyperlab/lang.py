@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from typing import Iterator, Union
+from typing import Iterator
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -111,7 +111,7 @@ class ABin(Record):
         _abin_right(self, right)
 
 
-AExpr = Union[Const, Var, ABin]
+AExpr = Const | Var | ABin
 
 
 class Cmp(Record):
@@ -139,7 +139,7 @@ class BBin(Record):
         _bbin_right(self, right)
 
 
-BExpr = Union[Cmp, Not, BBin]
+BExpr = Cmp | Not | BBin
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ class BoolTest(Record):
         _booltest_cond(self, cond)
 
 
-Stmt = Union[Assign, RandAssign, Skip, Break, Seq, If, While, BoolTest]
+Stmt = Assign | RandAssign | Skip | Break | Seq | If | While | BoolTest
 
 
 # the slots' own setters, through which each `__init__` writes its fields

@@ -158,11 +158,6 @@ class StateSpace(lang.Record):
         return StateSpace.make(vs, cfg["lo"], cfg["hi"],
                                cfg.get("arith", "saturate"))
 
-    def to_config(self) -> dict:
-        lo = self.lo[0] if len(set(self.lo)) == 1 else list(self.lo)
-        hi = self.hi[0] if len(set(self.hi)) == 1 else list(self.hi)
-        return {"vars": list(self.vars), "lo": lo, "hi": hi, "arith": self.arith}
-
     def index(self, name: str) -> int:
         try:
             return self.vars.index(name)

@@ -658,22 +658,20 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
         s_sem = it.sem(s, space)
         p = random_triple(rng, space)
         q = tf.post(s_sem, p)
-        up = hl.check_upper(hl.Triple(frozenset((p,)), s,
-                                      frozenset((q,))), space)
-        low = hl.check_lower(hl.Triple(frozenset((p,)), s,
-                                       frozenset((q,))), space)
+        up = hl.check_upper(space, frozenset((p,)), s, frozenset((q,)))
+        low = hl.check_lower(space, frozenset((p,)), s, frozenset((q,)))
         if up.holds() != low.holds() or not up.holds():
             coincide = False
         other = random_triple(rng, space)
         props = frozenset((p, other))
         quos = frozenset((q,))
-        failed, witness = hl.negate_upper(props, s, quos, space)
-        direct = hl.check_upper(hl.Triple(props, s, quos), space)
+        failed, witness = hl.negate_upper(space, props, s, quos)
+        direct = hl.check_upper(space, props, s, quos)
         if failed == direct.holds():
             dual = False
         if failed:
             comp = hl.HyperOracle(lambda t, qs=quos: t not in qs, "neg")
-            sub = hl.check_upper(hl.Triple(witness, s, comp), space)
+            sub = hl.check_upper(space, witness, s, comp)
             if not sub.holds():
                 dual = False
 
@@ -709,9 +707,8 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
     rep = hl.check_rule("forall_exists", space2, pre=init, stmt=loop,
                         post_q=exact)
     direct = hl.check_upper(
-        hl.Triple(init, loop,
-                  hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e")),
-        space2)
+        space2, init, loop,
+        hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e"))
     brute = _forall_exists_bruteforce(
         space2, loop.cond, loop.body, [p.e for p in init],
         lambda r: pure_e(r) in exact)

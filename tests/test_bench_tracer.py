@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from hyperlab.selftest import S3_SRC, SPACE_XY
+from hyperlab.selftest import S3_SRC
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("lang", "rel_domain", "interpreter", "trace_domain", "transformers",
@@ -54,7 +54,7 @@ def test_every_traced_name_resolves(tracer_mod, lab):
 
 def test_traced_sem_records_the_relational_layer(tracer_mod, lab, tmp_path):
     (tmp_path / "s3.hl").write_text(S3_SRC)
-    (tmp_path / "space.json").write_text(json.dumps(SPACE_XY.to_config()))
+    (tmp_path / "space.json").write_text(json.dumps({"vars": ["x", "y"], "lo": -2, "hi": 2}))
     tracer = tracer_mod.Tracer()
     tracer.install(lab)
     tracer.begin_op()

@@ -7,7 +7,7 @@ from hyperlab import hyperlogic as hl
 from hyperlab import interpreter as it
 from hyperlab import rel_domain as rd
 from hyperlab import transformers as tf
-from hyperlab.hyperlogic import HyperOracle, Triple, check_lower, check_rule, check_upper
+from hyperlab.hyperlogic import HyperOracle, check_lower, check_rule, check_upper
 from hyperlab.lang import (Assign, BoolTest, Break, Cmp, Const, If, Seq,
                            Skip, Var, While, parse)
 from hyperlab.rel_domain import StateSpace, prim, pure_e
@@ -24,22 +24,20 @@ def test_upper_holds_on_countdown_oracle():
     want = rd.rel((((v,), (0,)) for v in range(0, 4)), SPACE_Y)
     oracle = HyperOracle(lambda t: rd.rel_leq(t.e, want),
                          "e inside zeroing pairs")
-    rep = check_upper(Triple(frozenset((prim("init", SPACE_Y),)), s1, oracle),
-                      SPACE_Y)
+    rep = check_upper(SPACE_Y, frozenset((prim("init", SPACE_Y),)), s1,
+                      oracle)
     assert rep.holds()
 
 
 def test_upper_vacuous_on_empty_antecedent():
-    rep = check_upper(Triple(frozenset(), parse("skip;"),
-                             frozenset()),
-                      StateSpace.make(("x",), 0, 1))
+    rep = check_upper(StateSpace.make(("x",), 0, 1), frozenset(),
+                      parse("skip;"), frozenset())
     assert rep.holds()
 
 
 def test_upper_noninterference_leak_fails_with_witness():
     ni = ab.family("NI", space=LH, low="l", high="h")
-    rep = check_upper(Triple(frozenset((prim("init", LH),)),
-                             parse("l = h;"), ni), LH)
+    rep = check_upper(LH, frozenset((prim("init", LH),)), parse("l = h;"), ni)
     assert not rep.holds()
     assert rep.witnesses and rep.witnesses[0][0] == prim("init", LH)
 
@@ -47,15 +45,13 @@ def test_upper_noninterference_leak_fails_with_witness():
 def test_upper_noninterference_constant_output_holds():
     # family oracles plug in directly as consequents
     ni = ab.family("NI", space=LH, low="l", high="h")
-    rep = check_upper(Triple(frozenset((prim("init", LH),)),
-                             parse("l = 0;"), ni), LH)
+    rep = check_upper(LH, frozenset((prim("init", LH),)), parse("l = 0;"), ni)
     assert rep.holds()
 
 
 def test_lower_empty_consequent_holds():
-    rep = check_lower(Triple(frozenset(), parse("skip;"),
-                             frozenset()),
-                      StateSpace.make(("x",), 0, 1))
+    rep = check_lower(StateSpace.make(("x",), 0, 1), frozenset(),
+                      parse("skip;"), frozenset())
     assert rep.holds()
 
 
@@ -66,8 +62,7 @@ def test_lower_single_element_corollary():
         p0 = random_triple(rng, space)
         other = random_triple(rng, space)
         q0 = tf.post(it.sem(s, space), p0)
-        rep = check_lower(Triple(frozenset((p0, other)), s,
-                                 frozenset((q0,))), space)
+        rep = check_lower(space, frozenset((p0, other)), s, frozenset((q0,)))
         assert rep.holds()
 
 
@@ -77,15 +72,13 @@ def test_singletons_make_both_logics_agree():
         s, space = random_program(rng, depth=2)
         p = random_triple(rng, space)
         q = tf.post(it.sem(s, space), p)
-        up = check_upper(Triple(frozenset((p,)), s, frozenset((q,))), space)
-        low = check_lower(Triple(frozenset((p,)), s, frozenset((q,))), space)
+        up = check_upper(space, frozenset((p,)), s, frozenset((q,)))
+        low = check_lower(space, frozenset((p,)), s, frozenset((q,)))
         assert up.holds() and low.holds()
         wrong = rd.join(q, prim("init", space))
         if wrong != q:
-            up2 = check_upper(Triple(frozenset((p,)), s,
-                                     frozenset((wrong,))), space)
-            low2 = check_lower(Triple(frozenset((p,)), s,
-                                      frozenset((wrong,))), space)
+            up2 = check_upper(space, frozenset((p,)), s, frozenset((wrong,)))
+            low2 = check_lower(space, frozenset((p,)), s, frozenset((wrong,)))
             assert up2.holds() == low2.holds() == False  # noqa: E712
 
 
@@ -98,12 +91,12 @@ def test_triples_equal_their_pointwise_singleton_forms():
             frozenset(tf.post(it.sem(s, space), p) for p in list(pre)[:2])
 
         def single(p, q):
-            return check_upper(Triple(frozenset((p,)), s,
-                                      frozenset((q,))), space).holds()
+            return check_upper(space, frozenset((p,)), s,
+                               frozenset((q,))).holds()
 
-        up = check_upper(Triple(pre, s, post_q), space).holds()
+        up = check_upper(space, pre, s, post_q).holds()
         assert up == all(any(single(p, q) for q in post_q) for p in pre)
-        low = check_lower(Triple(pre, s, post_q), space).holds()
+        low = check_lower(space, pre, s, post_q).holds()
         assert low == all(any(single(p, q) for p in pre) for q in post_q)
 
 
@@ -111,9 +104,9 @@ def test_negate_upper_minimal_witness_and_trivial_cases():
     ni = ab.family("NI", space=LH, low="l", high="h")
     oracle = HyperOracle(ni.fn, ni.name)
     pre = frozenset((prim("init", LH),))
-    failed, witness = hl.negate_upper(pre, parse("l = h;"), oracle, LH)
+    failed, witness = hl.negate_upper(LH, pre, parse("l = h;"), oracle)
     assert failed and witness == pre  # singleton antecedent is its own witness
-    failed, witness = hl.negate_upper(pre, parse("l = 0;"), oracle, LH)
+    failed, witness = hl.negate_upper(LH, pre, parse("l = 0;"), oracle)
     assert not failed and witness is None
 
 
@@ -131,22 +124,22 @@ def test_witnesses_come_in_sort_order():
         want_pre = sorted(pre, key=rd.SemTriple.sort_key)
         want_q = [(q, q) for q in sorted(q_set, key=rd.SemTriple.sort_key)]
         nothing = HyperOracle(lambda t: False, "nothing")
-        for rep in (check_upper(Triple(pre, loop, nothing), space),
+        for rep in (check_upper(space, pre, loop, nothing),
                     check_rule("while_upper", space, pre=pre, stmt=loop,
                                post_q=nothing)):
             assert [p for p, _ in rep.witnesses] == want_pre
-        for rep in (check_lower(Triple(pre, loop, q_set), space),
+        for rep in (check_lower(space, pre, loop, q_set),
                     check_rule("while_lower", space, pre=pre, stmt=loop,
                                post_q=q_set)):
             assert rep.witnesses == want_q
-        assert hl.negate_upper(pre, loop, nothing, space) == \
+        assert hl.negate_upper(space, pre, loop, nothing) == \
             (True, frozenset(want_pre[:1]))
 
 
 def test_rule_reports_are_serializable():
     s1 = parse(S1_SRC)
-    rep = check_upper(Triple(frozenset((prim("init", SPACE_Y),)), s1,
-                             frozenset()), SPACE_Y)
+    rep = check_upper(SPACE_Y, frozenset((prim("init", SPACE_Y),)), s1,
+                      frozenset())
     payload = rep.to_json(SPACE_Y)
     assert payload["verdict"] == "fails" and payload["witnesses"]
 
@@ -253,7 +246,7 @@ def test_rules_that_list_their_consequent_refuse_an_oracle():
     assert str(err.value) == "intermediate hyper property must be explicit"
     loop = parse("while (x > 0) x = x - 1;")
     for run in (
-            lambda: check_lower(Triple(pre, s, anything), space),
+            lambda: check_lower(space, pre, s, anything),
             lambda: check_rule("while_lower", space, pre=pre, stmt=loop,
                                post_q=anything),
             lambda: check_rule("if_lower", space, pre=pre,
@@ -698,23 +691,79 @@ def test_statement_rules_refuse_another_construct_first(rule, construct,
 
 
 def test_upper_and_lower_rules_are_the_direct_checks():
+    # the rule table's `upper` and `lower` give the reports, and refuse
+    # what the direct checks refuse, on fixed and on seeded random triples
     space = StateSpace.make(("x",), 0, 2)
     prog = parse("x = 1;")
     pre = frozenset((prim("init", space),))
-    for post_q in (tf.Post(it.sem(prog, space), pre), frozenset()):
+    cases = [(space, pre, prog, post_q)
+             for post_q in (tf.Post(it.sem(prog, space), pre), frozenset())]
+    rng = random.Random(59)
+    for _ in range(30):
+        s, space = random_program(rng, depth=2)
+        pre = frozenset(random_triple(rng, space) for _ in range(3))
+        posts = [tf.post(it.sem(s, space), p)
+                 for p in sorted(pre, key=rd.SemTriple.sort_key)]
+        cases += [(space, pre, s, ab.family("NI", space=space,
+                                            low=space.vars[0],
+                                            high=space.vars[-1])),
+                  (space, pre, s, frozenset(posts[:2] + [random_triple(
+                      rng, space)]))]
+    for space, pre, prog, post_q in cases:
         for rule, check in (("upper", check_upper), ("lower", check_lower)):
-            got = check_rule(rule, space, pre=pre, stmt=prog, post_q=post_q)
-            want = check(Triple(pre, prog, post_q), space)
-            assert got.to_json(space) == want.to_json(space)
+            runs = (lambda: check_rule(rule, space, pre=pre, stmt=prog,
+                                       post_q=post_q),
+                    lambda: check(space, pre, prog, post_q))
+            if rule == "lower" and isinstance(post_q, HyperOracle):
+                for run in runs:
+                    with pytest.raises(ValueError, match="^lower triples "
+                                       "need an explicit consequent$"):
+                        run()
+            else:
+                got, want = (run() for run in runs)
+                assert got.to_json(space) == want.to_json(space)
+
+
+_XS = StateSpace.make(("x",), 0, 1)
+_PRE = frozenset((prim("init", _XS),))
+_SEQ = parse("x = 1; x = x - 1;")
+_LOOP = parse("while (x > 0) x = x - 1;")
+
+
+@pytest.mark.parametrize("run, runs", [
+    (lambda: check_upper(_XS, _PRE, _SEQ, frozenset()), 1),
+    (lambda: check_lower(_XS, _PRE, _SEQ, frozenset()), 1),
+    (lambda: hl.negate_upper(_XS, _PRE, _SEQ, frozenset()), 1),
+    (lambda: check_rule("seq", _XS, pre=_PRE, stmt=_SEQ, mid=_PRE,
+                        post_q=_PRE), 3),
+    (lambda: check_rule("conjunctive", _XS, pre=_PRE, stmt=_SEQ,
+                        post_q=_PRE), 1),
+    (lambda: check_rule("consequence", _XS, pre=_PRE, stmt=_SEQ,
+                        post_q=_PRE, wider_pre=_PRE, narrower_post=_PRE), 1),
+    (lambda: check_rule("while_upper", _XS, pre=_PRE, stmt=_LOOP,
+                        post_q=_PRE), 1),
+    (lambda: check_rule("while_lower", _XS, pre=_PRE, stmt=_LOOP,
+                        post_q=_PRE), 1),
+], ids=["upper", "lower", "negate_upper", "seq", "conjunctive",
+        "consequence", "while_upper", "while_lower"])
+def test_each_check_runs_sem_once_per_statement_it_reads(monkeypatch, run,
+                                                         runs):
+    # a seq reads its first item, the rest and the whole; every other check
+    # reads its one statement, however many premises it checks on it
+    sem, seen = it.sem, []
+    monkeypatch.setattr(it, "sem",
+                        lambda s, space: seen.append(s) or sem(s, space))
+    run()
+    assert len(seen) == len(set(seen)) == runs
 
 
 _FREE = parse("x = 1; break;")
 
 
 @pytest.mark.parametrize("run, path", [
-    (lambda sp, pre: check_upper(Triple(pre, _FREE, frozenset()), sp), "[1]"),
-    (lambda sp, pre: check_lower(Triple(pre, _FREE, frozenset()), sp), "[1]"),
-    (lambda sp, pre: hl.negate_upper(pre, _FREE, frozenset(), sp), "[1]"),
+    (lambda sp, pre: check_upper(sp, pre, _FREE, frozenset()), "[1]"),
+    (lambda sp, pre: check_lower(sp, pre, _FREE, frozenset()), "[1]"),
+    (lambda sp, pre: hl.negate_upper(sp, pre, _FREE, frozenset()), "[1]"),
     (lambda sp, pre: check_rule("principal_ideal", sp, pre=pre, stmt=_FREE,
                                 generator=rd.triple(sp)), "[1]"),
     (lambda sp, pre: check_rule("seq", sp, pre=pre, stmt=Seq(Skip(), _FREE),

@@ -1,5 +1,8 @@
 import gc
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -176,3 +179,38 @@ def test_random_programs_break_outside_a_loop_only_when_asked():
 def test_booltest_has_no_concrete_syntax():
     with pytest.raises(ValueError):
         pretty(BoolTest(Cmp("==", Var("x"), Const(0))))
+
+
+
+# weakref each hyperlab module and each class it defines, drop the modules,
+# import them again, and name what is still alive
+_REIMPORT = """
+import gc, sys, weakref
+import hyperlab.cli, hyperlab.selftest
+
+def refs():
+    out = {}
+    for n, m in sys.modules.items():
+        if n.startswith("hyperlab"):
+            out[n] = weakref.ref(m)
+            out.update((n + "." + k, weakref.ref(v)) for k, v in vars(m).items()
+                       if isinstance(v, type) and v.__module__ == n)
+    return out
+
+old = refs()
+for n in [n for n in sys.modules if n.startswith("hyperlab")]:
+    del sys.modules[n]
+import hyperlab.cli, hyperlab.selftest
+gc.collect()
+print(" ".join(sorted(n for n, r in old.items() if r() is not None)))
+"""
+
+
+def test_a_dropped_module_is_not_kept_alive():
+    # typing caches each Union it builds: a `typing.Union` alias kept the
+    # classes of `lang`, so its functions and globals, alive after the
+    # package was dropped and imported again, as the benchmark's set-ups do
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -47,8 +47,6 @@ def _samples():
          {"prim": len, "seq": min, "join": max, "loop": abs}),
         (td.TraceSet(frozenset(), 1, frozenset(), True),
          {"e": frozenset(), "inf": 1, "br": frozenset(), "truncated": True}),
-        (hl.Triple(frozenset(), Skip(), frozenset()),
-         {"pre": frozenset(), "stmt": Skip(), "post": frozenset()}),
         (FAM, {"name": "F", "elements": ("top",), "limit": "bot",
                "direction": "down", "parametric": True}),
         (ab.ChainPoset(LAT, (FAM,)), {"lattice": LAT, "families": (FAM,)}),

@@ -297,14 +297,6 @@ def test_serialization_round_trip():
         assert rd.triple_from_json(rd.triple_to_json(t, space), space) == t
 
 
-def test_space_config_round_trip():
-    cfg = {"vars": ["x", "y"], "lo": -3, "hi": 3, "arith": "saturate"}
-    space = StateSpace.from_config(cfg)
-    assert space.to_config() == cfg
-    per_var = StateSpace.make(("x", "y"), (0, -1), (1, 2))
-    assert StateSpace.from_config(per_var.to_config()) == per_var
-
-
 def test_space_config_state_count_is_capped():
     # 64 * 64 states is the cap itself; one more value of y is past it
     assert rd.MAX_STATES == 4096
