@@ -681,6 +681,11 @@ def _gd(space, low, high):
     return lambda t: not gni(t)
 
 
+# the families over denotation triples, which `hl check --post-oracle` names
+TRIPLE_FAMILIES = {"NI": _ni, "GNI": _gni, "GD": _gd}
+_RELATION_FAMILIES = {"AEH": _aeh, "AAH": _aah, "EAH": _eah}
+
+
 def family(name: str, *, A=None, space=None,
            low="l", high="h") -> HyperOracle:
     """The `HyperOracle` of a hyperproperty family member.
@@ -689,17 +694,16 @@ def family(name: str, *, A=None, space=None,
     to subsets of it; NI/GNI/GD take low/high variable names and apply to
     denotation triples (their finite executions).
     """
-    if name in ("AEH", "AAH", "EAH"):
+    if name in _RELATION_FAMILIES:
         if A is None:
             raise ValueError("%s needs the relation A" % name)
-        a = frozenset(A)
-        fn = {"AEH": _aeh, "AAH": _aah, "EAH": _eah}[name](a)
-        return HyperOracle(fn, "%s(A)" % name)
-    if name in ("NI", "GNI", "GD"):
+        return HyperOracle(_RELATION_FAMILIES[name](frozenset(A)),
+                           "%s(A)" % name)
+    if name in TRIPLE_FAMILIES:
         if space is None:
             raise ValueError("%s needs the state space" % name)
-        fn = {"NI": _ni, "GNI": _gni, "GD": _gd}[name](space, low, high)
-        return HyperOracle(fn, "%s(low=%s,high=%s)" % (name, low, high))
+        return HyperOracle(TRIPLE_FAMILIES[name](space, low, high),
+                           "%s(low=%s,high=%s)" % (name, low, high))
     raise ValueError("unknown family %r" % name)
 
 

@@ -133,16 +133,15 @@ def cmd_hyper_post(args) -> int:
     return 0
 
 
-_FAMILIES = ("NI", "GNI", "GD")
 _CHECK_RULES = ("upper", "lower", "while_upper", "while_lower", "forall_exists")
 
 
-def _flag_request(args) -> dict:
-    """The flags of `hl check` as a request whose file-valued keys (program,
-    space, pre, post) hold the paths the flags name."""
-    post = "post_oracle" if args.post_oracle in _FAMILIES else "post"
-    req = {"rule": args.rule, "program": args.program, "space": args.space,
-           "pre": args.pre, post: args.post_oracle, "low": args.low,
+def _flag_request(args, families) -> dict:
+    """The typed flags of `hl check` as a request whose file-valued keys
+    (program, space, pre, post) hold the paths the flags name."""
+    post = "post_oracle" if args.post_oracle in families else "post"
+    req = {"program": args.program, "space": args.space, "pre": args.pre,
+           "rule": args.rule, post: args.post_oracle, "low": args.low,
            "high": args.high}
     return {k: v for k, v in req.items() if v is not None}
 
@@ -152,15 +151,20 @@ def _flag(key: str) -> str:
 
 
 def cmd_check(args) -> int:
-    """Check a request read from --request or made of the flags; errors name
-    what the user typed: a flag or file path, or a request key."""
+    """Check a request read from --request or made of the flags, never both;
+    errors name what the user typed: a flag or file path, or a request key.
+    The rule's default is set here, low's and high's in `ab.family`."""
     from . import abstractions as ab, hyperlogic as hl
     by_flag = not args.request
+    flagged = _flag_request(args, ab.TRIPLE_FAMILIES)
     if by_flag:
-        req, name, listed = _flag_request(args), _flag, _flag
+        req, name, listed = flagged, _flag, _flag
         need = ("program", "space", "pre",
                 "post_oracle" if "post_oracle" in req else "post")
         missing = "check needs --request or %s"
+    elif flagged:
+        raise CliError("flag %s is not read next to --request"
+                       % ", ".join(map(_flag, flagged)))
     else:
         req, name, listed = _load_json(args.request), repr, str
         need, missing = ("space", "program"), "request has no %s"
@@ -200,7 +204,7 @@ def cmd_check(args) -> int:
     pre = triples("pre")
     if "post_oracle" in req:
         post_q = ab.family(req["post_oracle"], space=space,
-                           low=req.get("low", "l"), high=req.get("high", "h"))
+                           **{k: req[k] for k in ("low", "high") if k in req})
     else:
         post_q = triples("post")
     # only forall_exists reads an invariant: any other rule refused it above
@@ -290,7 +294,7 @@ _COMMANDS = {
         ("--program", {}),
         ("--space", {}),
         ("--pre", {}),
-        ("--rule", {"default": "upper"}),
+        ("--rule", {}),
         ("--post-oracle", {"help": "NI|GNI|GD or a triples JSON file"}),
         ("--low", {"help": "low variable of NI|GNI|GD (default l)"}),
         ("--high", {"help": "high variable of NI|GNI|GD (default h)"}),

@@ -10,15 +10,16 @@ antecedent.
 Every check takes the arguments of the rule table, `(space, pre, stmt,
 post_q)` and the rule's own auxiliaries; `upper` and `lower` are rules too
 (`check_upper`, `check_lower`), so `check_rule` is the one entry point.
-Both polarities read one post function: `_violations` yields the
-antecedents whose image the consequent rejects (upper), `_unmatched` the
-consequent elements that are no antecedent's image (lower).  The exact post
-of `sem` comes from `_exact_post`, which refuses a free break and runs
-`sem` once; a rule builds it once per statement it reads (a `seq` its first
-item, the rest and the whole) and reads its premises, its direct conclusion
-and their witnesses from it.  The conditional and loop rules also pass
-their structural post function, built once per statement
-(`transformers.transformer`).
+Both polarities read one post function: `_violations` yields the antecedents
+whose image the consequent rejects (upper), `_unmatched` the consequent
+elements that are no antecedent's image (lower).  The exact post of `sem`
+comes from `_exact_post`, which refuses a free break and runs `sem` once; a
+rule builds it once per statement it reads (a `seq` its first item, the rest
+and the whole) and reads its premises, its direct conclusion and their
+witnesses from it.  The conditional and loop rules also pass their
+structural post function, built once per statement
+(`transformers.transformer`), where a basic command or a loop is
+`partial(post, t)` as in `_exact_post`.
 
 A rule that proves a statement takes it whole as `stmt` (`seq` a `Seq`,
 the if rules an `If`, the while rules and `forall_exists` a `While`) and
@@ -274,7 +275,7 @@ def _rule_forall_exists(space, pre, stmt, post_q, invariant=None) -> RuleReport:
     # triple and the weak family come from it whatever the number of
     # antecedents.  The family is the canonical (minimal) invariant:
     # premise 1 forces the antecedents in and premise 2 forces closure.
-    bs, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    bs, not_b, step = tf.weak_step(loop, space)
     family, _ = tf.weak_while_iterates(step, pre_ts, space)
     synthesized = invariant is None
     inv = family if synthesized else frozenset(

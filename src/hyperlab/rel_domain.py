@@ -107,9 +107,12 @@ class StateSpace(lang.Record):
             raise ValueError("state space variables must be distinct, got %s"
                              % json.dumps(list(vars)))
         if len(lo) != len(vars) or len(hi) != len(vars):
-            raise ValueError("bounds do not match variables")
-        if any(l > h for l, h in zip(lo, hi)):
-            raise ValueError("lo > hi")
+            raise ValueError("bounds do not match variables: %d variables, "
+                             "%d lo and %d hi bounds"
+                             % (len(vars), len(lo), len(hi)))
+        for v, l, h in zip(vars, lo, hi):
+            if l > h:
+                raise ValueError("lo > hi for variable %r: %d > %d" % (v, l, h))
         if arith not in ARITH_MODES:
             raise ValueError("unknown arithmetic mode %r" % arith)
         widths = [h - l + 1 for l, h in zip(lo, hi)]

@@ -108,12 +108,8 @@ def random_bexpr(rng, names, depth):
                 random_bexpr(rng, names, depth - 1))
 
 
-def random_stmt(rng, names, depth, in_loop=False, allow_free_break=False,
-                allow_while=True):
-    basic = ["assign", "rassign", "skip"]
-    if in_loop or allow_free_break:
-        basic.append("break")
-    choices = list(basic)
+def random_stmt(rng, names, depth, in_loop=False, allow_while=True):
+    choices = ["assign", "rassign", "skip"] + (["break"] if in_loop else [])
     if depth > 0:
         choices += ["seq", "seq", "if", "if"]
         if allow_while:
@@ -129,25 +125,19 @@ def random_stmt(rng, names, depth, in_loop=False, allow_free_break=False,
     if kind == "break":
         return Break()
     if kind == "seq":
-        return Seq(random_stmt(rng, names, depth - 1, in_loop,
-                               allow_free_break, allow_while),
-                   random_stmt(rng, names, depth - 1, in_loop,
-                               allow_free_break, allow_while))
+        return Seq(random_stmt(rng, names, depth - 1, in_loop, allow_while),
+                   random_stmt(rng, names, depth - 1, in_loop, allow_while))
     if kind == "if":
         return If(random_bexpr(rng, names, 1),
-                  random_stmt(rng, names, depth - 1, in_loop,
-                              allow_free_break, allow_while),
-                  random_stmt(rng, names, depth - 1, in_loop,
-                              allow_free_break, allow_while))
+                  random_stmt(rng, names, depth - 1, in_loop, allow_while),
+                  random_stmt(rng, names, depth - 1, in_loop, allow_while))
     return While(random_bexpr(rng, names, 1),
-                 random_stmt(rng, names, depth - 1, True,
-                             allow_free_break, allow_while))
+                 random_stmt(rng, names, depth - 1, True, allow_while))
 
 
 def random_program(rng, depth=4, allow_free_break=False, allow_while=True):
     space = random_space(rng)
-    s = random_stmt(rng, space.vars, depth,
-                    allow_free_break=allow_free_break,
+    s = random_stmt(rng, space.vars, depth, in_loop=allow_free_break,
                     allow_while=allow_while)
     return s, space
 
@@ -329,12 +319,12 @@ def suite_weak(n=120, seed=20240804, break_seed=20240808):
         for _ in range(n):
             space = random_space(rng, max_range=4)
             cond = random_bexpr(rng, space.vars, 1)
-            body = random_stmt(rng, space.vars, 2, in_loop=k == 1,
-                               allow_while=False)
+            loop = While(cond, random_stmt(rng, space.vars, 2, in_loop=k == 1,
+                                           allow_while=False))
             props = frozenset((rd.prim("init", space),
                                random_triple(rng, space, pure=True)))
-            weak, _ = tf.Post_weak_while(cond, body, props, space)
-            wsem = it.sem(While(cond, body), space)
+            weak, _ = tf.Post_weak_while(loop, props, space)
+            wsem = it.sem(loop, space)
             exact = frozenset(pure_e(rd.compose_rel(p.e, wsem.e))
                               for p in props)
             misses[k] += not exact <= weak
@@ -344,7 +334,7 @@ def suite_weak(n=120, seed=20240804, break_seed=20240808):
 
     s1 = parse(S1_SRC)
     props = frozenset((rd.prim("init", SPACE_Y),))
-    weak, stab = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
+    weak, stab = tf.Post_weak_while(s1, props, SPACE_Y)
     exact = frozenset(pure_e(rd.compose_rel(p.e, it.sem(s1, SPACE_Y).e))
                       for p in props)
     checks.append(("pinned strictness witness on S1",
@@ -621,11 +611,11 @@ def suite_frontier_cex():
     return checks
 
 
-def _forall_exists_bruteforce(space, cond, body, pre_rels, member_rel):
+def _forall_exists_bruteforce(space, loop, pre_rels, member_rel):
     """Exhaustive invariant-family search on a |Sigma|=2 space."""
     rels = tf.enumerate_rels(space)
-    if_e = it.sem(If(cond, body, Skip()), space).e
-    not_b = rd.prim(BoolTest(Not(cond)), space).e
+    if_e = it.sem(If(loop.cond, loop.body, Skip()), space).e
+    not_b = rd.prim(BoolTest(Not(loop.cond)), space).e
     idx = {r: i for i, r in enumerate(rels)}
     if_img = [idx[rd.compose_rel(r, if_e)] for r in rels]
     ok_exit = [member_rel(rd.compose_rel(r, not_b)) for r in rels]
@@ -681,12 +671,12 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
         for _ in range(n):
             space = random_space(rng, max_range=4)
             cond = random_bexpr(rng, space.vars, 1)
-            body = random_stmt(rng, space.vars, 2, in_loop=in_loop,
-                               allow_while=False)
+            loop = While(cond, random_stmt(rng, space.vars, 2,
+                                           in_loop=in_loop, allow_while=False))
             props = frozenset((rd.prim("init", space),))
-            weak, _ = tf.Post_weak_while(cond, body, props, space)
+            weak, _ = tf.Post_weak_while(loop, props, space)
             rep = hl.check_rule("forall_exists", space, pre=props,
-                                stmt=While(cond, body), post_q=weak)
+                                stmt=loop, post_q=weak)
             notes = dict((name, ok) for name, ok, _ in rep.premises)
             sound &= not rep.holds() or notes.get("conclusion:direct", True)
             complete &= rep.holds() or not notes.get(
@@ -709,9 +699,8 @@ def suite_rules(n=120, seed=20240806, break_seed=20240809):
     direct = hl.check_upper(
         space2, init, loop,
         hl.HyperOracle(lambda t: pure_e(t.e) in exact, "exact-e"))
-    brute = _forall_exists_bruteforce(
-        space2, loop.cond, loop.body, [p.e for p in init],
-        lambda r: pure_e(r) in exact)
+    brute = _forall_exists_bruteforce(space2, loop, [p.e for p in init],
+                                      lambda r: pure_e(r) in exact)
     checks.append(("incompleteness witness: exact triple holds but no "
                    "invariant family exists",
                    direct.holds() and not rep.holds() and not brute, ""))

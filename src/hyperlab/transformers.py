@@ -2,14 +2,15 @@
 
 `post` maps a precondition triple through a denotation by sequential
 composition; `pre_tilde` is its upper adjoint.  `Post` is the elementwise
-lift of `post` to finite sets of triples; it is computed either directly from
-a denotation or structurally (`post_structural` / `Post_structural`) by
+lift of `post` to finite sets of triples; it is computed either directly
+from a denotation or structurally (`post_structural` / `Post_structural`) by
 `interpreter.interpret` on the transformer algebra, whose values are post
-functions p -> q.  Its conditional joins the two branch outcomes of each
-precondition (one result element per precondition, never the cross
-product), a sequence applies its statements' functions in one loop, and the
-function is built once per statement, so each loop's guarded body and
-divergence fixpoint are computed once.
+functions p -> q.  A basic command's or a loop's is `partial(post, t)` of
+its triple t, as `hyperlogic`'s exact post is of `sem`'s.  Its conditional
+joins the two branch outcomes of each precondition (one result element per
+precondition, never the cross product), a sequence applies its statements'
+functions in one loop, and the function is built once per statement, so each
+loop's guarded body and divergence fixpoint are computed once.
 
 `Pre` (the upper adjoint of `Post`) quantifies over all execution properties
 and is only offered in toy mode where the triple lattice is enumerable; its
@@ -18,16 +19,18 @@ hyper property is tested with `in`, whether a frozenset or an oracle.
 `Post_weak_while` is the weak hypercollecting loop semantics: the set of
 loop-exit images of every finite iterate, on the finitary components only
 (its defining setting ignores nontermination).  On a finite state space it
-contains the exact loop Post, usually strictly.  `weak_while_iterates`
-closes all antecedents, as triples <e, 0, br>, under the step triple of
-`weak_step` in one `interpreter.lfp` call: e holds the pairs still at the
-loop head, and br the pairs that left by a break, in every later iterate
-too.  `Post_weak_while` maps that weak family to its exit images
-(`weak_exit`); the forall-exists rule takes it as its canonical invariant.
+contains the exact loop Post, usually strictly.  It and `weak_step` take the
+`While` whole, as the rules do.  `weak_while_iterates` closes all
+antecedents, as triples <e, 0, br>, under the step triple of `weak_step` in
+one `interpreter.lfp` call: e holds the pairs still at the loop head, and br
+the pairs that left by a break, in every later iterate too.
+`Post_weak_while` maps that weak family to its exit images (`weak_exit`);
+the forall-exists rule takes it as its canonical invariant.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Tuple
 
@@ -108,19 +111,15 @@ class _Then:
 
 def transformer(space: StateSpace) -> Algebra:
     """Post functions p -> q; a sequence is a `_Then` chain, and a loop
-    composes p with `loop_triple` of its guarded body's and its exit test's
+    posts p through `loop_triple` of its guarded body's and its exit test's
     functions applied to the identity."""
-    def basic(s):
-        t = prim(s, space)
-        return lambda p: compose(p, t)
-
     def loop(body, exit):
         init = prim("init", space)
-        t = interpreter.loop_triple(body(init), exit(init), space)
-        return lambda p: compose(p, t)
+        return partial(post, interpreter.loop_triple(body(init), exit(init),
+                                                     space))
 
-    return Algebra(basic, _Then, lambda f, g: lambda p: join(f(p), g(p)),
-                   loop)
+    return Algebra(lambda s: partial(post, prim(s, space)), _Then,
+                   lambda f, g: lambda p: join(f(p), g(p)), loop)
 
 
 def post_structural(s: lang.Stmt, p: SemTriple, space: StateSpace) -> SemTriple:
@@ -159,12 +158,12 @@ def weak_while_iterates(step: SemTriple, pre, space: StateSpace) -> Tuple:
     return rep.result, max(rep.iterations - 2, 0)
 
 
-def weak_step(b, body, space: StateSpace) -> Tuple:
-    """(bs, not_b, step) of `while (b) body`: the guarded body's triple
+def weak_step(loop: lang.While, space: StateSpace) -> Tuple:
+    """(bs, not_b, step) of `loop`, `while (b) S`: the guarded body's triple
     bs = sem(B;S), the exit test's triple not_b = sem(!b) and the weak step
     <bs.e | [!b]e, 0, bs.br>, whose br takes a breaking run out."""
-    bs = interpreter.body_triple(b, body, space)
-    not_b = prim(BoolTest(Not(b)), space)
+    bs = interpreter.body_triple(loop.cond, loop.body, space)
+    not_b = prim(BoolTest(Not(loop.cond)), space)
     return bs, not_b, SemTriple(rd.union(bs.e, not_b.e), 0, bs.br)
 
 
@@ -173,13 +172,13 @@ def weak_exit(t: SemTriple, not_b: SemTriple) -> SemTriple:
     return rd.pure_e(rd.union(rd.compose_rel(t.e, not_b.e), t.br))
 
 
-def Post_weak_while(b, body, props: HyperSet, space: StateSpace):
-    """Weak hypercollecting semantics of `while (b) body` on e-components.
+def Post_weak_while(loop: lang.While, props: HyperSet, space: StateSpace):
+    """Weak hypercollecting semantics of `loop` on e-components.
 
     Returns (results, stabilization), where results collects the exit
     images of X^n(pure_e(P.e)) for every P in props and every n.
     """
-    _, not_b, step = weak_step(b, body, space)
+    _, not_b, step = weak_step(loop, space)
     family, stab = weak_while_iterates(
         step, (rd.pure_e(p.e) for p in props), space)
     return frozenset(weak_exit(t, not_b) for t in family), stab

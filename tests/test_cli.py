@@ -5,6 +5,7 @@ import pytest
 
 from hyperlab import cli
 from hyperlab import rel_domain as rd
+from hyperlab import selftest
 from hyperlab.cli import main
 
 
@@ -547,6 +548,25 @@ def test_selftest_filter_matching_no_suite_exits_two(capsys):
                           "(have: relational, trace, oracle, ")
 
 
+def test_selftest_reports_each_failed_check_and_exits_one(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(selftest, "SUITES", (
+        ("fine", lambda: [("holds", True, "")]),
+        ("broken", lambda: [("holds", True, ""), ("misses", False, "2 of 3"),
+                            ("also misses", False, "")])))
+    lines = []
+    assert selftest.run(out=lines.append) == 2
+    # each suite's line ends in its time, which varies
+    assert [line.rsplit(None, 1)[0] for line in lines[:2]] == [
+        "fine             ok     1 checks", "broken           FAIL   3 checks"]
+    assert lines[2:] == ["    FAIL misses: 2 of 3", "    FAIL also misses"]
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == lines[2:]
+    code, out, err = run_cli(capsys, "selftest", "--filter", "fine")
+    assert (code, out.split()[:2], err) == (0, ["fine", "ok"], "")
+
+
 def test_sem_space_missing_key_exits_two(workdir, capsys):
     (workdir / "space_nohi.json").write_text(json.dumps(
         {"vars": ["l", "h"], "lo": 0}))
@@ -578,6 +598,60 @@ def test_an_oversized_space_exits_two_naming_its_size(workdir, capsys,
     assert run_cli(capsys, *argv) == (
         2, "", "error: space config has 1003003001 states, more than the "
         "limit of %d\n" % rd.MAX_STATES)
+
+
+@pytest.mark.parametrize("space, want", (
+    ([1], "space config must be a JSON object"),
+    ({"vars": ["x", "y"], "lo": [0], "hi": 1},
+     "bounds do not match variables: 2 variables, 1 lo and 2 hi bounds"),
+    ({"vars": ["x", "y"], "lo": 0, "hi": [2, 1, 0]},
+     "bounds do not match variables: 2 variables, 2 lo and 3 hi bounds"),
+    ({"vars": ["x", "y", "z"], "lo": [0, 3, 5], "hi": [2, 1, 4]},
+     "lo > hi for variable 'y': 3 > 1")),
+    ids=("not-an-object", "short-lo", "long-hi", "lo-above-hi"))
+def test_a_bad_space_exits_two_naming_what_is_wrong(workdir, capsys, space,
+                                                    want):
+    (workdir / "bad.json").write_text(json.dumps(space))
+    assert run_cli(capsys, "sem", "--program", str(workdir / "leak.hl"),
+                   "--space", str(workdir / "bad.json")) == (
+        2, "", "error: %s\n" % want)
+
+
+@pytest.mark.parametrize("pre, want", (
+    ([5], "a triple must be a JSON object, got 5"),
+    ([{"e": [[[0, 0]]]}], "a pair must be two states, got [[0, 0]]"),
+    ([{"e": 5}], "triple component 'e' must be an array, got 5")),
+    ids=("not-an-object", "short-pair", "e-not-an-array"))
+@pytest.mark.parametrize("command", ("post", "hyper-post"))
+def test_an_ill_typed_triple_exits_two_naming_it(workdir, capsys, command,
+                                                 pre, want):
+    path = str(workdir / "bad_pre.json")
+    (workdir / "bad_pre.json").write_text(json.dumps(pre))
+    assert run_cli(capsys, command, "--program", str(workdir / "leak.hl"),
+                   "--space", str(workdir / "space_lh.json"),
+                   "--pre", path) == (
+        2, "", "error: %s: triple 1: %s\n" % (path, want))
+
+
+@pytest.mark.parametrize("cfg, want", (
+    ({"elements": ["a", "b"], "leq": [["a"]]},
+     "leq entry ['a'] is not a pair"),
+    ({"elements": ["a", "b"], "leq": [["a", ["b"]]]},
+     "leq pair ['a', ['b']] names unknown element ['b']"),
+    (dict(_CHAIN, families=[5]), "family 5 is not an object"),
+    (dict(_CHAIN, families=[{"elements": ["top"], "limit": "bot",
+                             "direction": 5}]), "bad direction 5")),
+    ids=("short-leq-entry", "unhashable-element", "family-not-an-object",
+         "direction-not-a-string"))
+@pytest.mark.parametrize("command, prefix", (
+    ("abstract", "error"), ("lattice-lab", "construction error")),
+    ids=("abstract", "lattice-lab"))
+def test_a_bad_lattice_exits_two_with_the_exact_message(workdir, capsys, cfg,
+                                                        want, command, prefix):
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    extra = ("--op", "order_ideal") if command == "abstract" else ()
+    assert run_cli(capsys, command, "--lattice", str(workdir / "bad.json"),
+                   *extra) == (2, "", "%s: %s\n" % (prefix, want))
 
 
 def _files(tmp_path, contents):
@@ -941,6 +1015,32 @@ def test_check_flags_reject_low_high_next_to_a_consequent_file(workdir,
                      "--json")
              for extra in ((), ("--low", "l", "--high", "h"))]
     assert named[0] == named[1] and named[0][0] == 1
+
+
+@pytest.mark.parametrize("flags, named", (
+    (("--rule", "lower", "--json"), "--rule"),
+    (("--rule=lower",), "--rule"),
+    (("--program", "p.hl", "--post-oracle", "NI"), "--program, --post-oracle"),
+    (("--low", "x", "--space", "s.json", "--high", "y", "--pre", "p.json"),
+     "--space, --pre, --low, --high")),
+    ids=("rule", "rule=", "program-and-oracle", "four"))
+@pytest.mark.parametrize("request_file", ("req.json", "no_such.json"))
+def test_check_refuses_value_flags_next_to_a_request(workdir, capsys, flags,
+                                                     named, request_file):
+    # a request is read alone: a typed flag next to it is named before the
+    # request file is opened, whether or not that file exists
+    (workdir / "req.json").write_text(json.dumps({
+        "program": "l = h;", "space": {"vars": ["l", "h"], "lo": 0, "hi": 1},
+        "pre": LOOP_PRE, "post_oracle": "NI"}))
+    argv = ["check", "--request", str(workdir / request_file), *flags]
+    # `--rule=lower` is read by argparse, the others directly
+    assert (cli._direct(argv) is None) == (flags == ("--rule=lower",))
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: flag %s is not read next to --request\n" % named)
+    # with --json alone the request is checked
+    code, out, err = run_cli(capsys, "check", "--request",
+                             str(workdir / "req.json"), "--json")
+    assert (code, json.loads(out)["rule"], err) == (1, "upper", "")
 
 
 def test_unbound_variable_is_named_with_the_space(workdir, capsys):

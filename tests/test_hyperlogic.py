@@ -299,7 +299,7 @@ def test_choice_rule_extension_is_capped_too(monkeypatch):
 def test_forall_exists_sound_and_relative_complete():
     s1 = parse(S1_SRC)
     props = frozenset((prim("init", SPACE_Y),))
-    weak, _ = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
+    weak, _ = tf.Post_weak_while(s1, props, SPACE_Y)
     rep = check_rule("forall_exists", SPACE_Y, pre=props, stmt=s1,
                      post_q=weak)
     notes = _agreement(rep)
@@ -310,7 +310,7 @@ def test_forall_exists_sound_and_relative_complete():
 def test_forall_exists_rejects_supplied_bad_invariant():
     s1 = parse(S1_SRC)
     props = frozenset((prim("init", SPACE_Y),))
-    weak, _ = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
+    weak, _ = tf.Post_weak_while(s1, props, SPACE_Y)
     rep = check_rule("forall_exists", SPACE_Y, pre=props, stmt=s1,
                      post_q=weak,
                      invariant=frozenset((pure_e(rd.empty_rel(SPACE_Y)),)))
@@ -348,7 +348,7 @@ def test_forall_exists_builds_the_step_relation_once(monkeypatch):
             pre.add(random_triple(rng, space, pure=True))
         pre = frozenset(pre)
         calls.update(guarded=0, interpret=0)
-        weak, _ = tf.Post_weak_while(prog.cond, prog.body, pre, space)
+        weak, _ = tf.Post_weak_while(prog, pre, space)
         weak_calls = dict(calls)
         calls.update(guarded=0, interpret=0)
         rep = check_rule("forall_exists", space, pre=pre, stmt=prog,
@@ -371,7 +371,7 @@ def test_forall_exists_weak_note_reads_the_weak_semantics():
         loop = While(cond, body)
         pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
         step = weak_step_by_if(cond, body, space)
-        weak, stab = tf.Post_weak_while(cond, body, pre, space)
+        weak, stab = tf.Post_weak_while(loop, pre, space)
         assert stab == kleene_weak_family(pre, step)[1]
         explicit = frozenset(sorted(weak, key=rd.SemTriple.sort_key)[1:]
                              + [random_triple(rng, space, pure=True)])
@@ -407,9 +407,9 @@ def test_forall_exists_reads_only_the_e_component_of_a_listed_consequent():
     verdicts = set()
     for _ in range(15):
         body, space = random_program(rng, depth=2)
-        cond = Cmp(">", Var(space.vars[0]), Const(0))
+        loop = While(Cmp(">", Var(space.vars[0]), Const(0)), body)
         pre = frozenset(random_triple(rng, space, pure=True) for _ in range(2))
-        weak, _ = tf.Post_weak_while(cond, body, pre, space)
+        weak, _ = tf.Post_weak_while(loop, pre, space)
         top = rd.top_triple(space)
         assert top.inf and any(top.br)
         for pure in (weak, frozenset(sorted(weak, key=rd.SemTriple.sort_key)
@@ -418,7 +418,7 @@ def test_forall_exists_reads_only_the_e_component_of_a_listed_consequent():
                                 for q in pure)
             for invariant in (None, pre):
                 got = [check_rule("forall_exists", space, pre=pre,
-                                  stmt=While(cond, body), post_q=post_q,
+                                  stmt=loop, post_q=post_q,
                                   invariant=invariant)
                        for post_q in (pure, dressed)]
                 assert got[0].verdict == got[1].verdict
@@ -581,11 +581,11 @@ def test_forall_exists_reads_a_supplied_invariants_breaks():
     space = StateSpace.make(("x",), 0, 2)
     loop = parse(BREAK_LOOP)
     pre = frozenset((prim("init", space),))
-    step = tf.weak_step(loop.cond, loop.body, space)[2]
+    step = tf.weak_step(loop, space)[2]
     family, _ = tf.weak_while_iterates(step, pre, space)
     assert any(any(t.br) for t in family)
     full = (1 << space.size()) - 1
-    weak, _ = tf.Post_weak_while(loop.cond, loop.body, pre, space)
+    weak, _ = tf.Post_weak_while(loop, pre, space)
     for invariant, closed in (
             (family, True),
             (frozenset(rd.SemTriple(t.e, full, t.br) for t in family), True),
@@ -606,7 +606,7 @@ def test_forall_exists_calls_an_oracle_once_per_distinct_exit_image():
     space = StateSpace.make(("l", "h"), 0, 2)
     loop = parse("while (h > 0) { h = h - 1; l = l + 1; }")
     pre = frozenset((prim("init", space),))
-    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    _, not_b, step = tf.weak_step(loop, space)
     family, _ = tf.weak_while_iterates(step, pre, space)
     exits = {tf.weak_exit(t, not_b) for t in family}
     ni = ab.family("NI", space=space)
@@ -635,7 +635,7 @@ def test_forall_exists_tests_each_direct_conclusion_image_once():
     # wherever the failing antecedent falls in the frozenset's order
     space = StateSpace.make(("l", "h"), 0, 2)
     loop = parse("while (h > 0) { h = h - 1; l = l + 1; }")
-    _, not_b, step = tf.weak_step(loop.cond, loop.body, space)
+    _, not_b, step = tf.weak_step(loop, space)
     loop_e = it.sem(loop, space).e
     ni = ab.family("NI", space=space)
 

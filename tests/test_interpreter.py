@@ -62,6 +62,16 @@ def test_gfp_identity_on_top():
                max_iter=1).result == top
 
 
+def test_gfp_raises_on_an_iterate_above_its_predecessor():
+    # the first iterate grows the top it started from: not a descending chain
+    with pytest.raises(NonMonotoneError) as err:
+        gfp(lambda x: x | {9}, frozenset((1,)), ge=frozenset.__ge__,
+            max_iter=5)
+    assert err.value.iteration == 1
+    assert str(err.value) == ("iterate 1 is not comparable with its "
+                              "predecessor")
+
+
 def test_lfp_detects_non_monotone_step():
     flip = lambda x: frozenset() if x else frozenset((1,))
     with pytest.raises(NonMonotoneError) as err:

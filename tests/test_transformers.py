@@ -208,16 +208,16 @@ def test_structural_post_while_false_filters_through_negated_guard():
 
 def test_weak_while_empty_input():
     space = StateSpace.make(("x",), 0, 1)
-    out, stab = tf.Post_weak_while(Cmp(">", Var("x"), Const(0)),
-                                   Assign("x", Const(0)),
-                                   frozenset(), space)
+    out, stab = tf.Post_weak_while(
+        While(Cmp(">", Var("x"), Const(0)), Assign("x", Const(0))),
+        frozenset(), space)
     assert out == frozenset() and stab == 0
 
 
 def test_weak_while_contains_exact_post_and_is_strict():
     s1 = parse(S1_SRC)
     props = frozenset((prim("init", SPACE_Y),))
-    weak, stab = tf.Post_weak_while(s1.cond, s1.body, props, SPACE_Y)
+    weak, stab = tf.Post_weak_while(s1, props, SPACE_Y)
     exact = pure_e(rd.compose_rel(prim("init", SPACE_Y).e, _s1_sem().e))
     assert exact in weak
     assert len(weak) > 1 and stab >= 1
@@ -242,11 +242,12 @@ def test_weak_while_matches_hyper_level_fixpoint():
             pre.add(random_triple(rng, space, pure=True))
         step = weak_step_by_if(cond, body, space)
         broke += any(step.br)
-        assert tf.weak_step(cond, body, space)[2] == step
+        loop = While(cond, body)
+        assert tf.weak_step(loop, space)[2] == step
         hyper, rounds = kleene_weak_family(pre, step)
         assert tf.weak_while_iterates(step, pre, space) == (hyper, rounds)
         reference = frozenset(exit_image(t, cond, space) for t in hyper)
-        assert tf.Post_weak_while(cond, body, frozenset(pre), space) == (
+        assert tf.Post_weak_while(loop, frozenset(pre), space) == (
             reference, rounds)
     assert broke >= 6, broke
 
@@ -276,8 +277,7 @@ def test_weak_while_keeps_the_runs_that_broke():
     space = StateSpace.make(("x",), 0, 2)
     loop = parse(BREAK_LOOP)
     init = prim("init", space)
-    weak, stab = tf.Post_weak_while(loop.cond, loop.body,
-                                    frozenset((init,)), space)
+    weak, stab = tf.Post_weak_while(loop, frozenset((init,)), space)
     assert (weak, stab) == (frozenset(break_loop_images(space)), 2)
     assert pure_e(rd.compose_rel(init.e, it.sem(loop, space).e)) in weak
 
@@ -289,18 +289,18 @@ def test_weak_while_contains_the_exact_post_of_bodies_that_break():
     broke = 0
     for _ in range(1000):
         space = random_space(rng, max_range=3)
-        cond = random_bexpr(rng, space.vars, 1)
-        body = random_stmt(rng, space.vars, 2, in_loop=True,
-                           allow_while=False)
+        loop = While(random_bexpr(rng, space.vars, 1),
+                     random_stmt(rng, space.vars, 2, in_loop=True,
+                                 allow_while=False))
         pre = frozenset((prim("init", space),
                          random_triple(rng, space, pure=True)))
-        step = tf.weak_step(cond, body, space)[2]
+        step = tf.weak_step(loop, space)[2]
         broke += any(step.br)
-        weak, _ = tf.Post_weak_while(cond, body, pre, space)
-        wsem = it.sem(While(cond, body), space)
+        weak, _ = tf.Post_weak_while(loop, pre, space)
+        wsem = it.sem(loop, space)
         assert {pure_e(rd.compose_rel(p.e, wsem.e)) for p in pre} <= weak
         rep = hl.check_rule("forall_exists", space, pre=pre,
-                            stmt=While(cond, body), post_q=weak)
+                            stmt=loop, post_q=weak)
         notes = {name: ok for name, ok, _ in rep.premises}
         assert rep.holds() and notes["conclusion:direct"]
     assert broke >= 150, broke
